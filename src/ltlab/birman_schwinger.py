@@ -33,7 +33,12 @@ def _default_epsilons() -> np.ndarray:
 
 @dataclass(frozen=True)
 class BSOperator:
-    """Dense discretization of one kernel operator, eigenvalues descending."""
+    """Dense discretization of one kernel operator, eigenvalues descending.
+
+    The matrix is real (float64) when the restricted samples of V_minus have
+    zero imaginary part, as for every scalar well and every real direct sum,
+    and complex Hermitian otherwise.
+    """
 
     epsilon: float
     grid: np.ndarray
@@ -103,7 +108,10 @@ def build_L(source, epsilon: float, stride: int = 1) -> BSOperator:
         raise ValueError("epsilon must be >= 0")
     neg = _negative_part_of(source)
     idx, pts, w = _restriction_grid(neg, stride)
-    wmat = _psd_sqrt(neg.values[idx])
+    blocks = neg.values[idx]
+    if not blocks.imag.any():
+        blocks = blocks.real
+    wmat = _psd_sqrt(blocks)
     a = np.sqrt(w)[:, None, None] * wmat
     kern = np.exp(-epsilon * np.abs(pts[:, None] - pts[None, :]))
     m, n = pts.size, neg.matrix_dim

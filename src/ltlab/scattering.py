@@ -7,6 +7,11 @@ flow, which keeps |det A| >= 1 and the unitarity relation at roundoff level
 instead of drifting with the step size.  Both wavenumber signs ride along as
 column blocks of one fundamental solution, so A and B at +k and -k come out
 of a single pass.
+
+Each step solves a 2n x 2n linear system for the stage values.  For scalar
+wells (n = 1) it is solved in closed form by Cramer's rule, elementwise over
+the wavenumber batch and in real arithmetic; coupled channels (n > 1) use
+one batched LAPACK solve per step.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
     k = np.asarray(k_values, dtype=float)
     nk = k.size
     eye = np.eye(n)
-    k2 = (k * k)[:, None, None] * eye
     phase = np.exp(1j * k * b)
     y_top = np.zeros((nk, n, 2 * n), dtype=complex)
     y_bot = np.zeros((nk, n, 2 * n), dtype=complex)
@@ -66,7 +70,12 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
     y_top[:, :, n:] = np.conj(phase)[:, None, None] * eye
     y_bot[:, :, :n] = (1j * k * phase)[:, None, None] * eye
     y_bot[:, :, n:] = (-1j * k * np.conj(phase))[:, None, None] * eye
+    if n == 1:
+        # a Hermitian 1 x 1 sample is real
+        _steps_scalar(v1[:, 0, 0].real, v2[:, 0, 0].real, k * k, s, y_top, y_bot)
+        return y_top, y_bot
 
+    k2 = (k * k)[:, None, None] * eye
     s2 = s * s
     g = np.empty((nk, 2 * n, 2 * n), dtype=complex)
     rhs = np.empty((nk, 2 * n, 2 * n), dtype=complex)
@@ -85,6 +94,36 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
         y_top = y_top + s * y_bot + s2 * (_D1 * p1 + _D2 * p2)
         y_bot = y_bot + (0.5 * s) * (p1 + p2)
     return y_top, y_bot
+
+
+def _steps_scalar(v1, v2, k2, s, y_top, y_bot):
+    """The steps of _propagate for n = 1, in place, with the stage solve by Cramer.
+
+    Each step's 2 x 2 stage matrix G is real, so the solve and the update
+    run in real arithmetic on the real and imaginary parts of the +k and -k
+    solutions, one row each, one column per wavenumber.
+    """
+    top = np.ascontiguousarray(y_top.reshape(k2.size, 2).view(float).T)
+    bot = np.ascontiguousarray(y_bot.reshape(k2.size, 2).view(float).T)
+    s2 = s * s
+    for j in range(v1.size):
+        w1 = v1[j] - k2
+        w2 = v2[j] - k2
+        g11 = 1.0 - s2 * _CC[0][0] * w1
+        g12 = -s2 * _CC[0][1] * w2
+        g21 = -s2 * _CC[1][0] * w1
+        g22 = 1.0 - s2 * _CC[1][1] * w2
+        det = g11 * g22 - g12 * g21
+        r1 = top + (s * _C1) * bot
+        r2 = top + (s * _C2) * bot
+        # p_i = w_i z_i with z = G^-1 [r1; r2]
+        p1 = (w1 / det) * (g22 * r1 - g12 * r2)
+        p2 = (w2 / det) * (g11 * r2 - g21 * r1)
+        top += s * bot
+        top += s2 * (_D1 * p1 + _D2 * p2)
+        bot += (0.5 * s) * (p1 + p2)
+    y_top.reshape(k2.size, 2).view(float)[...] = top.T
+    y_bot.reshape(k2.size, 2).view(float)[...] = bot.T
 
 
 def _match(y_top, y_bot, k: np.ndarray, x_left: float, n: int):
@@ -145,26 +184,6 @@ class ScatteringData:
     @property
     def matrix_dim(self) -> int:
         return self.a_pos.shape[1]
-
-    def to_csv(self) -> str:
-        lines = ["k,logdetA,unitarity_residual"]
-        for i in range(self.k_grid.size):
-            lines.append(
-                f"{self.k_grid[i]!r},{self.logdet[i]!r},{self.unitarity_residual[i]!r}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def summary_record(self) -> dict:
-        return {
-            "i0": self.i0,
-            "i2": self.i2,
-            "i4": self.i4,
-            "k_count": int(self.k_grid.size),
-            "k_last": float(self.k_grid[-1]),
-            "segments": self.segments,
-            "integral_details": self.integral_details,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _segment_plan(k_min: float, cap: float, refine: int):
@@ -269,15 +288,6 @@ def _spectral_integrals(k, logdet, segments, mode):
         "gap_coefficients": [c0, c2],
         "gap_fit_flagged": bool(flagged),
     }
-
-
-def spectral_integrals(data: ScatteringData):
-    """Recompute (I_0, I_2, I_4) from the stored grid; used for cross-checks."""
-    details = _spectral_integrals(
-        data.k_grid, data.logdet, data.segments, data.diagnostics.get("mode", "adaptive")
-    )
-    v = details["values"]
-    return v[0], v[2], v[4]
 
 
 def compute_scattering(

@@ -76,3 +76,33 @@ def test_cauchy_kernel_identity():
     rep = bs.cauchy_kernel_identity_check()
     assert rep.passed
     assert rep.lhs < 1e-6
+
+
+def test_real_kernel_matches_complex_kernel():
+    # U V U* has V's kernel eigenvalues, but complex samples send it through
+    # the complex Hermitian path
+    well = potentials.build_family(
+        "random-smooth", matrix_dim=2, seed=0, real_valued=True
+    )
+    theta, phi = 0.7, 1.1
+    u = np.array(
+        [
+            [np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
+            [np.exp(1j * phi) * np.sin(theta), np.cos(theta)],
+        ]
+    )
+    turned = potentials.SampledPotential(
+        grid_start=well.grid_start,
+        grid_step=well.grid_step,
+        values=u @ well.values @ u.conj().T,
+        support=well.support,
+        family_tag="conjugated",
+    )
+    for eps in (0.0, 1.0):
+        real_op = bs.build_L(well, eps)
+        complex_op = bs.build_L(turned, eps)
+        assert real_op.matrix.dtype == np.float64
+        assert complex_op.matrix.dtype == np.complex128
+        tol = 1e-12 * real_op.trace
+        assert abs(real_op.trace - complex_op.trace) <= tol
+        assert np.abs(real_op.eigenvalues - complex_op.eigenvalues).max() <= tol
