@@ -426,12 +426,6 @@ class CouplingSweep:
     box_radius: float
     energy_floor: float
 
-    def output_rows(self) -> dict:
-        return {
-            "coupling": list(self.couplings),
-            "levels": [s.count for s in self.spectra],
-        }
-
 
 def coupling_sweep(
     potential: SampledPotential,

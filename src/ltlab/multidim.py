@@ -9,12 +9,10 @@ exact for any quadratic gauge function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from . import spectral1d
@@ -24,7 +22,6 @@ from .reports import BoundReport, BoundSpec, comparison_report
 from .spectral1d import DiscretizedOperator1D, NegativeSpectrum
 
 GRID_CAP = 160
-DENSE_GRID_CAP = 64
 ENERGY_EDGE_THRESHOLD = spectral1d.ENERGY_EDGE_THRESHOLD
 RANK_CAP = 64
 
@@ -175,35 +172,14 @@ def constant_field(strength: float, gauge: str = "landau"):
 def negative_spectrum_2d(
     op: GridOperator2D, threshold: float = ENERGY_EDGE_THRESHOLD
 ) -> NegativeSpectrum:
-    """All eigenvalues below -threshold; dense up to 64 points per side.
+    """All eigenvalues below -threshold, by shift-invert Lanczos.
 
-    Above the dense cap the kinetic form stays nonnegative, so the bottom of
-    the spectrum lies above min(V) and shift-invert anchored just below that
-    value separates the bound states cleanly.
+    The kinetic form stays nonnegative with or without link phases, so the
+    bottom of the spectrum lies above min(V) and a shift anchored just below
+    that value separates the bound states cleanly.
     """
-    if op.num_interior <= DENSE_GRID_CAP:
-        vals = np.linalg.eigvalsh(op.to_dense())
-        vals = vals[vals <= -threshold]
-    else:
-        mat = op.to_sparse()
-        sigma = float(op.potential_values.min()) - 0.1
-        v0 = np.full(op.size, 1.0 / math.sqrt(op.size))
-        k = 16
-        while True:
-            k_eff = min(k, op.size - 2)
-            vals = spla.eigsh(
-                mat,
-                k=k_eff,
-                sigma=sigma,
-                which="LM",
-                v0=v0,
-                return_eigenvectors=False,
-            )
-            vals = np.sort(vals)
-            if vals.max() > -threshold or k_eff == op.size - 2:
-                break
-            k *= 2
-        vals = vals[vals <= -threshold]
+    sigma = float(op.potential_values.min()) - 0.1
+    vals = spectral1d._eigsh_below(op.to_sparse(), sigma, threshold)
     return NegativeSpectrum(
         energies=np.sort(-vals)[::-1],
         box_radius=op.box_radius,
@@ -220,12 +196,17 @@ def refined_negative_spectrum_2d(
     num_interior: int,
     vector_potential=None,
     threshold: float = ENERGY_EDGE_THRESHOLD,
+    coarse: NegativeSpectrum | None = None,
 ) -> NegativeSpectrum:
-    """Richardson pairing of the M and 2M+1 grids, as in one dimension."""
-    coarse = negative_spectrum_2d(
-        build_operator_2d(potential, box_radius, num_interior, vector_potential),
-        threshold,
-    )
+    """Richardson pairing of the M and 2M+1 grids, as in one dimension.
+
+    coarse, when given, is the already solved spectrum on the M grid.
+    """
+    if coarse is None:
+        coarse = negative_spectrum_2d(
+            build_operator_2d(potential, box_radius, num_interior, vector_potential),
+            threshold,
+        )
     fine = negative_spectrum_2d(
         build_operator_2d(
             potential, box_radius, 2 * num_interior + 1, vector_potential
@@ -369,23 +350,28 @@ def diamagnetic_trend_check(
     num_interior: int,
     gamma: float = 1.5,
     field_strength: float = 1.0,
+    plain: NegativeSpectrum | None = None,
+    magnetic: NegativeSpectrum | None = None,
 ) -> BoundReport:
     """Field-on Riesz mean against field-off, at gamma >= 3/2.
 
     This is corpus-level evidence, not a theorem; a violation is reported
-    as inconclusive so it never gates a run.
+    as inconclusive so it never gates a run.  plain and magnetic, when
+    given, are the already solved spectra on the num_interior grid.
     """
-    plain = negative_spectrum_2d(
-        build_operator_2d(potential, box_radius, num_interior)
-    )
-    magnetic = negative_spectrum_2d(
-        build_operator_2d(
-            potential,
-            box_radius,
-            num_interior,
-            constant_field(field_strength, "landau"),
+    if plain is None:
+        plain = negative_spectrum_2d(
+            build_operator_2d(potential, box_radius, num_interior)
         )
-    )
+    if magnetic is None:
+        magnetic = negative_spectrum_2d(
+            build_operator_2d(
+                potential,
+                box_radius,
+                num_interior,
+                constant_field(field_strength, "landau"),
+            )
+        )
     lhs = magnetic.riesz_mean(gamma)
     rhs = plain.riesz_mean(gamma)
     holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
@@ -410,6 +396,7 @@ def lifting_inequality_audit(
     rank: int,
     base_tolerance: float = 1e-9,
     threshold: float = ENERGY_EDGE_THRESHOLD,
+    spectrum_2d: NegativeSpectrum | None = None,
 ) -> BoundReport:
     """Planar Riesz mean against the matrix-valued 1D comparison problem.
 
@@ -419,6 +406,7 @@ def lifting_inequality_audit(
     solver.  Compression can only shrink the right-hand side, so a miss
     within the truncation allowance (the lifted-moment bound on the
     discarded slice levels) is reported inconclusive rather than failed.
+    spectrum_2d, when given, is the already solved planar spectrum.
     """
     if gamma < 0.5:
         raise ValueError("need gamma >= 1/2")
@@ -427,7 +415,8 @@ def lifting_inequality_audit(
     op = build_operator_2d(potential, box_radius, num_interior)
     m = op.num_interior
     h = op.grid_step
-    spectrum_2d = negative_spectrum_2d(op, threshold)
+    if spectrum_2d is None:
+        spectrum_2d = negative_spectrum_2d(op, threshold)
     lhs = spectrum_2d.riesz_mean(gamma)
 
     kinetic = (

@@ -176,28 +176,3 @@ CSV_COLUMNS = [
     "tolerance",
     "pass",
 ]
-
-
-def csv_row(scenario: str, report: BoundReport) -> list[str]:
-    """Flat summary row; column order is fixed by CSV_COLUMNS."""
-
-    def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float) and not math.isfinite(x):
-            return ""
-        return repr(float(x)) if isinstance(x, float) else str(x)
-
-    status = "inconclusive" if report.inconclusive else str(bool(report.passed))
-    return [
-        scenario,
-        report.audit_tag,
-        report.citation,
-        fmt(report.spec.gamma if report.spec else None),
-        fmt(report.spec.d if report.spec else None),
-        fmt(float(report.lhs)),
-        fmt(float(report.rhs)),
-        fmt(report.ratio),
-        fmt(float(report.tolerance)),
-        status,
-    ]

@@ -238,19 +238,32 @@ class ScenarioContext:
     def plane_points(self) -> int:
         return int(self.option("num_interior", 64))
 
+    def vector_potential(self, magnetic: bool):
+        if not magnetic:
+            return None
+        return multidim.constant_field(float(self.option("field_strength", 1.0)))
+
+    def planar_spectrum(self, num_interior: int, magnetic: bool):
+        """Unrefined planar spectrum, solved once per (grid, field)."""
+        key = ("planar_spectrum", num_interior, magnetic)
+        if key not in self._cache:
+            self._cache[key] = multidim.negative_spectrum_2d(
+                multidim.build_operator_2d(
+                    self.well_2d(), self.plane_box(), num_interior,
+                    self.vector_potential(magnetic),
+                )
+            )
+        return self._cache[key]
+
     def spectrum_2d(self, magnetic: bool):
         key = ("spectrum_2d", magnetic)
         if key not in self._cache:
-            vector = (
-                multidim.constant_field(float(self.option("field_strength", 1.0)))
-                if magnetic
-                else None
-            )
             self._cache[key] = multidim.refined_negative_spectrum_2d(
                 self.well_2d(),
                 self.plane_box(),
                 self.plane_points(),
-                vector_potential=vector,
+                vector_potential=self.vector_potential(magnetic),
+                coarse=self.planar_spectrum(self.plane_points(), magnetic),
             )
         return self._cache[key]
 
@@ -475,6 +488,7 @@ def _run_lifting_2d(ctx):
             gamma=float(ctx.option("lifting_gamma", 1.0)),
             rank=int(ctx.option("rank", 6)),
             base_tolerance=ctx.tolerance("lifting-2d", 1e-9),
+            spectrum_2d=ctx.planar_spectrum(ctx.plane_points(), False),
         )
     ]
 
@@ -485,6 +499,8 @@ def _run_diamagnetic_trend(ctx):
             ctx.well_2d(), ctx.plane_box(), ctx.plane_points(),
             gamma=float(ctx.option("magnetic_gamma", 1.5)),
             field_strength=float(ctx.option("field_strength", 1.0)),
+            plain=ctx.planar_spectrum(ctx.plane_points(), False),
+            magnetic=ctx.planar_spectrum(ctx.plane_points(), True),
         )
     ]
 
@@ -614,11 +630,7 @@ def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
     scenarios = validate_config(config)
     if jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            by_name = {
-                result["name"]: result
-                for result in pool.map(run_scenario, scenarios)
-            }
-        results = [by_name[s.name] for s in scenarios]
+            results = list(pool.map(run_scenario, scenarios))
     else:
         results = [run_scenario(s) for s in scenarios]
     global_pass = all(r["error"] is None for r in results) and all(

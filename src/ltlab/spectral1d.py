@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .potentials import SampledPotential
 
-DENSE_SIZE_CAP = 4096
+CHANNEL_SPLIT_TOL = 1e-13
 ENERGY_EDGE_THRESHOLD = 1e-8
 MIN_INTERIOR_POINTS = 16
 
@@ -54,11 +54,6 @@ class DiscretizedOperator1D:
         h = self.grid_step
         return -self.box_radius + h * (1 + np.arange(self.num_interior))
 
-    def gershgorin_floor(self) -> float:
-        """Lower bound on the spectrum: kinetic part is PSD."""
-        mu = np.linalg.eigvalsh(self.potential_blocks)
-        return float(min(mu.min(), 0.0))
-
     def spectrum_shift(self) -> float:
         """A point strictly below the lowest eigenvalue but near its scale.
 
@@ -74,19 +69,6 @@ class DiscretizedOperator1D:
         tight = max(floor, moment_floor)
         return 1.15 * tight - 0.05
 
-    def to_dense(self) -> np.ndarray:
-        m, n = self.num_interior, self.matrix_dim
-        inv_h2 = 1.0 / self.grid_step**2
-        a = np.zeros((m * n, m * n), dtype=complex)
-        for i in range(m):
-            a[i * n : (i + 1) * n, i * n : (i + 1) * n] = self.potential_blocks[i]
-        diag = np.arange(m * n)
-        a[diag, diag] += 2.0 * inv_h2
-        off = np.arange((m - 1) * n)
-        a[off, off + n] -= inv_h2
-        a[off + n, off] -= inv_h2
-        return a
-
     def to_sparse(self) -> sp.csc_matrix:
         m, n = self.num_interior, self.matrix_dim
         inv_h2 = 1.0 / self.grid_step**2
@@ -95,14 +77,6 @@ class DiscretizedOperator1D:
         ones = np.ones(m - 1)
         hop = sp.kron(sp.diags([ones, ones], [-1, 1]), -inv_h2 * sp.identity(n))
         return (main + hop).tocsc()
-
-    def tridiagonal_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.matrix_dim != 1:
-            raise ValueError("tridiagonal form needs a scalar potential")
-        inv_h2 = 1.0 / self.grid_step**2
-        d = self.potential_blocks[:, 0, 0].real + 2.0 * inv_h2
-        e = np.full(self.num_interior - 1, -inv_h2)
-        return d, e
 
 
 @dataclass(frozen=True)
@@ -185,33 +159,62 @@ def discretize(
     )
 
 
+def _constant_channels(op: DiscretizedOperator1D) -> np.ndarray | None:
+    """Channel wells v_k(x_i), shape (n, m), when V(x_i) = U diag(v_k(x_i)) U*.
+
+    U diagonalizes one fixed weighted sum of the samples.  The split is
+    accepted when no rotated block keeps an off-diagonal part above
+    CHANNEL_SPLIT_TOL * max|V|; dropping that part moves no level by more
+    than its norm (Weyl).  Returns None for a coupled well.
+    """
+    v = op.potential_blocks
+    weights = 1.0 + np.arange(op.num_interior) / op.num_interior
+    _, u = np.linalg.eigh(np.tensordot(weights, v, axes=1))
+    rotated = np.conj(u.T) @ v @ u
+    channels = np.diagonal(rotated, axis1=1, axis2=2)
+    coupling = rotated - channels[:, :, None] * np.eye(op.matrix_dim)
+    if np.linalg.norm(coupling, axis=(1, 2)).max() > CHANNEL_SPLIT_TOL * np.abs(v).max():
+        return None
+    return channels.real.T
+
+
 def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.ndarray:
-    floor = op.gershgorin_floor()
-    if op.matrix_dim == 1:
-        d, e = op.tridiagonal_bands()
-        vals = eigh_tridiagonal(
-            d, e, select="v", select_range=(floor - 1.0, -threshold)
-        )[0]
-        return vals
-    if op.size <= DENSE_SIZE_CAP:
-        vals = np.linalg.eigvalsh(op.to_dense())
-        return vals[vals <= -threshold]
-    mat = op.to_sparse()
-    shift = op.spectrum_shift()
-    v0 = np.full(op.size, 1.0 / math.sqrt(op.size))
+    """Tridiagonal bisection per channel, else shift-invert on the coupled well."""
+    channels = _constant_channels(op)
+    if channels is not None:
+        inv_h2 = 1.0 / op.grid_step**2
+        floor = min(float(channels.min()), 0.0)
+        off = np.full(op.num_interior - 1, -inv_h2)
+        return np.concatenate([
+            eigh_tridiagonal(
+                c + 2.0 * inv_h2, off, select="v", select_range=(floor - 1.0, -threshold)
+            )[0]
+            for c in channels
+        ])
+    return _eigsh_below(op.to_sparse(), op.spectrum_shift(), threshold)
+
+
+def _eigsh_below(mat, sigma: float, threshold: float) -> np.ndarray:
+    """Eigenvalues of mat at or below -threshold, by shift-invert about sigma.
+
+    sigma lies below the spectrum, so the k eigenvalues nearest to it are the
+    k lowest; k doubles until the largest of them clears -threshold.
+    """
+    size = mat.shape[0]
+    v0 = np.full(size, 1.0 / math.sqrt(size))
     k = 16
     while True:
-        k_eff = min(k, op.size - 2)
+        k_eff = min(k, size - 2)
         vals = spla.eigsh(
             mat,
             k=k_eff,
-            sigma=shift,
+            sigma=sigma,
             which="LM",
             v0=v0,
             return_eigenvectors=False,
         )
         vals = np.sort(vals)
-        if vals.max() > -threshold or k_eff == op.size - 2:
+        if vals.max() > -threshold or k_eff == size - 2:
             break
         k *= 2
     return vals[vals <= -threshold]

@@ -72,17 +72,3 @@ def test_report_record_and_ratio():
     assert math.isnan(bare.ratio)
     assert bare.to_record()["ratio"] is None
     assert bare.citation == "x"
-
-
-def test_csv_row_layout():
-    spec = reports.BoundSpec(0.5, 1, "upper", 2.0, "bound:half-moment-sharp")
-    rep = reports.BoundReport("demo", 1.0, 2.0, 1e-6, True, spec=spec)
-    row = reports.csv_row("scene", rep)
-    assert len(row) == len(reports.CSV_COLUMNS)
-    assert row[0] == "scene"
-    assert row[1] == "demo"
-    assert row[2] == "bound:half-moment-sharp"
-    assert row[3] == "0.5"
-    assert row[-1] == "True"
-    rep.inconclusive = True
-    assert reports.csv_row("scene", rep)[-1] == "inconclusive"

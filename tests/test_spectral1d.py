@@ -69,35 +69,72 @@ def test_negative_spectrum_validation_and_moments():
         spec.riesz_mean(-0.5)
 
 
-def test_direct_sum_spectrum_is_union(pt1, pt2):
+def _count_solver_calls(monkeypatch):
+    calls = {"tridiagonal": 0, "eigsh": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        spectral1d, "eigh_tridiagonal", counted("tridiagonal", spectral1d.eigh_tridiagonal)
+    )
+    monkeypatch.setattr(spectral1d.spla, "eigsh", counted("eigsh", spectral1d.spla.eigsh))
+    return calls
+
+
+def test_direct_sum_spectrum_is_union(pt1, pt2, monkeypatch):
     # block-diagonal potential: the discrete operator is permutation-similar
-    # to the two scalar problems, so levels agree to solver precision; the
-    # 2x2 case also exercises the sparse shift-invert path (size > 4096)
+    # to the two scalar problems, and the channel split solves exactly those
     box = 26.0
     m = 2049
     both = potentials.direct_sum(pt1, pt2)
     op = spectral1d.discretize(both, box, m)
-    assert op.size > spectral1d.DENSE_SIZE_CAP
+    calls = _count_solver_calls(monkeypatch)
     joint = spectral1d.negative_spectrum(op)
+    assert calls == {"tridiagonal": 2, "eigsh": 0}
     single = [
         spectral1d.negative_spectrum(spectral1d.discretize(p, box, m))
         for p in (pt1, pt2)
     ]
     union = np.sort(np.concatenate([s.energies for s in single]))[::-1]
     assert joint.count == 3
-    assert_allclose(joint.energies, union, atol=1e-9)
+    assert_allclose(joint.energies, union, atol=1e-12)
 
 
-def test_dense_and_tridiagonal_paths_agree(pt1):
-    op = spectral1d.discretize(pt1, 20.0, 300)
-    d, e = op.tridiagonal_bands()
-    dense = np.linalg.eigvalsh(op.to_dense().real)
-    from scipy.linalg import eigh_tridiagonal
+def test_shift_invert_matches_dense_solve(random_2x2, monkeypatch):
+    op = spectral1d.discretize(random_2x2, random_2x2.support_radius + 4.0, 200)
+    calls = _count_solver_calls(monkeypatch)
+    spec = spectral1d.negative_spectrum(op)
+    assert calls["tridiagonal"] == 0 and calls["eigsh"] >= 1
+    full = np.linalg.eigvalsh(op.to_sparse().toarray())
+    dense = np.sort(-full[full <= -spec.threshold])[::-1]
+    assert spec.count == dense.size >= 1
+    assert_allclose(spec.energies, dense, rtol=0.0, atol=1e-12 * np.abs(full).max())
 
-    tri = eigh_tridiagonal(d, e)[0]
-    assert_allclose(dense, tri, atol=1e-10)
-    sparse = op.to_sparse().toarray()
-    assert_allclose(sparse, op.to_dense(), atol=1e-14)
+
+def test_channel_split_matches_full_solve(random_2x2, monkeypatch):
+    # a complex projector direction makes U a complex unitary, not the identity
+    narrow = potentials.build_family(
+        "rank-one-narrow", integral=2.0, width=0.1, matrix_dim=3,
+        direction=[[0.6, 0.2], [0.3, -0.7], [-0.1, 0.4]],
+    )
+    op = spectral1d.discretize(narrow, 6.0, 300)
+    calls = _count_solver_calls(monkeypatch)
+    spec = spectral1d.negative_spectrum(op)
+    assert calls == {"tridiagonal": 3, "eigsh": 0}
+    full = np.linalg.eigvalsh(op.to_sparse().toarray())
+    dense = np.sort(-full[full <= -spec.threshold])[::-1]
+    assert spec.count == dense.size >= 1
+    assert_allclose(spec.energies, dense, rtol=0.0, atol=1e-10)
+    # a coupled well is not split
+    coupled = spectral1d.discretize(random_2x2, random_2x2.support_radius + 4.0, 200)
+    calls.update(tridiagonal=0, eigsh=0)
+    spectral1d.negative_spectrum(coupled)
+    assert calls["tridiagonal"] == 0 and calls["eigsh"] >= 1
 
 
 def test_spectrum_shift_sits_below_ground_level(pt2):
