@@ -13,14 +13,16 @@ partial eigenvalue sum nonincreasing in e on any fixed grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.linalg.lapack import dtbtrs
 
 from .potentials import MatrixFunctionSplit, SampledPotential, part_eigenvalues, split_parts
 from .reports import BoundReport
-from .spectral1d import NegativeSpectrum
+from .spectral1d import NegativeSpectrum, _constant_channels
 
 NONPOSITIVITY_TOL = 1e-12
 
@@ -33,11 +35,13 @@ def _default_epsilons() -> np.ndarray:
 
 @dataclass(frozen=True)
 class BSOperator:
-    """Dense discretization of one kernel operator, eigenvalues descending.
+    """One discretized kernel operator, held as the diagonal blocks of its factor.
 
-    The matrix is real (float64) when the restricted samples of V_minus have
-    zero imaginary part, as for every scalar well and every real direct sum,
-    and complex Hermitian otherwise.
+    The operator is A (K (x) I) A with A = diag(A_i), A_i = sqrt(w_i) W(x_i),
+    and K_ij = exp(-epsilon |x_i - x_j|); matrix holds the blocks A_i, shape
+    (m, n, n), real (float64) when the restricted samples of V_minus have zero
+    imaginary part and complex Hermitian otherwise.  eigenvalues holds the
+    leading eigenvalues asked for, descending; trace is sum_i w_i tr V_minus(x_i).
     """
 
     epsilon: float
@@ -46,14 +50,11 @@ class BSOperator:
     matrix: np.ndarray
     matrix_dim: int
     eigenvalues: np.ndarray
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    trace: float
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] * self.matrix_dim
 
     def partial_sums(self, n_max: int) -> np.ndarray:
         k = min(n_max, self.eigenvalues.size)
@@ -98,11 +99,68 @@ def _negative_part_of(source) -> SampledPotential:
     raise TypeError("source must be a MatrixFunctionSplit or a SampledPotential")
 
 
-def build_L(source, epsilon: float, stride: int = 1) -> BSOperator:
-    """Trapezoid discretization of L_e on the support restriction of the grid.
+def _leading_eigenvalues(
+    a: np.ndarray, pts: np.ndarray, epsilon: float, top: int
+) -> np.ndarray:
+    """Leading eigenvalues, descending, of A (K (x) I) A, K_ij = exp(-epsilon |x_i - x_j|).
 
-    source supplies the negative part V_minus that defines W; stride=2 yields
-    the half-resolution operator used for eigenvalue extrapolation.
+    a holds the diagonal blocks of A at the points pts, shape (m, n, n), and
+    epsilon > 0.  Points where A vanishes add only zero eigenvalues; they are
+    dropped, so Lanczos never exhausts its Krylov space on a null space, and
+    fewer than top values may come back.  K is semiseparable: K = F + F^T - I
+    with F = (I - DS)^(-1), S the down-shift and D_i = exp(-epsilon (x_i -
+    x_(i-1))), so a matvec is two bidiagonal solves (LAPACK tbtrs, plain and
+    transposed; K is real, so complex columns go as real pairs).  ARPACK takes
+    at most size - 1 eigenvalues (eigsh) or size - 2 (eigs, the complex
+    Hermitian case); one zero row appended to a complex operator leaves its
+    nonzero spectrum alone and lifts its limit to size - 1.  When every
+    eigenvalue is wanted, the last is the trace minus the others.
+    """
+    keep = np.abs(a).max(axis=(1, 2)) > 0.0
+    if not keep.any():
+        return np.empty(0)
+    a, pts = a[keep], pts[keep]
+    m, n, _ = a.shape
+    size = m * n
+    want = min(top, size)
+    trace = float(np.vdot(a, a).real)
+    pad = int(np.iscomplexobj(a))
+    steps = np.append(np.exp(-epsilon * np.diff(pts)), 0.0)
+    band = np.array([np.ones(m), -steps])
+
+    def matvec(v):
+        x = np.asarray(v, dtype=a.dtype).reshape(-1)[:size]
+        u = np.matmul(a, x.reshape(m, n, 1)).reshape(m, -1).view(np.float64)
+        forward, _ = dtbtrs(band, u, uplo="L")
+        backward, _ = dtbtrs(band, u, uplo="L", trans="T")
+        ku = np.ascontiguousarray(forward + backward - u).view(a.dtype)
+        y = np.matmul(a, ku.reshape(m, n, 1)).reshape(-1)
+        return np.concatenate([y, np.zeros(pad)]) if pad else y
+
+    k = min(want, size - 1)
+    vals = np.empty(0)
+    if k > 0:
+        op = spla.LinearOperator((size + pad, size + pad), matvec=matvec, dtype=a.dtype)
+        v0 = np.random.default_rng(0).standard_normal(size + pad)
+        vals = spla.eigsh(op, k=k, which="LA", v0=v0, return_eigenvectors=False)
+        vals = np.sort(vals)[::-1]
+    if k < want:
+        vals = np.append(vals, trace - vals.sum())
+    return vals
+
+
+def build_L(source, epsilon: float, stride: int = 1, top: int = 10) -> BSOperator:
+    """The top leading eigenvalues of the trapezoid discretization of L_e.
+
+    L_e is discretized on the support restriction of the grid; source supplies
+    the negative part V_minus that defines W, and stride=2 yields the
+    half-resolution operator used for eigenvalue extrapolation.  At e = 0 the
+    operator is a Gram matrix whose nonzero eigenvalues are those of the n x n
+    matrix sum_i A_i^2.  For e > 0 a well that splits into constant channels
+    (spectral1d's split rule, applied to V_minus) is solved channel by channel:
+    single-vector Lanczos can miss a copy of a repeated eigenvalue, as in
+    V + V, while each scalar channel is an oscillation kernel with a simple
+    spectrum.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -111,37 +169,43 @@ def build_L(source, epsilon: float, stride: int = 1) -> BSOperator:
     blocks = neg.values[idx]
     if not blocks.imag.any():
         blocks = blocks.real
-    wmat = _psd_sqrt(blocks)
-    a = np.sqrt(w)[:, None, None] * wmat
-    kern = np.exp(-epsilon * np.abs(pts[:, None] - pts[None, :]))
-    m, n = pts.size, neg.matrix_dim
-    big = np.einsum("ij,iab,jbc->iajc", kern, a, a).reshape(m * n, m * n)
-    big = 0.5 * (big + big.conj().T)
-    vals = np.linalg.eigvalsh(big)[::-1]
+    a = np.sqrt(w)[:, None, None] * _psd_sqrt(blocks)
+    n = neg.matrix_dim
+    if epsilon == 0:
+        found = [np.linalg.eigvalsh(np.einsum("xij,xjk->ik", a, a))]
+    else:
+        channels = _constant_channels(blocks)
+        parts = (
+            [a] if channels is None
+            else [np.sqrt(w * np.maximum(c, 0.0))[:, None, None] for c in channels]
+        )
+        found = [_leading_eigenvalues(p, pts, epsilon, top) for p in parts]
+    # the null directions left out above make up the count with exact zeros
+    want = min(top, pts.size * n)
+    vals = np.sort(np.concatenate(found + [np.zeros(want)]))[::-1][:want]
     return BSOperator(
         epsilon=float(epsilon),
         grid=pts,
         weights=w,
-        matrix=big,
+        matrix=a,
         matrix_dim=n,
         eigenvalues=vals,
+        trace=float(np.vdot(a, a).real),
     )
 
 
-def build_K(source, energy: float, stride: int = 1) -> BSOperator:
+def build_K(source, energy: float, stride: int = 1, top: int = 10) -> BSOperator:
     """Kernel at spectral parameter -energy: K_E = L_sqrt(E) / (2 sqrt(E))."""
     if energy <= 0:
         raise ValueError("energy must be positive")
     kappa = math.sqrt(energy)
-    op = build_L(source, kappa, stride)
+    op = build_L(source, kappa, stride, top)
     scale = 1.0 / (2.0 * kappa)
-    return BSOperator(
-        epsilon=kappa,
-        grid=op.grid,
-        weights=op.weights,
-        matrix=scale * op.matrix,
-        matrix_dim=op.matrix_dim,
+    return replace(
+        op,
+        matrix=math.sqrt(scale) * op.matrix,
         eigenvalues=scale * op.eigenvalues,
+        trace=scale * op.trace,
     )
 
 
@@ -174,7 +238,7 @@ def kyfan_profile(
     sums = np.empty((eps.size, n_max))
     traces = np.empty(eps.size)
     for i, e in enumerate(eps):
-        op = build_L(potential, e)
+        op = build_L(potential, e, top=n_max)
         sums[i] = op.partial_sums(n_max)
         traces[i] = op.trace
     return KyFanProfile(epsilons=eps, partial_sums=sums, traces=traces)
@@ -238,8 +302,8 @@ def eigenvalue_at_energy(
     potential: SampledPotential, energy: float, rank: int
 ) -> float:
     """Grid-extrapolated rank-th descending eigenvalue of K at one energy."""
-    fine = build_K(potential, energy, stride=1)
-    coarse = build_K(potential, energy, stride=2)
+    fine = build_K(potential, energy, stride=1, top=rank + 1)
+    coarse = build_K(potential, energy, stride=2, top=rank + 1)
     lam_f = fine.eigenvalues[rank]
     lam_c = coarse.eigenvalues[rank]
     return float(lam_f + (lam_f - lam_c) / 3.0)

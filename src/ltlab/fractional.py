@@ -15,7 +15,7 @@ E^{alpha/beta} - E'^{alpha/beta}), so no runtime check is performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -67,18 +67,12 @@ def _density_value(stability_index: float, scale: float, momentum: float):
 
 @dataclass(frozen=True)
 class ComparisonDensity:
-    """Symmetric stable density tabulated on a nonnegative momentum grid.
-
-    operator_exponent and comparison_constant stay None until a majorization
-    search has certified them for a concrete |p|^beta.
-    """
+    """Symmetric stable density tabulated on a nonnegative momentum grid."""
 
     stability_index: float
     scale: float
     momentum_grid: np.ndarray
     density_values: np.ndarray
-    operator_exponent: float | None = None
-    comparison_constant: float | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.momentum_grid, dtype=float)
@@ -93,24 +87,9 @@ class ComparisonDensity:
             raise ValueError("density values must match the grid")
         if values.min() < -POINTWISE_SLACK:
             raise ValueError("density must be nonnegative up to quadrature slack")
-        if self.comparison_constant is not None:
-            weight = 1.0 / (grid**self.operator_exponent + 1.0)
-            slack = weight - self.comparison_constant * values
-            if slack.max() > POINTWISE_SLACK:
-                raise ValueError("stored constant fails the pointwise majorization")
 
     def evaluate(self, momentum: float) -> float:
         return _density_value(self.stability_index, self.scale, momentum)[0]
-
-    def tail_coefficient(self) -> float:
-        """Leading constant of the |p|^{-(1+alpha)} large-momentum decay."""
-        a = self.stability_index
-        return (
-            self.scale
-            * gamma_function(1.0 + a)
-            * math.sin(0.5 * math.pi * a)
-            / math.pi
-        )
 
     def total_mass(self) -> float:
         """Integral over the whole line: segment Simpson sums plus the exact
@@ -145,16 +124,6 @@ class ComparisonDensity:
         )
         tail = -(inner + outer) / math.pi
         return 2.0 * (half + tail)
-
-    def to_record(self) -> dict:
-        return {
-            "stability_index": self.stability_index,
-            "scale": self.scale,
-            "grid_points": int(self.momentum_grid.size),
-            "grid_max": float(self.momentum_grid[-1]),
-            "operator_exponent": self.operator_exponent,
-            "comparison_constant": self.comparison_constant,
-        }
 
 
 def default_momentum_grid(cutoff: float = 40.0, count: int = 801) -> np.ndarray:
@@ -248,18 +217,6 @@ def c0_search(operator_exponent: float, density: ComparisonDensity) -> float:
     if samples[0] > best * (1.0 + slack):
         raise ValueError("ratio peaks beyond the grid cutoff; enlarge grid")
     return best
-
-
-def certified_density(
-    operator_exponent: float, density: ComparisonDensity
-) -> ComparisonDensity:
-    """Attach the searched constant, re-checking the pointwise inequality."""
-    constant = c0_search(operator_exponent, density)
-    return replace(
-        density,
-        operator_exponent=operator_exponent,
-        comparison_constant=constant,
-    )
 
 
 def c0_reference_audit(

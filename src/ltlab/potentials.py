@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -221,24 +220,6 @@ def derivative_square_integral(potential: SampledPotential) -> float:
     integrand = (np.abs(d) ** 2).sum(axis=(1, 2))
     w = simpson_weights(potential.num_points, potential.grid_step)
     return float(w @ integrand)
-
-
-def negate(potential: SampledPotential) -> SampledPotential:
-    ev = potential.evaluator
-    dev = potential.derivative_evaluator
-    return replace(
-        potential,
-        values=-potential.values,
-        analytic_derivative=(
-            None
-            if potential.analytic_derivative is None
-            else -potential.analytic_derivative
-        ),
-        family_tag=f"negated({potential.family_tag})",
-        parameters={},
-        evaluator=(None if ev is None else (lambda x: -ev(x))),
-        derivative_evaluator=(None if dev is None else (lambda x: -dev(x))),
-    )
 
 
 def scale(potential: SampledPotential, coupling: float) -> SampledPotential:
@@ -684,10 +665,6 @@ def to_record(potential: SampledPotential, include_samples: bool = False) -> dic
     return rec
 
 
-def to_json(potential: SampledPotential, include_samples: bool = False) -> str:
-    return json.dumps(to_record(potential, include_samples), sort_keys=True)
-
-
 def from_record(record: dict) -> SampledPotential:
     if record.get("schema") != RECORD_SCHEMA:
         raise ValueError(f"unknown potential record schema {record.get('schema')!r}")
@@ -706,7 +683,3 @@ def from_record(record: dict) -> SampledPotential:
             analytic_derivative=der,
         )
     return build_family(record["family_tag"], **record.get("parameters", {}))
-
-
-def from_json(text: str) -> SampledPotential:
-    return from_record(json.loads(text))

@@ -105,7 +105,8 @@ def comparison_report(
     lhs >= rhs*(1 - tolerance), identity when |lhs - rhs| <= tolerance
     relative to max(|rhs|, 1).  The reported tolerance is base_tolerance
     plus the error budget expressed relative to rhs; a vanishing rhs falls
-    back to an absolute comparison against the budget alone.
+    back to an absolute comparison, lhs against -+(base_tolerance + budget),
+    and that absolute sum is the reported tolerance.
     """
     lhs, rhs = float(lhs), float(rhs)
     budget = float(lhs_error) + float(rhs_error)
@@ -117,13 +118,13 @@ def comparison_report(
         residual = abs(lhs - rhs) / scale_ref
         passed = residual <= tol
     elif side == "upper":
-        tol = base_tolerance + (budget / abs(rhs) if rhs != 0.0 else 0.0)
+        tol = base_tolerance + (budget / abs(rhs) if rhs != 0.0 else budget)
         residual = rhs - lhs
-        passed = lhs <= rhs * (1.0 + tol) if rhs != 0.0 else lhs <= budget + base_tolerance
+        passed = lhs <= rhs * (1.0 + tol) if rhs != 0.0 else lhs <= tol
     elif side == "lower":
-        tol = base_tolerance + (budget / abs(rhs) if rhs != 0.0 else 0.0)
+        tol = base_tolerance + (budget / abs(rhs) if rhs != 0.0 else budget)
         residual = lhs - rhs
-        passed = lhs >= rhs * (1.0 - tol) if rhs != 0.0 else lhs >= -(budget + base_tolerance)
+        passed = lhs >= rhs * (1.0 - tol) if rhs != 0.0 else lhs >= -tol
     else:
         raise ValueError(f"unknown side {side!r}")
     return BoundReport(

@@ -159,28 +159,29 @@ def discretize(
     )
 
 
-def _constant_channels(op: DiscretizedOperator1D) -> np.ndarray | None:
-    """Channel wells v_k(x_i), shape (n, m), when V(x_i) = U diag(v_k(x_i)) U*.
+def _constant_channels(blocks: np.ndarray) -> np.ndarray | None:
+    """Channel samples v_k(x_i), shape (n, m), when blocks[i] = U diag(v_k(x_i)) U*.
 
-    U diagonalizes one fixed weighted sum of the samples.  The split is
-    accepted when no rotated block keeps an off-diagonal part above
-    CHANNEL_SPLIT_TOL * max|V|; dropping that part moves no level by more
-    than its norm (Weyl).  Returns None for a coupled well.
+    blocks holds m Hermitian n x n samples.  U diagonalizes one fixed
+    weighted sum of them.  The split is accepted when no rotated block keeps
+    an off-diagonal part above CHANNEL_SPLIT_TOL * max|V|; dropping that part
+    moves no eigenvalue of an operator built blockwise from the samples by
+    more than its norm (Weyl).  Returns None for a coupled well.
     """
-    v = op.potential_blocks
-    weights = 1.0 + np.arange(op.num_interior) / op.num_interior
-    _, u = np.linalg.eigh(np.tensordot(weights, v, axes=1))
-    rotated = np.conj(u.T) @ v @ u
+    m, n, _ = blocks.shape
+    weights = 1.0 + np.arange(m) / m
+    _, u = np.linalg.eigh(np.tensordot(weights, blocks, axes=1))
+    rotated = np.conj(u.T) @ blocks @ u
     channels = np.diagonal(rotated, axis1=1, axis2=2)
-    coupling = rotated - channels[:, :, None] * np.eye(op.matrix_dim)
-    if np.linalg.norm(coupling, axis=(1, 2)).max() > CHANNEL_SPLIT_TOL * np.abs(v).max():
+    coupling = rotated - channels[:, :, None] * np.eye(n)
+    if np.linalg.norm(coupling, axis=(1, 2)).max() > CHANNEL_SPLIT_TOL * np.abs(blocks).max():
         return None
     return channels.real.T
 
 
 def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.ndarray:
     """Tridiagonal bisection per channel, else shift-invert on the coupled well."""
-    channels = _constant_channels(op)
+    channels = _constant_channels(op.potential_blocks)
     if channels is not None:
         inv_h2 = 1.0 / op.grid_step**2
         floor = min(float(channels.min()), 0.0)

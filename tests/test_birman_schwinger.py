@@ -19,7 +19,9 @@ def test_kernel_scaling_between_families():
     well = potentials.build_family("square-well", depth=3.0, half_width=1.5)
     direct = bs.build_K(well, 2.25)
     base = bs.build_L(well, 1.5)
-    assert_allclose(direct.matrix, base.matrix / 3.0, atol=1e-14)
+    assert_allclose(direct.eigenvalues, base.eigenvalues / 3.0, rtol=1e-12)
+    assert_allclose(direct.trace, base.trace / 3.0, rtol=1e-14)
+    assert_allclose(direct.matrix, base.matrix / np.sqrt(3.0), atol=1e-14)
     assert direct.epsilon == 1.5
 
 
@@ -59,8 +61,14 @@ def test_partial_sums_decrease_and_trace_stays(random_2x2):
     assert_allclose(profile.traces[0], mass, rtol=1e-4)
 
 
-def test_kernel_is_positive_semidefinite(random_2x2):
-    op = bs.build_L(random_2x2, 1.0)
+def test_kernel_is_positive_semidefinite():
+    # every eigenvalue, on a coupled well coarse enough to ask for all of them
+    well = potentials.build_family(
+        "random-smooth", matrix_dim=2, seed=0, grid_step=0.0625
+    )
+    size = bs.build_L(well, 1.0, top=1).size
+    op = bs.build_L(well, 1.0, top=size)
+    assert op.eigenvalues.size == size
     assert op.eigenvalues[-1] >= -1e-12 * max(op.eigenvalues[0], 1.0)
 
 
@@ -101,8 +109,135 @@ def test_real_kernel_matches_complex_kernel():
     for eps in (0.0, 1.0):
         real_op = bs.build_L(well, eps)
         complex_op = bs.build_L(turned, eps)
+        # matrix holds the diagonal factor blocks A_i, not a kernel matrix
+        blocks = (real_op.grid.size, 2, 2)
+        assert real_op.matrix.shape == complex_op.matrix.shape == blocks
         assert real_op.matrix.dtype == np.float64
         assert complex_op.matrix.dtype == np.complex128
         tol = 1e-12 * real_op.trace
         assert abs(real_op.trace - complex_op.trace) <= tol
         assert np.abs(real_op.eigenvalues - complex_op.eigenvalues).max() <= tol
+
+
+def _dense_kernel(source, epsilon, stride=1):
+    """Eigenvalues (descending) and trace of the assembled kernel matrix."""
+    neg = bs._negative_part_of(source)
+    idx, pts, w = bs._restriction_grid(neg, stride)
+    a = np.sqrt(w)[:, None, None] * bs._psd_sqrt(neg.values[idx])
+    kern = np.exp(-epsilon * np.abs(pts[:, None] - pts[None, :]))
+    m, n = pts.size, neg.matrix_dim
+    big = np.einsum("ij,iab,jbc->iajc", kern, a, a).reshape(m * n, m * n)
+    big = 0.5 * (big + big.conj().T)
+    return np.linalg.eigvalsh(big)[::-1], float(np.trace(big).real)
+
+
+def _assert_matches_dense(source, epsilon, top, stride=1):
+    op = bs.build_L(source, epsilon, stride, top=top)
+    dense, trace = _dense_kernel(source, epsilon, stride)
+    tol = 1e-12 * trace
+    assert op.size == dense.size
+    assert op.eigenvalues.size == min(top, dense.size)
+    assert abs(op.trace - trace) <= tol
+    assert np.abs(op.eigenvalues - dense[: op.eigenvalues.size]).max() <= tol
+    return op
+
+
+def _small_well(values, support):
+    x = 0.5 * np.arange(len(values))
+    inside = (x >= support[0]) & (x <= support[1])
+    values = np.where(inside[:, None, None], values, 0.0)
+    return potentials.SampledPotential(
+        grid_start=0.0, grid_step=0.5, values=values, support=support,
+        family_tag="small",
+    )
+
+
+@pytest.fixture(scope="module")
+def coarse_pt2():
+    # the dense references stay small on a 0.05 grid
+    return potentials.build_family("poschl-teller", nu=2.0, grid_step=0.05)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_structured_kernel_matches_dense_scalar(coarse_pt2, epsilon, stride):
+    _assert_matches_dense(coarse_pt2, epsilon, top=10, stride=stride)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 10.0])
+def test_structured_kernel_matches_dense_complex(random_2x2, epsilon):
+    op = _assert_matches_dense(random_2x2, epsilon, top=6)
+    assert op.matrix.dtype == np.complex128
+
+
+@pytest.fixture
+def lanczos_shapes(monkeypatch):
+    """Shapes of the factor blocks each Lanczos solve is handed."""
+    shapes = []
+    solve = bs._leading_eigenvalues
+
+    def spy(a, pts, epsilon, top):
+        shapes.append(a.shape)
+        return solve(a, pts, epsilon, top)
+
+    monkeypatch.setattr(bs, "_leading_eigenvalues", spy)
+    return shapes
+
+
+def test_repeated_eigenvalues_take_the_channel_path(coarse_pt2, lanczos_shapes):
+    # V + V doubles every eigenvalue; Lanczos on the coupled operator could
+    # keep one copy, so each channel is solved on its own scalar operator
+    doubled = potentials.direct_sum(coarse_pt2, coarse_pt2)
+    op = _assert_matches_dense(doubled, 0.5, top=8)
+    m = op.grid.size
+    assert lanczos_shapes == [(m, 1, 1), (m, 1, 1)]
+    assert np.abs(op.eigenvalues[0::2] - op.eigenvalues[1::2]).max() <= 1e-12 * op.trace
+    single = bs.build_L(coarse_pt2, 0.5, top=4)
+    assert_allclose(op.eigenvalues[0::2], single.eigenvalues, rtol=0, atol=1e-12 * op.trace)
+
+
+def test_vanishing_negative_part_gives_zeros(coarse_pt2):
+    # V + (-V): the second channel has no negative part at all, and a
+    # positive well has none anywhere; both null spaces are exact zeros
+    lifted = potentials.scale(coarse_pt2, -1.0)
+    both = potentials.direct_sum(coarse_pt2, lifted)
+    op = _assert_matches_dense(both, 1.0, top=6)
+    assert_allclose(op.eigenvalues, bs.build_L(coarse_pt2, 1.0, top=6).eigenvalues)
+    empty = bs.build_L(lifted, 1.0, top=6)
+    assert np.all(empty.eigenvalues == 0.0) and empty.eigenvalues.size == 6
+    assert empty.trace == 0.0
+
+
+def test_zero_decay_is_the_gram_matrix(random_2x2, lanczos_shapes):
+    op = _assert_matches_dense(random_2x2, 0.0, top=5)
+    assert lanczos_shapes == []
+    assert np.all(op.eigenvalues[2:] == 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.7])
+def test_small_operators_give_every_eigenvalue(epsilon, lanczos_shapes):
+    # fewer rows than top + 2: ARPACK cannot take every wanted eigenvalue
+    x = 0.5 * np.arange(9)
+    bump = -np.exp(-((x - 2.0) ** 2))[:, None, None]
+    mix = np.array([[1.0, 0.4 - 0.3j], [0.4 + 0.3j, 0.8]])
+    turn = np.array([[0.5, 0.2j], [-0.2j, -0.1]])
+    scalar = _small_well(bump, (0.4, 3.6))  # 7 rows
+    single = _small_well(bump, (1.9, 2.1))  # 1 row
+    coupled = _small_well(bump * mix + bump**2 * turn, (1.4, 2.6))  # 6 rows
+    for well in (scalar, single, coupled):
+        _assert_matches_dense(well, epsilon, top=8)
+    if epsilon > 0:
+        assert lanczos_shapes == [(7, 1, 1), (1, 1, 1), (3, 2, 2)]
+
+
+def test_kyfan_on_a_direct_sum_of_unlike_wells():
+    # Gaussian(3, 1) + Poschl-Teller(2) on the shared 0.02 grid: 3542 rows,
+    # twelve default decay rates
+    both = potentials.direct_sum(
+        potentials.build_family("gaussian", depth=3.0, width=1.0),
+        potentials.build_family("poschl-teller", nu=2.0),
+    )
+    assert both.grid_step == 0.02
+    reports, profile = bs.monotonicity_audit(both)
+    assert profile.epsilons.size == 12
+    assert all(r.passed for r in reports)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_coupling_sweep_validation(pt1):
         bounds.coupling_sweep(pt1, couplings=(1.0, 2.0))
     with pytest.raises(ValueError, match="positive"):
         bounds.coupling_sweep(pt1, couplings=(1.0, 2.0, 3.0, 4.0, 5.0, -6.0))
-    lifted = potentials.negate(pt1)
+    lifted = potentials.scale(pt1, -1.0)
     with pytest.raises(ValueError, match="positive part"):
         bounds.coupling_sweep(lifted, couplings=tuple(np.geomspace(1, 10, 6)))
 
@@ -149,6 +150,32 @@ def test_remainder_sweep(gaussian_sweep):
     assert all(r.passed for r in reports)
     assert min(rows["remainder"]) > -1e-9
     assert all(r <= c for r, c in zip(rows["remainder"], rows["cap"]))
+
+
+def _verdict_from_fields(rep):
+    """The pass rule of a comparison record, read off its own fields."""
+    if rep.rhs == 0.0:
+        return rep.residual >= -rep.tolerance
+    return rep.residual >= -rep.tolerance * abs(rep.rhs)
+
+
+def test_sweep_records_carry_their_verdicts(gaussian_sweep):
+    g, sweep = gaussian_sweep
+    # fourfold energies put every 3/2 moment far above the phase-space term
+    inflated = dataclasses.replace(
+        sweep,
+        spectra=tuple(
+            dataclasses.replace(s, energies=4.0 * s.energies) for s in sweep.spectra
+        ),
+    )
+    checked = []
+    for run in (sweep, inflated):
+        remainder, _ = bounds.remainder_sweep(g, sweep=run)
+        weyl, _ = bounds.weyl_ratio_sweep(g, gamma=1.5, sweep=run)
+        checked += remainder[:2] + weyl[:1]
+    verdicts = [r.passed for r in checked]
+    assert verdicts == [True, True, True, False, True, False]
+    assert [_verdict_from_fields(r) for r in checked] == verdicts
 
 
 def test_weyl_ratio_sweep(gaussian_sweep):

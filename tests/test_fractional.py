@@ -26,7 +26,6 @@ def test_cauchy_density_closed_form(cauchy):
     # alpha = 1 is the one stable law with an elementary density
     p = cauchy.momentum_grid
     assert_allclose(cauchy.density_values, 1.0 / (math.pi * (1.0 + p**2)), atol=1e-12)
-    assert_allclose(cauchy.tail_coefficient(), 1.0 / math.pi, rtol=1e-14)
     assert abs(cauchy.total_mass() - 1.0) < 1e-6
 
 
@@ -39,23 +38,12 @@ def test_stable_density_validation():
         fractional.stable_density(1.0, -1.0)
 
 
-def test_density_grid_validation(cauchy):
+def test_density_grid_validation():
     with pytest.raises(ValueError, match="16 points"):
         fractional.ComparisonDensity(1.0, 1.0, np.linspace(0, 1, 8), np.ones(8))
     with pytest.raises(ValueError, match="increasing"):
         fractional.ComparisonDensity(
             1.0, 1.0, np.linspace(1, 0, 20), np.ones(20)
-        )
-    # a constant below the searched one cannot majorize the weight
-    c0 = fractional.c0_search(2.0, cauchy)
-    with pytest.raises(ValueError, match="majorization"):
-        fractional.ComparisonDensity(
-            cauchy.stability_index,
-            cauchy.scale,
-            cauchy.momentum_grid,
-            cauchy.density_values,
-            operator_exponent=2.0,
-            comparison_constant=0.9 * c0,
         )
 
 
@@ -63,9 +51,6 @@ def test_c0_equals_pi_for_cauchy_weight(cauchy):
     # (p^2+1)^{-1} = pi * density exactly, so the ratio is constant
     c0 = fractional.c0_search(2.0, cauchy)
     assert_allclose(c0, math.pi, atol=1e-9)
-    certified = fractional.certified_density(2.0, cauchy)
-    assert certified.comparison_constant == c0
-    assert certified.operator_exponent == 2.0
 
 
 def test_c0_needs_fast_enough_weight_decay(cauchy):
@@ -128,6 +113,6 @@ def test_fractional_moment_input_guards(pt1, random_2x2):
         fractional.fractional_moment_audit(pt1, 1.0, math.pi)
     with pytest.raises(ValueError, match="scalar"):
         fractional.fractional_moment_audit(random_2x2, 2.0, math.pi)
-    lifted = potentials.negate(pt1)
+    lifted = potentials.scale(pt1, -1.0)
     with pytest.raises(ValueError, match="nonpositive"):
         fractional.fractional_moment_audit(lifted, 2.0, math.pi)

@@ -98,7 +98,7 @@ def test_scale_and_negate(pt1):
     doubled = potentials.scale(pt1, 2.0)
     assert_allclose(doubled.values, 2.0 * pt1.values)
     assert_allclose(doubled.sample_at(np.array([0.3])), 2.0 * pt1.sample_at(np.array([0.3])))
-    flipped = potentials.negate(pt1)
+    flipped = potentials.scale(pt1, -1.0)
     assert_allclose(flipped.values, -pt1.values)
 
 
@@ -115,11 +115,11 @@ def test_direct_sum_blocks(pt1):
 
 def test_serialization_round_trip():
     pot = potentials.build_family("gaussian", depth=2.5, width=1.1)
-    clone = potentials.from_json(potentials.to_json(pot))
+    clone = potentials.from_record(potentials.to_record(pot))
     assert_allclose(clone.values, pot.values)
     assert clone.family_tag == pot.family_tag
     # sampled payloads survive without the analytic evaluator
-    full = potentials.from_json(potentials.to_json(pot, include_samples=True))
+    full = potentials.from_record(potentials.to_record(pot, include_samples=True))
     assert_allclose(full.values, pot.values)
 
 

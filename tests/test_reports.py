@@ -46,6 +46,11 @@ def test_error_budget_folds_into_tolerance():
     # vanishing rhs switches to an absolute comparison
     zero = reports.comparison_report("t", "upper", 1e-8, 0.0, lhs_error=1e-7)
     assert zero.passed
+    assert zero.tolerance == pytest.approx(1e-7)
+    low = reports.comparison_report(
+        "t", "lower", -3e-7, 0.0, base_tolerance=1e-7, lhs_error=1e-7
+    )
+    assert not low.passed and low.tolerance == pytest.approx(2e-7)
     assert math.isnan(zero.ratio)
 
 
