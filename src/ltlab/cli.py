@@ -28,7 +28,28 @@ def build_parser() -> argparse.ArgumentParser:
     report_cmd.add_argument(
         "--format", required=True, choices=("csv", "json", "md"), dest="fmt"
     )
+
+    diff_cmd = sub.add_parser("diff", help="compare two manifests record by record")
+    diff_cmd.add_argument("old", help="path to the reference manifest.json")
+    diff_cmd.add_argument("new", help="path to the manifest.json to compare")
+    diff_cmd.add_argument(
+        "--rtol", type=float, default=0.0,
+        help="relative move of lhs/rhs/residual to tolerate (default: none)",
+    )
     return parser
+
+
+def _load_manifest(path) -> dict | None:
+    """The manifest at path, or None after printing why it cannot be read."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"manifest error: {exc}", file=sys.stderr)
+        return None
+    if not isinstance(manifest, dict) or "scenarios" not in manifest:
+        print(f"manifest error: {path}: missing scenarios", file=sys.stderr)
+        return None
+    return manifest
 
 
 def main(argv=None) -> int:
@@ -49,17 +70,24 @@ def main(argv=None) -> int:
         )
         return 0 if manifest["global_pass"] else 1
     if args.command == "report":
-        path = Path(args.manifest)
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"manifest error: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(manifest, dict) or "scenarios" not in manifest:
-            print("manifest error: missing scenarios", file=sys.stderr)
+        manifest = _load_manifest(args.manifest)
+        if manifest is None:
             return 2
         sys.stdout.write(runner.render_report(manifest, args.fmt))
         return 0
+    if args.command == "diff":
+        manifests = [_load_manifest(args.old), _load_manifest(args.new)]
+        if None in manifests:
+            return 2
+        try:
+            compared, lines = runner.diff_manifests(*manifests, rtol=args.rtol)
+        except (KeyError, TypeError, ValueError) as exc:
+            print(f"manifest error: {exc}", file=sys.stderr)
+            return 2
+        for line in lines:
+            print(line)
+        print(f"{compared} records compared, {len(lines)} changes beyond rtol {args.rtol:g}")
+        return 1 if lines else 0
     return 2
 
 

@@ -172,7 +172,7 @@ def constant_field(strength: float, gauge: str = "landau"):
 def negative_spectrum_2d(
     op: GridOperator2D, threshold: float = ENERGY_EDGE_THRESHOLD
 ) -> NegativeSpectrum:
-    """All eigenvalues below -threshold, by shift-invert Lanczos.
+    """All eigenvalues below -threshold: inertia count, then shift-invert Lanczos.
 
     The kinetic form stays nonnegative with or without link phases, so the
     bottom of the spectrum lies above min(V) and a shift anchored just below
@@ -269,11 +269,18 @@ def lt_audit_2d(
     )
 
 
+def _quadratic_gauge(coefficients):
+    """chi = c1 x + c2 y + c3 x^2 + c4 x y + c5 y^2."""
+    c1, c2, c3, c4, c5 = coefficients
+    return lambda X, Y: c1 * X + c2 * Y + c3 * X**2 + c4 * X * Y + c5 * Y**2
+
+
 def _quadratic_gauge_shift(base, coefficients):
+    """base + grad chi for the quadratic gauge function chi of coefficients."""
     c1, c2, c3, c4, c5 = coefficients
 
     def shifted(X, Y):
-        ax, ay = base(X, Y) if base is not None else (np.zeros_like(X), np.zeros_like(Y))
+        ax, ay = base(X, Y)
         return (
             ax + c1 + 2.0 * c3 * X + c4 * Y,
             ay + c2 + c4 * X + 2.0 * c5 * Y,
@@ -290,26 +297,31 @@ def gauge_invariance_check(
     seed: int = 5,
     tolerance: float = 1e-8,
 ) -> list[BoundReport]:
-    """Gauge shifts must leave the spectrum fixed; zero field must be real.
+    """Gauge shifts must conjugate the operator; zero field must be real.
 
     The midpoint rule integrates the gradient of any quadratic gauge
-    function exactly along each edge, so the shifted operator is unitarily
-    equivalent up to roundoff.  Three seeded quadratic shifts and the
-    Landau-to-symmetric change of gauge are checked.
+    function chi exactly along each edge, so H_(A + grad chi) = G H_A G*
+    with G = diag(exp(i chi)) holds entry by entry up to roundoff.  The lhs
+    is the largest row sum of |H_(A + grad chi) - G H_A G*|, which bounds
+    how far any eigenvalue can move (Weyl).  Three seeded quadratic shifts
+    and the Landau-to-symmetric change of gauge, chi = B x y / 2, are
+    checked.
     """
     landau = constant_field(field_strength, "landau")
     base_op = build_operator_2d(potential, box_radius, num_interior, landau)
-    base_vals = np.linalg.eigvalsh(base_op.to_dense())
+    base = base_op.to_sparse()
+    X, Y = np.meshgrid(base_op.interior_grid, base_op.interior_grid, indexing="ij")
     rng = np.random.default_rng(seed)
+    gauges = [(0.0, 0.0, 0.0, 0.5 * field_strength, 0.0)]
+    gauges += [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
+    fields = [constant_field(field_strength, "symmetric")]
+    fields += [_quadratic_gauge_shift(landau, c) for c in gauges[1:]]
     worst = 0.0
-    shifts = [constant_field(field_strength, "symmetric")]
-    shifts += [
-        _quadratic_gauge_shift(landau, rng.uniform(-1.0, 1.0, 5)) for _ in range(3)
-    ]
-    for shifted in shifts:
-        op = build_operator_2d(potential, box_radius, num_interior, shifted)
-        vals = np.linalg.eigvalsh(op.to_dense())
-        worst = max(worst, float(np.abs(vals - base_vals).max()))
+    for coefficients, field in zip(gauges, fields):
+        op = build_operator_2d(potential, box_radius, num_interior, field)
+        g = sp.diags(np.exp(1j * _quadratic_gauge(coefficients)(X, Y)).ravel())
+        gap = op.to_sparse() - g @ base @ g.conj()
+        worst = max(worst, float(abs(gap).sum(axis=1).max()))
     invariance = BoundReport(
         audit_tag="gauge-invariance",
         lhs=worst,
@@ -318,7 +330,7 @@ def gauge_invariance_check(
         passed=worst <= tolerance,
         residual=worst,
         provenance={
-            "shifts": len(shifts),
+            "shifts": len(gauges),
             "field": field_strength,
             "grid": num_interior,
         },

@@ -267,19 +267,20 @@ class ScenarioContext:
             )
         return self._cache[key]
 
-    def density(self):
+    def density(self, points: int | None = None):
+        """The options' density tabulated on `points` momenta (default: its grid_points)."""
         spec = self.option("density")
         if spec is None:
             raise ValueError("fractional audits need a 'density' entry in options")
-        key = ("density", spec["stability_index"], spec.get("scale", 1.0),
-               spec.get("grid_points", 801), spec.get("grid_cutoff", 40.0))
+        if points is None:
+            points = int(spec.get("grid_points", 801))
+        key = ("density", points)
         if key not in self._cache:
             self._cache[key] = fractional.stable_density(
                 float(spec["stability_index"]),
                 float(spec.get("scale", 1.0)),
                 fractional.default_momentum_grid(
-                    float(spec.get("grid_cutoff", 40.0)),
-                    int(spec.get("grid_points", 801)),
+                    float(spec.get("grid_cutoff", 40.0)), points
                 ),
             )
         return self._cache[key]
@@ -509,20 +510,13 @@ def _run_stable_c0(ctx):
     reference = ctx.option("reference")
     if reference == "pi":
         reference = math.pi
+    density = ctx.density()
     refined = None
     if ctx.option("refine_grid", False):
-        spec = ctx.option("density")
-        refined = fractional.stable_density(
-            float(spec["stability_index"]),
-            float(spec.get("scale", 1.0)),
-            fractional.default_momentum_grid(
-                float(spec.get("grid_cutoff", 40.0)),
-                2 * int(spec.get("grid_points", 801)) - 1,
-            ),
-        )
+        refined = ctx.density(2 * density.momentum_grid.size - 1)
     return fractional.c0_reference_audit(
         float(ctx.option("operator_exponent")),
-        ctx.density(),
+        density,
         reference=None if reference is None else float(reference),
         refined=refined,
         base_tolerance=ctx.tolerance("stable-c0", 1e-6),
@@ -677,6 +671,55 @@ def strip_timing(manifest: dict) -> dict:
         return obj
 
     return scrub(manifest)
+
+
+def _scaled_move(a, b, scale: float) -> float | None:
+    """|a - b| / max(|a|, |b|, scale); None when exactly one side is missing."""
+    if a is None or b is None:
+        return None if (a is None) != (b is None) else 0.0
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b), scale)
+
+
+def diff_manifests(old: dict, new: dict, rtol: float) -> tuple[int, list[str]]:
+    """Records count and one line per verdict change or move beyond rtol.
+
+    Both manifests are compared after strip_timing.  Records pair up by
+    position within each scenario.  A verdict (passed, inconclusive) or a
+    scenario error that changes is listed; so is an lhs, rhs or residual
+    that moves by more than rtol * max(|a|, |b|, |rhs|), with |rhs| the
+    larger of the two records' right-hand sides.  Raises ValueError when the
+    scenario names or their audit tags do not line up.
+    """
+    old, new = strip_timing(old), strip_timing(new)
+    names = [s["name"] for s in old["scenarios"]]
+    if names != [s["name"] for s in new["scenarios"]]:
+        raise ValueError("the manifests do not hold the same scenarios")
+    lines = []
+    compared = 0
+    for before, after in zip(old["scenarios"], new["scenarios"]):
+        name = before["name"]
+        tags = [r["audit_tag"] for r in before["reports"]]
+        if tags != [r["audit_tag"] for r in after["reports"]]:
+            raise ValueError(f"{name}: the scenarios hold different records")
+        if before["error"] != after["error"]:
+            lines.append(f"{name}: error {before['error']!r} -> {after['error']!r}")
+        for index, (a, b) in enumerate(zip(before["reports"], after["reports"])):
+            compared += 1
+            where = f"{name}[{index}] {a['audit_tag']}"
+            for key in ("passed", "inconclusive"):
+                if a[key] != b[key]:
+                    lines.append(f"{where}: {key} {a[key]} -> {b[key]}")
+            scale = max(abs(a["rhs"] or 0.0), abs(b["rhs"] or 0.0))
+            for key in ("lhs", "rhs", "residual"):
+                move = _scaled_move(a[key], b[key], scale)
+                if move is None or move > rtol:
+                    shown = "n/a" if move is None else f"{move:.2e}"
+                    lines.append(
+                        f"{where}: {key} {a[key]!r} -> {b[key]!r} (scaled move {shown})"
+                    )
+    return compared, lines
 
 
 def _csv_value(value) -> str:

@@ -13,6 +13,8 @@ from scipy.linalg import eigh_tridiagonal
 from .potentials import SampledPotential
 
 CHANNEL_SPLIT_TOL = 1e-13
+CUT_MOVES = 8
+CUT_STEP = 1e3
 ENERGY_EDGE_THRESHOLD = 1e-8
 MIN_INTERIOR_POINTS = 16
 
@@ -188,37 +190,84 @@ def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.nda
         off = np.full(op.num_interior - 1, -inv_h2)
         return np.concatenate([
             eigh_tridiagonal(
-                c + 2.0 * inv_h2, off, select="v", select_range=(floor - 1.0, -threshold)
-            )[0]
+                c + 2.0 * inv_h2, off, eigvals_only=True,
+                select="v", select_range=(floor - 1.0, -threshold),
+            )
             for c in channels
         ])
     return _eigsh_below(op.to_sparse(), op.spectrum_shift(), threshold)
 
 
-def _eigsh_below(mat, sigma: float, threshold: float) -> np.ndarray:
-    """Eigenvalues of mat at or below -threshold, by shift-invert about sigma.
+def _pivot_guard(mat) -> float:
+    """eps * ||mat||_1: the size below which a pivot or a Ritz gap is roundoff."""
+    return float(np.finfo(float).eps * spla.norm(mat, 1))
 
-    sigma lies below the spectrum, so the k eigenvalues nearest to it are the
-    k lowest; k doubles until the largest of them clears -threshold.
+
+def _inertia_count(mat, threshold: float) -> tuple[int, float]:
+    """Number of eigenvalues of mat below -cut, and the cut (Sylvester's law of inertia).
+
+    mat + cut*I is factored as L D L^T: a symmetric fill-reducing ordering,
+    no row exchanges, so the negative pivots count the eigenvalues below
+    -cut exactly.  The cut starts at threshold.  A pivot below the guard, or
+    a row exchange (SuperLU makes one on a vanishing diagonal), voids the
+    count: the cut then moves deeper by 1e3, 4e3, ... guards, so a level
+    within that distance of the edge may be left out, never miscounted.
     """
     size = mat.shape[0]
-    v0 = np.full(size, 1.0 / math.sqrt(size))
-    k = 16
-    while True:
-        k_eff = min(k, size - 2)
+    guard = _pivot_guard(mat)
+    eye = sp.identity(size, format="csc")
+    cut = threshold
+    for move in range(CUT_MOVES):
+        try:
+            lu = spla.splu(
+                (mat + cut * eye).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError:  # an exactly singular factor
+            pass
+        else:
+            pivots = lu.U.diagonal()
+            if (lu.perm_r == lu.perm_c).all() and np.abs(pivots).min() > guard:
+                return int((pivots.real < 0).sum()), cut
+        cut = threshold + CUT_STEP * 4.0**move * guard
+    raise RuntimeError(f"no stable LDL^T factor of a {size}-row operator near {-threshold:.3e}")
+
+
+def _eigsh_below(mat, sigma: float, threshold: float) -> np.ndarray:
+    """Eigenvalues of mat at or below -threshold, as many as the inertia counts.
+
+    sigma lies below the spectrum, so the k eigenvalues nearest to it are the
+    k lowest, and shift-invert Lanczos is asked for exactly the certified
+    count.  Single-vector Lanczos can miss a copy of a repeated eigenvalue
+    and converge to the next level up instead; only then does k grow.  The
+    count lowest Ritz values must sit below the cut, to within CUT_STEP
+    guards of Ritz roundoff; a solve that never gets there raises.  The
+    start vector is seeded normal noise: an even one would leave the odd
+    states of a symmetric well to roundoff.
+    """
+    count, cut = _inertia_count(mat, threshold)
+    if count == 0:
+        return np.empty(0)
+    size = mat.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(size)
+    edge = -cut + CUT_STEP * _pivot_guard(mat)
+    k = count
+    while k <= size - 2:
         vals = spla.eigsh(
-            mat,
-            k=k_eff,
-            sigma=sigma,
-            which="LM",
-            v0=v0,
-            return_eigenvectors=False,
+            mat, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
         )
         vals = np.sort(vals)
-        if vals.max() > -threshold or k_eff == size - 2:
+        if vals[count - 1] <= edge:
+            return vals[:count]
+        if k == size - 2:
             break
-        k *= 2
-    return vals[vals <= -threshold]
+        k = min(2 * k, size - 2)
+    raise RuntimeError(
+        f"shift-invert found fewer than the {count} levels below {-cut:.3e} "
+        f"that the inertia of a {size}-row operator counts"
+    )
 
 
 def negative_spectrum(

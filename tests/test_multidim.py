@@ -166,3 +166,15 @@ def test_separable_well_requires_scalar_base():
     vals = np.asarray(f(X, Y))
     line = scalar.sample_at(np.array([0.0, 0.5]))[:, 0, 0].real
     assert_allclose(vals, line[:, None] + line[None, :])
+
+
+def test_inertia_count_matches_dense_count_on_a_magnetic_grid(well):
+    from ltlab import spectral1d
+
+    op = multidim.build_operator_2d(well, BOX, 24, multidim.constant_field(1.0))
+    mat = op.to_sparse()
+    count, cut = spectral1d._inertia_count(mat, multidim.ENERGY_EDGE_THRESHOLD)
+    dense = np.linalg.eigvalsh(op.to_dense())
+    assert cut == multidim.ENERGY_EDGE_THRESHOLD
+    assert count == int((dense <= -cut).sum()) >= 2
+    assert count == multidim.negative_spectrum_2d(op).count

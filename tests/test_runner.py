@@ -218,3 +218,68 @@ def test_cli_config_error_returns_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "config error" in captured.err
+
+def test_cli_diff_exit_codes(tmp_path, capsys):
+    cfg = write_config(tmp_path, [CLOSED_FORMS])
+    out = tmp_path / "base"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    base = json.loads((out / "manifest.json").read_text())
+
+    def write(name, manifest):
+        path = tmp_path / name
+        path.write_text(json.dumps(manifest))
+        return str(path)
+
+    def diff(old, new, rtol="1e-10"):
+        code = cli.main(["diff", old, new, "--rtol", rtol])
+        return code, capsys.readouterr()
+
+    capsys.readouterr()
+    same = json.loads(json.dumps(base))
+    same["scenarios"][0]["wall_time_s"] += 5.0
+    code, captured = diff(str(out / "manifest.json"), write("same.json", same))
+    assert code == 0
+    assert "0 changes" in captured.out
+
+    # a move inside rtol passes, one beyond it and a verdict flip are listed
+    moved = json.loads(json.dumps(base))
+    records = moved["scenarios"][0]["reports"]
+    records[0]["lhs"] *= 1.0 + 1e-13
+    records[1]["rhs"] = records[1]["rhs"] * 1.001 + 1e-3
+    records[2]["passed"] = not records[2]["passed"]
+    code, captured = diff(str(out / "manifest.json"), write("moved.json", moved))
+    assert code == 1
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 3
+    assert f"closed-forms[1] {records[1]['audit_tag']}: rhs" in lines[0]
+    assert f"closed-forms[2] {records[2]['audit_tag']}: passed" in lines[1]
+    assert lines[2].endswith("2 changes beyond rtol 1e-10")
+    code, _ = diff(str(out / "manifest.json"), write("moved.json", moved), rtol="1e-2")
+    assert code == 1  # the verdict change stays listed whatever rtol
+
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    code, captured = diff(str(out / "manifest.json"), str(broken))
+    assert code == 2 and "manifest error" in captured.err
+    renamed = json.loads(json.dumps(base))
+    renamed["scenarios"][0]["name"] = "other"
+    code, captured = diff(str(out / "manifest.json"), write("renamed.json", renamed))
+    assert code == 2 and "same scenarios" in captured.err
+    shorter = json.loads(json.dumps(base))
+    shorter["scenarios"][0]["reports"].pop()
+    code, captured = diff(str(out / "manifest.json"), write("shorter.json", shorter))
+    assert code == 2 and "different records" in captured.err
+
+
+def test_density_is_cached_by_point_count():
+    ctx = runner.ScenarioContext(runner.Scenario(
+        name="d", audits=("stable-c0",),
+        options={"density": {"stability_index": 1.0, "grid_points": 101}},
+    ))
+    coarse = ctx.density()
+    assert coarse.momentum_grid.size == 101
+    assert ctx.density(101) is coarse
+    fine = ctx.density(201)
+    assert fine.momentum_grid.size == 201
+    assert ctx.density(201) is fine
+    assert fine.momentum_grid[2] == coarse.momentum_grid[1]

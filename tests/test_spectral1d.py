@@ -171,3 +171,92 @@ def test_default_box_scales_with_binding_energy(pt1):
     assert box == pytest.approx(pt1.support_radius + 8.0, rel=1e-3)
     spec = spectral1d.negative_spectrum(spectral1d.discretize(pt1, box, 900))
     assert spec.count == 1
+
+
+def _dense_count(mat, threshold):
+    return int((np.linalg.eigvalsh(mat.toarray()) <= -threshold).sum())
+
+
+def test_inertia_count_matches_dense_count(random_2x2):
+    op = spectral1d.discretize(random_2x2, random_2x2.support_radius + 4.0, 300)
+    mat = op.to_sparse()
+    assert np.iscomplexobj(mat.data)
+    for threshold in (spectral1d.ENERGY_EDGE_THRESHOLD, 0.05):
+        count, cut = spectral1d._inertia_count(mat, threshold)
+        assert cut == threshold
+        assert count == _dense_count(mat, threshold) >= 1
+
+
+def test_tiny_pivots_move_the_cut():
+    # every diagonal entry of mat + threshold*I is (nearly) zero, so the first
+    # pivot of any symmetric ordering is below the guard; the tridiagonal part
+    # has eigenvalues 2 cos(j pi / 41), none near zero, so the count survives
+    # the move of the cut
+    import scipy.sparse as sp
+
+    size, threshold = 40, 1e-8
+    hop = np.ones(size - 1)
+    for diagonal in (1e-18 - threshold, -threshold):
+        mat = sp.diags([hop, np.full(size, diagonal), hop], [-1, 0, 1], format="csc")
+        count, cut = spectral1d._inertia_count(mat, threshold)
+        assert cut > threshold
+        assert count == _dense_count(mat, threshold) == size // 2
+
+
+def _eigsh_ks(monkeypatch, drop_calls=0):
+    """Record each eigsh k; the first drop_calls calls lose their lowest level.
+
+    A lost level comes back as a value above the spectrum's negative part,
+    the way Lanczos returns the next level up when it misses a copy.
+    """
+    ks = []
+    real = spectral1d.spla.eigsh
+
+    def patched(mat, k, **kwargs):
+        ks.append(k)
+        vals = real(mat, k=k, **kwargs)
+        if len(ks) > drop_calls:
+            return vals
+        return np.append(np.sort(vals)[1:], 1.0)
+
+    monkeypatch.setattr(spectral1d.spla, "eigsh", patched)
+    return ks
+
+
+def test_a_missed_level_grows_k_or_raises(random_2x2, monkeypatch):
+    op = spectral1d.discretize(random_2x2, random_2x2.support_radius + 4.0, 60)
+    full = np.linalg.eigvalsh(op.to_sparse().toarray())
+    dense = np.sort(-full[full <= -spectral1d.ENERGY_EDGE_THRESHOLD])[::-1]
+    count = dense.size
+    # one miss: k doubles once and the solve recovers every level
+    ks = _eigsh_ks(monkeypatch, drop_calls=1)
+    spec = spectral1d.negative_spectrum(op)
+    assert ks == [count, 2 * count]
+    assert_allclose(spec.energies, dense, rtol=0.0, atol=1e-10)
+    # a level missed at every k never meets the count: no undercount comes back
+    ks = _eigsh_ks(monkeypatch, drop_calls=10**6)
+    with pytest.raises(RuntimeError, match="inertia"):
+        spectral1d.negative_spectrum(op)
+    assert ks[-1] == op.size - 2
+
+
+def test_odd_level_of_a_symmetric_coupled_well_in_one_solve(monkeypatch):
+    # an even, real, coupled 2x2 well: its odd levels are orthogonal to any
+    # even start vector, so only the random start vector puts them in the
+    # Krylov space from the first step rather than through roundoff
+    m = 401
+    h = 16.0 / (m + 1)
+    x = -8.0 + h * (1 + np.arange(m))
+    a, b, c = 3.0 * np.exp(-(x**2)), 0.8 * np.exp(-(x**2) / 2), 2.0 * np.exp(-2 * x**2)
+    blocks = -np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+    op = spectral1d.DiscretizedOperator1D(box_radius=8.0, num_interior=m, potential_blocks=blocks)
+    assert spectral1d._constant_channels(op.potential_blocks) is None
+    vals, vecs = np.linalg.eigh(op.to_sparse().toarray())
+    below = vals <= -spectral1d.ENERGY_EDGE_THRESHOLD
+    modes = vecs[:, below].reshape(m, 2, -1)
+    odd = np.abs(modes + modes[::-1]).max(axis=(0, 1)) < 1e-8
+    assert odd.any() and not odd.all()
+    ks = _eigsh_ks(monkeypatch)
+    spec = spectral1d.negative_spectrum(op)
+    assert ks == [below.sum()]
+    assert_allclose(spec.energies, np.sort(-vals[below])[::-1], rtol=0.0, atol=1e-10)
