@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad
 from scipy.linalg.lapack import dtbtrs
 
 from .potentials import MatrixFunctionSplit, SampledPotential, part_eigenvalues, split_parts
@@ -355,6 +354,8 @@ def cauchy_kernel_identity_check(
     This is the decomposition behind the exact monotonicity statement, checked
     by adaptive quadrature at a few decay rates and offsets.
     """
+    from scipy.integrate import quad
+
     worst = 0.0
     for eps in epsilon_values:
         for u in offsets:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betaln, gammaln
 
 from . import potentials, spectral1d
@@ -277,6 +276,8 @@ def lifting_identity_check(
     substituting t = |s| u^(1/(gamma-1/2)) removes the singularity before
     handing the integrand to adaptive quadrature.
     """
+    from scipy.integrate import quad
+
     if gamma <= 0.5:
         raise ValueError("the normalizing Beta constant diverges at gamma <= 1/2")
     spec = BoundSpec(gamma, 1, "identity", 1.0, "identity:moment-lifting")

@@ -4,14 +4,16 @@ The second-order system -F'' + V F = k^2 F is integrated right to left across
 the support with the two-stage Gauss-Legendre collocation scheme.  The scheme
 is one-step, fourth order, and preserves quadratic first integrals of the
 flow, which keeps |det A| >= 1 and the unitarity relation at roundoff level
-instead of drifting with the step size.  Both wavenumber signs ride along as
-column blocks of one fundamental solution, so A and B at +k and -k come out
-of a single pass.
+instead of drifting with the step size.  For coupled channels (n > 1) both
+wavenumber signs ride along as column blocks of one fundamental solution, so
+A and B at +k and -k come out of a single pass.
 
-Each step solves a 2n x 2n linear system for the stage values.  For scalar
-wells (n = 1) it is solved in closed form by Cramer's rule, elementwise over
-the wavenumber batch and in real arithmetic; coupled channels (n > 1) use
-one batched LAPACK solve per step.
+Each step solves a 2n x 2n linear system for the stage values; for n > 1 this
+is one batched LAPACK solve per step.  For scalar wells (n = 1) it is solved
+in closed form by Cramer's rule, elementwise over the wavenumber batch and in
+real arithmetic, and only the +k solution is carried: the sample is real, so
+every step applies the same real algebra to the -k solution, which starts as
+the complex conjugate of the +k one and so stays its exact conjugate.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ _C1, _C2 = 0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0
 # stage solve (unknowns are the stage positions, not the stage slopes)
 _CC = ((1.0 / 24.0, 0.125 - _SQRT3 / 12.0), (0.125 + _SQRT3 / 12.0, 1.0 / 24.0))
 _D1, _D2 = 0.25 + _SQRT3 / 12.0, 0.25 - _SQRT3 / 12.0
+# size of each per-block coefficient array of the scalar steps (steps x k)
+_BLOCK_VALUES = 1 << 13
 
 
 def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: float):
@@ -62,19 +66,24 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
 
     k = np.asarray(k_values, dtype=float)
     nk = k.size
-    eye = np.eye(n)
     phase = np.exp(1j * k * b)
+    if n == 1:
+        # a Hermitian 1 x 1 sample is real, so the -k solution, which starts
+        # as the conjugate of the +k one, stays its conjugate bit for bit
+        f, fp = _steps_scalar(
+            v1[:, 0, 0].real, v2[:, 0, 0].real, k * k, s, phase, 1j * k * phase
+        )
+        y_top = np.stack([f, np.conj(f)], axis=-1)[:, None, :]
+        y_bot = np.stack([fp, np.conj(fp)], axis=-1)[:, None, :]
+        return y_top, y_bot
+
+    eye = np.eye(n)
     y_top = np.zeros((nk, n, 2 * n), dtype=complex)
     y_bot = np.zeros((nk, n, 2 * n), dtype=complex)
     y_top[:, :, :n] = phase[:, None, None] * eye
     y_top[:, :, n:] = np.conj(phase)[:, None, None] * eye
     y_bot[:, :, :n] = (1j * k * phase)[:, None, None] * eye
     y_bot[:, :, n:] = (-1j * k * np.conj(phase))[:, None, None] * eye
-    if n == 1:
-        # a Hermitian 1 x 1 sample is real
-        _steps_scalar(v1[:, 0, 0].real, v2[:, 0, 0].real, k * k, s, y_top, y_bot)
-        return y_top, y_bot
-
     k2 = (k * k)[:, None, None] * eye
     s2 = s * s
     g = np.empty((nk, 2 * n, 2 * n), dtype=complex)
@@ -96,34 +105,60 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
     return y_top, y_bot
 
 
-def _steps_scalar(v1, v2, k2, s, y_top, y_bot):
-    """The steps of _propagate for n = 1, in place, with the stage solve by Cramer.
+def _steps_scalar(v1, v2, k2, s, f, fp):
+    """The steps of _propagate for n = 1 on the +k solution alone.
 
-    Each step's 2 x 2 stage matrix G is real, so the solve and the update
-    run in real arithmetic on the real and imaginary parts of the +k and -k
-    solutions, one row each, one column per wavenumber.
+    Each step's 2 x 2 stage matrix G is real, so the stage solve (Cramer's
+    rule) and the update run in real arithmetic on the real and imaginary
+    parts of F and F', with one column per wavenumber.  The coefficients that
+    depend only on the step and k are formed a block of steps at a time, and
+    the state is updated in place.  Returns F and F' at the left edge.
     """
-    top = np.ascontiguousarray(y_top.reshape(k2.size, 2).view(float).T)
-    bot = np.ascontiguousarray(y_bot.reshape(k2.size, 2).view(float).T)
+    nk = k2.size
+    y = np.stack([[f.real, f.imag], [fp.real, fp.imag]])
+    top, bot = y
     s2 = s * s
-    for j in range(v1.size):
-        w1 = v1[j] - k2
-        w2 = v2[j] - k2
-        g11 = 1.0 - s2 * _CC[0][0] * w1
-        g12 = -s2 * _CC[0][1] * w2
-        g21 = -s2 * _CC[1][0] * w1
-        g22 = 1.0 - s2 * _CC[1][1] * w2
+    coef = np.array([s * _C1, s * _C2, s])[:, None, None]
+    weight = np.array([_D1, _D2])[:, None, None]
+    # [r1; r2 | s F'; (s/2)(p1 + p2)], with r overwritten by p = w G^-1 r
+    x = np.empty((4, 2, nk))
+    r, increment = x[:2], x[2:]
+    t = np.empty((2, 2, nk))
+    u = np.empty((2, nk))
+    block = max(1, _BLOCK_VALUES // nk)
+    for j0 in range(0, v1.size, block):
+        w1 = v1[j0 : j0 + block, None] - k2
+        w2 = v2[j0 : j0 + block, None] - k2
+        g11 = 1.0 - (s2 * _CC[0][0]) * w1
+        g12 = (-s2 * _CC[0][1]) * w2
+        g21 = (-s2 * _CC[1][0]) * w1
+        g22 = 1.0 - (s2 * _CC[1][1]) * w2
         det = g11 * g22 - g12 * g21
-        r1 = top + (s * _C1) * bot
-        r2 = top + (s * _C2) * bot
-        # p_i = w_i z_i with z = G^-1 [r1; r2]
-        p1 = (w1 / det) * (g22 * r1 - g12 * r2)
-        p2 = (w2 / det) * (g11 * r2 - g21 * r1)
-        top += s * bot
-        top += s2 * (_D1 * p1 + _D2 * p2)
-        bot += (0.5 * s) * (p1 + p2)
-    y_top.reshape(k2.size, 2).view(float)[...] = top.T
-    y_bot.reshape(k2.size, 2).view(float)[...] = bot.T
+        # p1 = (w1 / det)(g22 r1 - g12 r2) and p2 = (w2 / det)(g11 r2 - g21 r1)
+        diag = np.stack([g22, g11], axis=1)[:, :, None, :]
+        off = np.stack([g12, g21], axis=1)[:, :, None, :]
+        scale = np.stack([w1 / det, w2 / det], axis=1)[:, :, None, :]
+        for j in range(diag.shape[0]):
+            np.multiply(coef, bot, out=x[:3])
+            r += top
+            np.multiply(off[j], r[::-1], out=t)
+            r *= diag[j]
+            r -= t
+            r *= scale[j]
+            np.add(r[0], r[1], out=x[3])
+            x[3] *= 0.5 * s
+            np.multiply(weight, r, out=t)
+            y += increment
+            np.add(t[0], t[1], out=u)
+            u *= s2
+            top += u
+    return _complex_row(top), _complex_row(bot)
+
+
+def _complex_row(parts):
+    out = np.empty(parts.shape[1], dtype=complex)
+    out.real, out.imag = parts
+    return out
 
 
 def _match(y_top, y_bot, k: np.ndarray, x_left: float, n: int):
@@ -471,7 +506,11 @@ def conjugation_symmetry_check(
 
     Conjugating the differential equation transposes the potential, so for a
     Hermitian V with complex entries the +-k data are genuinely independent
-    and this check is skipped (returns None).
+    and this check is skipped (returns None).  For scalar wells the -k data
+    are the conjugate of the propagated +k data, so lhs is 0 by construction
+    (as it was bit for bit when both signs were propagated); the check
+    measures something only on coupled wells, whose two signs are solved
+    independently.
     """
     asym = np.abs(data_values_transpose_gap(potential)).max()
     if asym > 1e-12:

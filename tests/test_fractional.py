@@ -81,6 +81,19 @@ def test_periodic_operator_diagonalizes_to_symbol():
     assert_allclose(got, symbol, atol=1e-9)
 
 
+def test_negative_levels_match_the_full_spectrum(pt1):
+    # the two boxes of fractional_moment_audit at its default size
+    radius = pt1.support_radius + 10.0
+    threshold = fractional.ENERGY_EDGE_THRESHOLD
+    for scale in (1, 2):
+        mat = fractional.periodic_operator(pt1, 2.0, scale * radius, scale * 1024)
+        full = np.linalg.eigvalsh(mat)
+        expected = np.sort(-full[full <= -threshold])[::-1]
+        got = fractional._negative_levels(mat, threshold)
+        assert got.size == expected.size > 0
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 def test_fractional_moment_poschl_teller(pt1):
     # beta = 2 with the exact Cauchy constant: lhs is sum sqrt(E) = 1 and
     # rhs = (pi/2pi) * 4 = 2

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ltlab
 from ltlab import cli, runner
 
 
@@ -283,3 +288,35 @@ def test_density_is_cached_by_point_count():
     assert fine.momentum_grid.size == 201
     assert ctx.density(201) is fine
     assert fine.momentum_grid[2] == coarse.momentum_grid[1]
+
+
+def test_kernel_and_jost_run_loads_no_quadrature(tmp_path):
+    # scipy.integrate and scipy.optimize are imported by the audits that call
+    # them, so a process that runs only kernel and Jost audits never loads them
+    cfg = write_config(tmp_path, [{
+        "name": "poschl-teller-1",
+        "potential": {"family": "poschl-teller", "parameters": {"nu": 1.0}},
+        "audits": ["birman-schwinger", "lifted-moment", "trace-identities",
+                   "unitarity", "spectral-positivity", "conjugation-symmetry"],
+    }])
+    script = (
+        "import sys\n"
+        "import ltlab.cli\n"
+        "code = ltlab.cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))\n"
+        "sys.exit(code)\n"
+    )
+    source = str(Path(ltlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = source + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(cfg), "--jobs", "1",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    tags = {rec["audit_tag"] for rec in manifest["scenarios"][0]["reports"]}
+    assert {"birman-schwinger", "unitarity", "conjugation-symmetry"} <= tags

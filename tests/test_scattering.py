@@ -89,17 +89,76 @@ def test_trace_identities_reflectionless(pt1, pt1_spectrum, pt1_scattering):
 
 def test_scalar_closed_form_matches_coupled_path():
     # V + V has the scalar well's grid and support, so it takes the same
-    # steps through the n = 2 LAPACK stage solve
-    well = potentials.build_family("gaussian", depth=4.0, width=1.5)
-    pair = potentials.direct_sum(well, well)
-    single = scattering.compute_scattering(well, k_max=12.0)
-    double = scattering.compute_scattering(pair, k_max=12.0)
-    assert_allclose(double.k_grid, single.k_grid, rtol=0, atol=0)
-    for name in ("a_pos", "b_pos", "a_neg", "b_neg"):
-        scalar = getattr(single, name)[:, 0, 0]
-        coupled = getattr(double, name)
-        scale = np.abs(scalar).max()
-        for i in range(2):
-            assert_allclose(coupled[:, i, i], scalar, rtol=1e-12, atol=1e-12 * scale)
-        assert np.all(coupled[:, 0, 1] == 0)
-        assert np.all(coupled[:, 1, 0] == 0)
+    # steps through the n = 2 LAPACK stage solve, which propagates the -k
+    # columns on their own; the scalar path fills them in by conjugation
+    even = potentials.build_family("gaussian", depth=4.0, width=1.5)
+    lopsided = potentials.build_family(
+        "random-smooth", matrix_dim=1, seed=3, real_valued=True,
+        support_radius=2.0, modes=3, grid_step=0.05,
+    )
+    x = np.linspace(0.3, 1.5, 5)
+    assert np.abs(lopsided.sample_at(x) - lopsided.sample_at(-x)).max() > 0.5
+    for well, k_max, refine in ((even, 12.0, 1), (lopsided, 8.0, 1), (lopsided, 8.0, 2)):
+        pair = potentials.direct_sum(well, well)
+        single = scattering.compute_scattering(well, k_max=k_max, refine=refine)
+        double = scattering.compute_scattering(pair, k_max=k_max, refine=refine)
+        assert_allclose(double.k_grid, single.k_grid, rtol=0, atol=0)
+        for name in ("a_pos", "b_pos", "a_neg", "b_neg"):
+            scalar = getattr(single, name)[:, 0, 0]
+            coupled = getattr(double, name)
+            scale = np.abs(scalar).max()
+            for i in range(2):
+                assert_allclose(coupled[:, i, i], scalar, rtol=1e-12, atol=1e-12 * scale)
+            assert np.all(coupled[:, 0, 1] == 0)
+            assert np.all(coupled[:, 1, 0] == 0)
+
+
+def _two_sign_reference(potential, k, step_target):
+    """Both signs of k carried as four real rows, a fresh array per operation."""
+    a, b = potential.support
+    ns = max(1, int(math.ceil((b - a) / step_target)))
+    s = -(b - a) / ns
+    x_steps = b + s * np.arange(ns)
+    v1 = potential.sample_at(x_steps + scattering._C1 * s)[:, 0, 0].real
+    v2 = potential.sample_at(x_steps + scattering._C2 * s)[:, 0, 0].real
+    cc, d1, d2 = scattering._CC, scattering._D1, scattering._D2
+    phase = np.exp(1j * k * b)
+    f = np.stack([phase, np.conj(phase)])
+    fp = np.stack([1j * k * phase, -1j * k * np.conj(phase)])
+    top = np.concatenate([f.real, f.imag])[[0, 2, 1, 3]]
+    bot = np.concatenate([fp.real, fp.imag])[[0, 2, 1, 3]]
+    k2 = k * k
+    s2 = s * s
+    for j in range(ns):
+        w1 = v1[j] - k2
+        w2 = v2[j] - k2
+        g11 = 1.0 - s2 * cc[0][0] * w1
+        g12 = -s2 * cc[0][1] * w2
+        g21 = -s2 * cc[1][0] * w1
+        g22 = 1.0 - s2 * cc[1][1] * w2
+        det = g11 * g22 - g12 * g21
+        r1 = top + (s * scattering._C1) * bot
+        r2 = top + (s * scattering._C2) * bot
+        p1 = (w1 / det) * (g22 * r1 - g12 * r2)
+        p2 = (w2 / det) * (g11 * r2 - g21 * r1)
+        top = top + s * bot
+        top = top + s2 * (d1 * p1 + d2 * p2)
+        bot = bot + (0.5 * s) * (p1 + p2)
+    # rows: Re F(+k), Im F(+k), Re F(-k), Im F(-k)
+    return top[0::2] + 1j * top[1::2], bot[0::2] + 1j * bot[1::2]
+
+
+def test_scalar_steps_equal_the_two_sign_reference():
+    # one +k solution, conjugated for -k and updated in place, gives the
+    # same bits as propagating both signs with the same stage algebra
+    well = potentials.build_family(
+        "random-smooth", matrix_dim=1, seed=3, real_valued=True,
+        support_radius=2.0, modes=3, grid_step=0.05,
+    )
+    k = np.linspace(0.05, 9.0, 37)
+    for step in (0.05, 0.013):
+        y_top, y_bot = scattering._propagate(well, k, step)
+        f, fp = _two_sign_reference(well, k, step)
+        for sign in range(2):
+            assert np.array_equal(y_top[:, 0, sign], f[sign])
+            assert np.array_equal(y_bot[:, 0, sign], fp[sign])
