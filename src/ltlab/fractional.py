@@ -367,10 +367,8 @@ def fractional_moment_audit(
     small = _negative_levels(
         periodic_operator(potential, beta, box_radius, num_points), threshold
     )
-    levels = _negative_levels(
-        periodic_operator(potential, beta, 2.0 * box_radius, 2 * num_points),
-        threshold,
-    )
+    matrix = periodic_operator(potential, beta, 2.0 * box_radius, 2 * num_points)
+    levels = _negative_levels(matrix, threshold)
     paired = min(small.size, levels.size)
     drift = float(np.abs(levels[:paired] - small[:paired]).max(initial=0.0))
     extra = levels[paired:]
@@ -380,7 +378,8 @@ def fractional_moment_audit(
         )
     power = (beta - 1.0) / beta
     lhs = float((levels**power).sum())
-    uncertainty = max(drift, 1e-12)
+    # a backward-stable solve moves each level by up to eps * ||A||_2 <= eps * ||A||_1
+    uncertainty = drift + np.finfo(float).eps * float(np.linalg.norm(matrix, 1))
     safe = levels > 2.0 * uncertainty
     lhs_error = float(
         (power * (levels[safe] - uncertainty) ** (power - 1.0) * uncertainty).sum()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, orth
 
 from . import spectral1d
 from .bounds import classical_constant, constant_factor
@@ -23,7 +23,6 @@ from .spectral1d import DiscretizedOperator1D, NegativeSpectrum
 
 GRID_CAP = 160
 ENERGY_EDGE_THRESHOLD = spectral1d.ENERGY_EDGE_THRESHOLD
-RANK_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -190,32 +189,6 @@ def negative_spectrum_2d(
     )
 
 
-def refined_negative_spectrum_2d(
-    potential,
-    box_radius: float,
-    num_interior: int,
-    vector_potential=None,
-    threshold: float = ENERGY_EDGE_THRESHOLD,
-    coarse: NegativeSpectrum | None = None,
-) -> NegativeSpectrum:
-    """Richardson pairing of the M and 2M+1 grids, as in one dimension.
-
-    coarse, when given, is the already solved spectrum on the M grid.
-    """
-    if coarse is None:
-        coarse = negative_spectrum_2d(
-            build_operator_2d(potential, box_radius, num_interior, vector_potential),
-            threshold,
-        )
-    fine = negative_spectrum_2d(
-        build_operator_2d(
-            potential, box_radius, 2 * num_interior + 1, vector_potential
-        ),
-        threshold,
-    )
-    return spectral1d.richardson_pair(coarse, fine)
-
-
 def plane_moment_integral(
     potential, box_radius: float, gamma: float, num_quad: int = 801
 ) -> float:
@@ -357,33 +330,17 @@ def gauge_invariance_check(
 
 
 def diamagnetic_trend_check(
-    potential,
-    box_radius: float,
-    num_interior: int,
+    plain: NegativeSpectrum,
+    magnetic: NegativeSpectrum,
     gamma: float = 1.5,
     field_strength: float = 1.0,
-    plain: NegativeSpectrum | None = None,
-    magnetic: NegativeSpectrum | None = None,
 ) -> BoundReport:
     """Field-on Riesz mean against field-off, at gamma >= 3/2.
 
-    This is corpus-level evidence, not a theorem; a violation is reported
-    as inconclusive so it never gates a run.  plain and magnetic, when
-    given, are the already solved spectra on the num_interior grid.
+    plain and magnetic are the solved spectra of one well on one grid,
+    without and with the field.  This is corpus-level evidence, not a
+    theorem; a violation is reported as inconclusive so it never gates a run.
     """
-    if plain is None:
-        plain = negative_spectrum_2d(
-            build_operator_2d(potential, box_radius, num_interior)
-        )
-    if magnetic is None:
-        magnetic = negative_spectrum_2d(
-            build_operator_2d(
-                potential,
-                box_radius,
-                num_interior,
-                constant_field(field_strength, "landau"),
-            )
-        )
     lhs = magnetic.riesz_mean(gamma)
     rhs = plain.riesz_mean(gamma)
     holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
@@ -405,30 +362,25 @@ def lifting_inequality_audit(
     box_radius: float,
     num_interior: int,
     gamma: float,
-    rank: int,
+    spectrum_2d: NegativeSpectrum,
     base_tolerance: float = 1e-9,
     threshold: float = ENERGY_EDGE_THRESHOLD,
-    spectrum_2d: NegativeSpectrum | None = None,
 ) -> BoundReport:
-    """Planar Riesz mean against the matrix-valued 1D comparison problem.
+    """Planar Riesz mean against the operator-valued 1D comparison problem.
 
     Per slice y_j the transverse operator W(y_j) = -d^2/dx^2 + V(., y_j) is
-    diagonalized; the matrix potential -W_-(y_j) is compressed to the span
-    of the middle slice's lowest `rank` eigenvectors and handed to the 1D
-    solver.  Compression can only shrink the right-hand side, so a miss
-    within the truncation allowance (the lifted-moment bound on the
-    discarded slice levels) is reported inconclusive rather than failed.
-    spectrum_2d, when given, is the already solved planar spectrum.
+    diagonalized.  The planar operator lies above T_y (x) I - (+)_j W_-(y_j).
+    Every W_-(y_j) vanishes off the span S of all slices' negative
+    eigenvectors, so that comparison is nonnegative on S^perp and its
+    negative spectrum is exactly that of its compression to S, which the 1D
+    solver takes as a dim S channel well.  spectrum_2d is the solved planar
+    spectrum on the same grid.
     """
     if gamma < 0.5:
         raise ValueError("need gamma >= 1/2")
-    if rank < 1 or rank > RANK_CAP:
-        raise ValueError(f"rank must lie in [1, {RANK_CAP}]")
     op = build_operator_2d(potential, box_radius, num_interior)
     m = op.num_interior
     h = op.grid_step
-    if spectrum_2d is None:
-        spectrum_2d = negative_spectrum_2d(op, threshold)
     lhs = spectrum_2d.riesz_mean(gamma)
 
     kinetic = (
@@ -436,50 +388,37 @@ def lifting_inequality_audit(
         + np.diag(np.full(m - 1, -1.0 / h**2), 1)
         + np.diag(np.full(m - 1, -1.0 / h**2), -1)
     )
-    mid_vals, mid_vecs = eigh(kinetic + np.diag(op.potential_values[:, m // 2]))
-    basis = mid_vecs[:, :rank]
-
-    blocks = np.empty((m, rank, rank))
-    discarded = 0.0
+    slices = []
     for j in range(m):
         mu, vecs = eigh(kinetic + np.diag(op.potential_values[:, j]))
         neg = mu < 0
-        depth = -mu[neg]
-        w_minus = (vecs[:, neg] * depth) @ vecs[:, neg].T
-        blocks[j] = -(basis.T @ w_minus @ basis)
-        tail = np.sort(depth)[::-1][rank:]
-        discarded += float((tail ** (gamma + 0.5)).sum())
-    allowance = (
-        constant_factor(gamma, 1) * classical_constant(gamma, 1) * h * discarded
-    )
-    comparison = spectral1d.negative_spectrum(
-        DiscretizedOperator1D(
-            box_radius=box_radius, num_interior=m, potential_blocks=blocks
-        ),
-        threshold,
-    )
-    rhs = comparison.riesz_mean(gamma)
-    slack = base_tolerance * max(rhs, 1.0)
-    if lhs <= rhs + slack:
-        passed, inconclusive = True, False
-    elif lhs <= rhs + allowance + slack:
-        passed, inconclusive = False, True
-    else:
-        passed, inconclusive = False, False
-    return BoundReport(
-        audit_tag="lifting-2d",
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=base_tolerance,
-        passed=passed,
-        inconclusive=inconclusive,
+        slices.append((-mu[neg], vecs[:, neg]))
+    negative = np.hstack([vecs for _, vecs in slices])
+    basis = orth(negative) if negative.size else negative
+    levels = np.empty(0)
+    if basis.shape[1]:
+        blocks = np.empty((m, basis.shape[1], basis.shape[1]))
+        for j, (depth, vecs) in enumerate(slices):
+            coords = basis.T @ vecs
+            blocks[j] = -(coords * depth) @ coords.T
+        levels = spectral1d.negative_spectrum(
+            DiscretizedOperator1D(
+                box_radius=box_radius, num_interior=m, potential_blocks=blocks
+            ),
+            threshold,
+        ).energies
+    rhs = float((levels**gamma).sum())
+    return comparison_report(
+        "lifting-2d",
+        "upper",
+        lhs,
+        rhs,
         spec=BoundSpec(gamma, 2, "upper", 1.0, "identity:dimension-lifting"),
-        residual=rhs - lhs,
+        base_tolerance=base_tolerance,
         provenance={
-            "rank": rank,
-            "allowance": allowance,
+            "channels": basis.shape[1],
             "levels_2d": spectrum_2d.count,
-            "levels_1d": comparison.count,
+            "levels_1d": levels.size,
             "grid": m,
         },
     )

@@ -256,16 +256,12 @@ class ScenarioContext:
         return self._cache[key]
 
     def spectrum_2d(self, magnetic: bool):
-        key = ("spectrum_2d", magnetic)
-        if key not in self._cache:
-            self._cache[key] = multidim.refined_negative_spectrum_2d(
-                self.well_2d(),
-                self.plane_box(),
-                self.plane_points(),
-                vector_potential=self.vector_potential(magnetic),
-                coarse=self.planar_spectrum(self.plane_points(), magnetic),
-            )
-        return self._cache[key]
+        """Richardson pairing of the planar M and 2M+1 grids, as in one dimension."""
+        points = self.plane_points()
+        return spectral1d.richardson_pair(
+            self.planar_spectrum(points, magnetic),
+            self.planar_spectrum(2 * points + 1, magnetic),
+        )
 
     def density(self, points: int | None = None):
         """The options' density tabulated on `points` momenta (default: its grid_points)."""
@@ -487,7 +483,6 @@ def _run_lifting_2d(ctx):
         multidim.lifting_inequality_audit(
             ctx.well_2d(), ctx.plane_box(), ctx.plane_points(),
             gamma=float(ctx.option("lifting_gamma", 1.0)),
-            rank=int(ctx.option("rank", 6)),
             base_tolerance=ctx.tolerance("lifting-2d", 1e-9),
             spectrum_2d=ctx.planar_spectrum(ctx.plane_points(), False),
         )
@@ -497,11 +492,10 @@ def _run_lifting_2d(ctx):
 def _run_diamagnetic_trend(ctx):
     return [
         multidim.diamagnetic_trend_check(
-            ctx.well_2d(), ctx.plane_box(), ctx.plane_points(),
+            ctx.planar_spectrum(ctx.plane_points(), False),
+            ctx.planar_spectrum(ctx.plane_points(), True),
             gamma=float(ctx.option("magnetic_gamma", 1.5)),
             field_strength=float(ctx.option("field_strength", 1.0)),
-            plain=ctx.planar_spectrum(ctx.plane_points(), False),
-            magnetic=ctx.planar_spectrum(ctx.plane_points(), True),
         )
     ]
 

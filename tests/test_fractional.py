@@ -104,6 +104,24 @@ def test_fractional_moment_poschl_teller(pt1):
     assert rep.provenance["drift"] <= fractional.DRIFT_BUDGET
 
 
+def test_fractional_moment_budget_covers_solver_roundoff(pt1):
+    # the fractional-cauchy scenario: a backward-stable solve moves each level
+    # by up to eps * ||A||_1 of the larger-box operator, on top of the drift
+    # under box doubling, and here the roundoff term is the larger of the two
+    rep = fractional.fractional_moment_audit(pt1, 2.0, math.pi)
+    mat = fractional.periodic_operator(
+        pt1, 2.0, 2.0 * rep.provenance["box_radius"], 2 * 1024
+    )
+    levels = fractional._negative_levels(mat, fractional.ENERGY_EDGE_THRESHOLD)
+    roundoff = np.finfo(float).eps * np.linalg.norm(mat, 1)
+    assert roundoff > rep.provenance["drift"]
+    uncertainty = rep.provenance["drift"] + roundoff
+    power = 0.5
+    first_order = float((power * levels ** (power - 1.0) * uncertainty).sum())
+    assert rep.provenance["budget"] >= first_order
+    assert rep.passed
+
+
 def test_fractional_moment_vacuous_case():
     rep = fractional.fractional_moment_audit(
         zero_potential(), 2.0, math.pi, num_points=128

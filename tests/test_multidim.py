@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
-from ltlab import multidim
+from ltlab import multidim, potentials, runner, spectral1d
 
 BOX = 8.0
 DEPTH = 8.0
@@ -15,10 +15,28 @@ def well():
     return multidim.gaussian_well_2d(DEPTH, WIDTH)
 
 
+def solve(well, num_interior, box=BOX):
+    return multidim.negative_spectrum_2d(
+        multidim.build_operator_2d(well, box, num_interior)
+    )
+
+
+def refined_spectrum(num_interior):
+    """The runner's Richardson-paired planar spectrum of the Gaussian well."""
+    ctx = runner.ScenarioContext(runner.Scenario(
+        name="plane", audits=("lt-2d",),
+        options={
+            "well": {"kind": "gaussian", "depth": DEPTH, "width": WIDTH},
+            "box_radius": BOX,
+            "num_interior": num_interior,
+        },
+    ))
+    return ctx.spectrum_2d(False)
+
+
 @pytest.fixture(scope="module")
 def well_spectrum(well):
-    op = multidim.build_operator_2d(well, BOX, 32)
-    return multidim.negative_spectrum_2d(op)
+    return solve(well, 32)
 
 
 def test_separable_spectrum_is_kronecker_sum():
@@ -46,11 +64,12 @@ def test_radial_degeneracy_is_exact_on_the_grid(well_spectrum):
     assert abs(well_spectrum.energies[1] - well_spectrum.energies[2]) < 1e-10
 
 
-def test_refined_spectrum_metadata(well):
-    spec = multidim.refined_negative_spectrum_2d(well, BOX, 16)
+def test_refined_spectrum_metadata():
+    spec = refined_spectrum(16)
     assert spec.dimension == 2
     assert spec.extrapolated
     assert spec.count >= 1
+    assert spec.num_interior == 33
 
 
 def test_plane_moment_integral_closed_form(well):
@@ -64,7 +83,7 @@ def test_plane_moment_integral_closed_form(well):
 def test_lt_audit_2d_passes_and_guards(well, well_spectrum):
     # the audit needs the extrapolated spectrum: a bare coarse grid carries
     # no error budget and its Riesz mean overshoots the integral side
-    refined = multidim.refined_negative_spectrum_2d(well, BOX, 24)
+    refined = refined_spectrum(24)
     rep = multidim.lt_audit_2d(well, refined, 1.5, BOX)
     assert rep.audit_tag == "lt-2d"
     assert rep.passed
@@ -75,7 +94,7 @@ def test_lt_audit_2d_passes_and_guards(well, well_spectrum):
 
 
 def test_magnetic_field_lifts_the_levels(well):
-    base = multidim.negative_spectrum_2d(multidim.build_operator_2d(well, BOX, 24))
+    base = solve(well, 24)
     shifted = multidim.negative_spectrum_2d(
         multidim.build_operator_2d(
             well, BOX, 24, vector_potential=multidim.constant_field(1.0)
@@ -103,30 +122,76 @@ def test_zero_field_reduces_to_real_operator(well):
 
 
 def test_diamagnetic_trend(well):
-    rep = multidim.diamagnetic_trend_check(well, BOX, 20)
+    plain = solve(well, 20)
+    magnetic = multidim.negative_spectrum_2d(
+        multidim.build_operator_2d(well, BOX, 20, multidim.constant_field(1.0))
+    )
+    rep = multidim.diamagnetic_trend_check(plain, magnetic)
     assert rep.audit_tag == "diamagnetic-trend"
     assert rep.passed
+    assert rep.lhs == magnetic.riesz_mean(1.5)
+    assert rep.rhs == plain.riesz_mean(1.5)
 
 
 def test_lifting_inequality_states(well):
-    # full rank: the compressed comparison operator is unitarily equivalent
-    # to the original, so the inequality holds with no spillover allowance
-    full = multidim.lifting_inequality_audit(well, BOX, 24, 1.5, 24)
-    assert full.audit_tag == "lifting-2d"
-    assert full.passed
-    assert full.lhs <= full.rhs * (1.0 + 1e-9) + 1e-9
-    # truncation may land in the allowance band but must never hard-fail
-    small = multidim.lifting_inequality_audit(well, BOX, 24, 1.5, 4)
-    assert small.passed or small.inconclusive
+    # the comparison lies below the planar operator exactly, so the audit
+    # passes up to roundoff and a miss can only be a failure
+    rep = multidim.lifting_inequality_audit(well, BOX, 24, 1.5, solve(well, 24))
+    assert rep.audit_tag == "lifting-2d"
+    assert rep.passed and not rep.inconclusive
+    assert rep.tolerance == 1e-9
+    assert 0 < rep.provenance["channels"] < 24
+    # min-max: the comparison has at least as many levels as the plane
+    assert rep.provenance["levels_1d"] >= rep.provenance["levels_2d"] >= 3
+    deeper = solve(multidim.gaussian_well_2d(2.0 * DEPTH, WIDTH), 24)
+    miss = multidim.lifting_inequality_audit(well, BOX, 24, 1.5, deeper)
+    assert not miss.passed and not miss.inconclusive
+    assert miss.residual < 0
 
 
-def test_lifting_comparison_deepens_with_rank(well):
-    rhs = [
-        multidim.lifting_inequality_audit(well, BOX, 24, 1.0, r).rhs
-        for r in (4, 12, 24)
-    ]
-    assert rhs[0] <= rhs[1] * (1.0 + 1e-12)
-    assert rhs[1] <= rhs[2] * (1.0 + 1e-12)
+def uncompressed_comparison_mean(well, box, m, gamma):
+    """Riesz mean of T_y (x) I - (+)_j W_-(y_j), assembled densely on the grid."""
+    op = multidim.build_operator_2d(well, box, m)
+    h = op.grid_step
+    kinetic = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h**2
+    full = np.kron(kinetic, np.eye(m))
+    for j in range(m):
+        mu, vecs = np.linalg.eigh(kinetic + np.diag(op.potential_values[:, j]))
+        w_minus = (vecs * np.maximum(-mu, 0.0)) @ vecs.T
+        full[j * m:(j + 1) * m, j * m:(j + 1) * m] -= w_minus
+    vals = np.linalg.eigvalsh(full)
+    levels = -vals[vals <= -multidim.ENERGY_EDGE_THRESHOLD]
+    return float((levels**gamma).sum())
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "separable"])
+def test_lifting_rhs_is_the_uncompressed_comparison(well, kind):
+    if kind == "gaussian":
+        plane, box, gamma = well, BOX, 1.5
+    else:
+        base = potentials.build_family("gaussian", depth=6.0, width=1.0)
+        plane, box, gamma = multidim.separable_well_2d(base), 7.0, 1.0
+    rep = multidim.lifting_inequality_audit(plane, box, 24, gamma, solve(plane, 24, box))
+    expected = uncompressed_comparison_mean(plane, box, 24, gamma)
+    assert_allclose(rep.rhs, expected, rtol=1e-12, atol=0)
+    assert rep.passed
+
+
+def test_lifting_without_slice_levels_solves_nothing(monkeypatch):
+    # so shallow and narrow that no slice binds: the span S is empty
+    shallow = multidim.gaussian_well_2d(0.01, 0.5)
+    spectrum = solve(shallow, 16)
+    assert spectrum.count == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an empty span needs no 1D solve")
+
+    monkeypatch.setattr(spectral1d, "negative_spectrum", no_solve)
+    rep = multidim.lifting_inequality_audit(shallow, BOX, 16, 1.0, spectrum)
+    assert rep.lhs == rep.rhs == 0.0
+    assert rep.passed
+    assert rep.provenance["channels"] == 0
+    assert rep.provenance["levels_1d"] == 0
 
 
 def test_grid_operator_validation(well):
@@ -155,8 +220,6 @@ def test_grid_operator_validation(well):
 
 
 def test_separable_well_requires_scalar_base():
-    from ltlab import potentials
-
     base = potentials.build_family("random-smooth", matrix_dim=2, seed=3)
     with pytest.raises(ValueError):
         multidim.separable_well_2d(base)
@@ -169,8 +232,6 @@ def test_separable_well_requires_scalar_base():
 
 
 def test_inertia_count_matches_dense_count_on_a_magnetic_grid(well):
-    from ltlab import spectral1d
-
     op = multidim.build_operator_2d(well, BOX, 24, multidim.constant_field(1.0))
     mat = op.to_sparse()
     count, cut = spectral1d._inertia_count(mat, multidim.ENERGY_EDGE_THRESHOLD)

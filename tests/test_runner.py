@@ -157,13 +157,13 @@ def test_markdown_marks_inconclusive_rows():
                 "error": None,
                 "reports": [
                     {
-                        "audit_tag": "lifting-2d",
-                        "citation": "identity:dimension-lifting",
-                        "gamma": 1.0,
+                        "audit_tag": "diamagnetic-trend",
+                        "citation": "trend:diamagnetic",
+                        "gamma": 1.5,
                         "d": 2,
-                        "lhs": 1.0,
-                        "rhs": 2.0,
-                        "ratio": 0.5,
+                        "lhs": 2.0,
+                        "rhs": 1.0,
+                        "ratio": 2.0,
                         "tolerance": 1e-9,
                         "passed": False,
                         "inconclusive": True,
