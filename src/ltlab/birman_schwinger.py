@@ -19,13 +19,13 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dtbtrs
 
-from .potentials import MatrixFunctionSplit, SampledPotential, part_eigenvalues, split_parts
+from .potentials import SampledPotential, part_eigenvalues, part_values
 from .reports import BoundReport
 from .spectral1d import NegativeSpectrum, _constant_channels
 
 NONPOSITIVITY_TOL = 1e-12
-
-WSource = "MatrixFunctionSplit | SampledPotential"
+CAUCHY_EPSILONS = (0.5, 2.0, 10.0)
+CAUCHY_OFFSETS = (0.0, 0.3, 1.7, 5.0)
 
 
 def _default_epsilons() -> np.ndarray:
@@ -63,7 +63,9 @@ class BSOperator:
         return sums
 
 
-def _restriction_grid(potential: SampledPotential, stride: int):
+def _restriction_grid(potential: SampledPotential, neg: np.ndarray, stride: int):
+    """Support nodes of the grid (every stride-th), their points and trapezoid
+    weights; neg holds the samples of V_minus."""
     x = potential.grid
     a, b = potential.support
     mask = (x >= a - 1e-12) & (x <= b + 1e-12)
@@ -72,8 +74,8 @@ def _restriction_grid(potential: SampledPotential, stride: int):
         if idx.size % 2 == 0:
             # an even count cannot host the stride-2 subgrid; shed the
             # endpoint with the smaller sample so the quadrature barely moves
-            lo = float(np.abs(potential.values[idx[0]]).max())
-            hi = float(np.abs(potential.values[idx[-1]]).max())
+            lo = float(np.abs(neg[idx[0]]).max())
+            hi = float(np.abs(neg[idx[-1]]).max())
             idx = idx[1:] if lo <= hi else idx[:-1]
         idx = idx[::stride]
     pts = x[idx]
@@ -88,14 +90,6 @@ def _psd_sqrt(blocks: np.ndarray) -> np.ndarray:
     root = np.sqrt(np.maximum(mu, 0.0))
     w = np.einsum("xij,xj,xkj->xik", u, root, np.conj(u))
     return 0.5 * (w + np.conj(np.swapaxes(w, 1, 2)))
-
-
-def _negative_part_of(source) -> SampledPotential:
-    if isinstance(source, MatrixFunctionSplit):
-        return source.negative_part
-    if isinstance(source, SampledPotential):
-        return split_parts(source).negative_part
-    raise TypeError("source must be a MatrixFunctionSplit or a SampledPotential")
 
 
 def _leading_eigenvalues(
@@ -148,11 +142,13 @@ def _leading_eigenvalues(
     return vals
 
 
-def build_L(source, epsilon: float, stride: int = 1, top: int = 10) -> BSOperator:
+def build_L(
+    potential: SampledPotential, epsilon: float, stride: int = 1, top: int = 10
+) -> BSOperator:
     """The top leading eigenvalues of the trapezoid discretization of L_e.
 
-    L_e is discretized on the support restriction of the grid; source supplies
-    the negative part V_minus that defines W, and stride=2 yields the
+    L_e is discretized on the support restriction of the grid; the negative
+    part V_minus of potential defines W, and stride=2 yields the
     half-resolution operator used for eigenvalue extrapolation.  At e = 0 the
     operator is a Gram matrix whose nonzero eigenvalues are those of the n x n
     matrix sum_i A_i^2.  For e > 0 a well that splits into constant channels
@@ -163,13 +159,13 @@ def build_L(source, epsilon: float, stride: int = 1, top: int = 10) -> BSOperato
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    neg = _negative_part_of(source)
-    idx, pts, w = _restriction_grid(neg, stride)
-    blocks = neg.values[idx]
+    neg = part_values(potential, "minus")
+    idx, pts, w = _restriction_grid(potential, neg, stride)
+    blocks = neg[idx]
     if not blocks.imag.any():
         blocks = blocks.real
     a = np.sqrt(w)[:, None, None] * _psd_sqrt(blocks)
-    n = neg.matrix_dim
+    n = potential.matrix_dim
     if epsilon == 0:
         found = [np.linalg.eigvalsh(np.einsum("xij,xjk->ik", a, a))]
     else:
@@ -193,12 +189,14 @@ def build_L(source, epsilon: float, stride: int = 1, top: int = 10) -> BSOperato
     )
 
 
-def build_K(source, energy: float, stride: int = 1, top: int = 10) -> BSOperator:
+def build_K(
+    potential: SampledPotential, energy: float, stride: int = 1, top: int = 10
+) -> BSOperator:
     """Kernel at spectral parameter -energy: K_E = L_sqrt(E) / (2 sqrt(E))."""
     if energy <= 0:
         raise ValueError("energy must be positive")
     kappa = math.sqrt(energy)
-    op = build_L(source, kappa, stride, top)
+    op = build_L(potential, kappa, stride, top)
     scale = 1.0 / (2.0 * kappa)
     return replace(
         op,
@@ -344,11 +342,7 @@ def birman_schwinger_audit(
     )
 
 
-def cauchy_kernel_identity_check(
-    epsilon_values=(0.5, 2.0, 10.0),
-    offsets=(0.0, 0.3, 1.7, 5.0),
-    tolerance: float = 1e-6,
-) -> BoundReport:
+def cauchy_kernel_identity_check(tolerance: float = 1e-6) -> BoundReport:
     """exp(-e|u|) equals the cosine transform of the Cauchy density e/(pi(e^2+p^2)).
 
     This is the decomposition behind the exact monotonicity statement, checked
@@ -357,8 +351,8 @@ def cauchy_kernel_identity_check(
     from scipy.integrate import quad
 
     worst = 0.0
-    for eps in epsilon_values:
-        for u in offsets:
+    for eps in CAUCHY_EPSILONS:
+        for u in CAUCHY_OFFSETS:
             if eps * abs(u) > 8.0:
                 # relative comparison is meaningless once the target drops
                 # below what absolute-tolerance quadrature can resolve
@@ -378,5 +372,5 @@ def cauchy_kernel_identity_check(
         rhs=tolerance,
         tolerance=tolerance,
         passed=worst <= tolerance,
-        provenance={"epsilons": list(epsilon_values), "offsets": list(offsets)},
+        provenance={"epsilons": list(CAUCHY_EPSILONS), "offsets": list(CAUCHY_OFFSETS)},
     )

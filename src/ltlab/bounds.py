@@ -23,6 +23,9 @@ GAMMA_DEFAULTS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5)
 ALPHA_DEFAULTS = tuple(np.geomspace(1.0, 400.0, 13))
 POSITIVE_PART_TOL = 1e-12
 INTEGRAL_SLACK = 1e-9
+SWEEP_BASE_STEP = 0.025
+SHARPNESS_POINTS_PER_WIDTH = 8
+WEYL_LIMIT_TOLERANCE = 0.02
 
 
 def classical_constant(gamma: float, d: int) -> float:
@@ -196,7 +199,6 @@ def sharpness_sweep(
     base_tolerance: float = 1e-3,
     saturation_floor: float = 0.499,
     box_radius: float = 8.0,
-    points_per_width: int = 8,
 ) -> tuple[list[BoundReport], dict]:
     """Rank-one wells of fixed weight and shrinking width saturate the bound.
 
@@ -206,7 +208,7 @@ def sharpness_sweep(
     reports = []
     rows = {"width": [], "ratio": [], "levels": [], "budget": []}
     for width in widths:
-        step = width / points_per_width
+        step = width / SHARPNESS_POINTS_PER_WIDTH
         cells = 2.0 * box_radius / step
         if abs(cells - round(cells)) > 1e-9:
             raise ValueError("box radius must be an integer multiple of the step")
@@ -425,15 +427,10 @@ class CouplingSweep:
     couplings: tuple
     spectra: tuple
     box_radius: float
-    energy_floor: float
 
 
 def coupling_sweep(
-    potential: SampledPotential,
-    couplings=ALPHA_DEFAULTS,
-    energy_floor: float = 0.04,
-    base_step: float = 0.025,
-    margin: float = 8.0,
+    potential: SampledPotential, couplings=ALPHA_DEFAULTS
 ) -> CouplingSweep:
     _require_nonpositive(potential)
     if len(couplings) < 6:
@@ -441,10 +438,12 @@ def coupling_sweep(
     couplings = tuple(float(a) for a in couplings)
     if any(a <= 0 for a in couplings):
         raise ValueError("couplings must be positive")
-    box = potential.support_radius + margin / math.sqrt(energy_floor)
+    box = potential.support_radius + spectral1d.BOX_MARGIN / math.sqrt(
+        spectral1d.BOX_ENERGY_FLOOR
+    )
     spectra = []
     for a in couplings:
-        step = base_step / math.sqrt(max(a, 1.0))
+        step = SWEEP_BASE_STEP / math.sqrt(max(a, 1.0))
         num_interior = max(int(math.ceil(2.0 * box / step)) - 1, 32)
         scaled = potentials.scale(potential, a)
         spectra.append(
@@ -455,25 +454,20 @@ def coupling_sweep(
         couplings=couplings,
         spectra=tuple(spectra),
         box_radius=box,
-        energy_floor=energy_floor,
     )
 
 
 def remainder_sweep(
     potential: SampledPotential,
-    couplings=ALPHA_DEFAULTS,
-    sweep: CouplingSweep | None = None,
+    sweep: CouplingSweep,
     base_tolerance: float = 1e-6,
     slope_cap: float = 1.6,
-    energy_floor: float = 0.04,
 ) -> tuple[list[BoundReport], dict]:
     """Gap between the phase-space term and the 3/2 moments, versus its cap.
 
     The gap is nonnegative and grows at most like coupling^(3/2); the fitted
     log-log slope over the top decade is reported against slope_cap.
     """
-    if sweep is None:
-        sweep = coupling_sweep(potential, couplings, energy_floor=energy_floor)
     l32 = classical_constant(1.5, 1)
     v_sq = potentials.trace_power_integral(potential, "minus", 2.0)
     v_one = potentials.trace_power_integral(potential, "minus", 1.0)
@@ -556,19 +550,14 @@ def remainder_sweep(
 def weyl_ratio_sweep(
     potential: SampledPotential,
     gamma: float,
-    couplings=ALPHA_DEFAULTS,
-    sweep: CouplingSweep | None = None,
+    sweep: CouplingSweep,
     base_tolerance: float = 1e-6,
-    limit_tolerance: float = 0.02,
-    energy_floor: float = 0.04,
 ) -> tuple[list[BoundReport], dict]:
     """Riesz means against the phase-space term across the coupling sweep.
 
     Every ratio must respect the certified factor; at gamma >= 3/2 the last
-    ratio must additionally sit within limit_tolerance of 1.
+    ratio must additionally sit within WEYL_LIMIT_TOLERANCE of 1.
     """
-    if sweep is None:
-        sweep = coupling_sweep(potential, couplings, energy_floor=energy_floor)
     factor = constant_factor(gamma, 1)
     scale_integral = classical_constant(gamma, 1) * potentials.trace_power_integral(
         potential, "minus", gamma + 0.5
@@ -601,7 +590,7 @@ def weyl_ratio_sweep(
                 rows["ratio"][-1],
                 1.0,
                 spec=BoundSpec(gamma, 1, "identity", 1.0, "asymptotic:phase-space"),
-                base_tolerance=limit_tolerance,
+                base_tolerance=WEYL_LIMIT_TOLERANCE,
                 lhs_error=rows["budget"][-1],
                 provenance={"coupling": rows["coupling"][-1], "gamma": gamma},
             )

@@ -22,7 +22,7 @@ from scipy.linalg import circulant
 from scipy.linalg.lapack import dlamch, dsyevr
 from scipy.special import gamma as gamma_function
 
-from . import potentials
+from . import potentials, spectral1d
 from .potentials import SampledPotential, simpson_weights
 from .reports import BoundReport, BoundSpec, comparison_report
 
@@ -31,7 +31,7 @@ DENSITY_ERROR_CAP = 1e-9
 MASS_TOLERANCE = 1e-6
 POINTWISE_SLACK = 1e-9
 DRIFT_BUDGET = 1e-6
-ENERGY_EDGE_THRESHOLD = 1e-8
+REFINEMENT_TOLERANCE = 1e-4
 MASS_SEGMENTS = ((0.0, 2.0, 401), (2.0, 10.0, 161), (10.0, 60.0, 201))
 
 
@@ -230,7 +230,6 @@ def c0_reference_audit(
     reference: float | None = None,
     refined: ComparisonDensity | None = None,
     base_tolerance: float = 1e-6,
-    refinement_tolerance: float = 1e-4,
 ) -> list[BoundReport]:
     """Compare the searched constant against an exact value, a finer grid,
     or both."""
@@ -258,7 +257,7 @@ def c0_reference_audit(
                 "identity",
                 constant,
                 again,
-                base_tolerance=refinement_tolerance,
+                base_tolerance=REFINEMENT_TOLERANCE,
                 provenance={
                     "operator_exponent": operator_exponent,
                     "grid_points": int(density.momentum_grid.size),
@@ -348,7 +347,7 @@ def fractional_moment_audit(
     box_margin: float = 10.0,
     num_points: int = 1024,
     base_tolerance: float = 1e-6,
-    threshold: float = ENERGY_EDGE_THRESHOLD,
+    threshold: float = spectral1d.ENERGY_EDGE_THRESHOLD,
 ) -> BoundReport:
     """Sum of E_j^{(beta-1)/beta} against (c0/2pi) * integral of V_-.
 

@@ -22,6 +22,7 @@ from .reports import BoundReport, BoundSpec, comparison_report
 from .spectral1d import DiscretizedOperator1D, NegativeSpectrum
 
 GRID_CAP = 160
+PLANE_QUAD_POINTS = 801
 ENERGY_EDGE_THRESHOLD = spectral1d.ENERGY_EDGE_THRESHOLD
 
 
@@ -189,12 +190,10 @@ def negative_spectrum_2d(
     )
 
 
-def plane_moment_integral(
-    potential, box_radius: float, gamma: float, num_quad: int = 801
-) -> float:
+def plane_moment_integral(potential, box_radius: float, gamma: float) -> float:
     """Tensor Simpson quadrature of max(-V, 0)^(gamma+1) over the box."""
-    x = np.linspace(-box_radius, box_radius, num_quad)
-    w = simpson_weights(num_quad, x[1] - x[0])
+    x = np.linspace(-box_radius, box_radius, PLANE_QUAD_POINTS)
+    w = simpson_weights(PLANE_QUAD_POINTS, x[1] - x[0])
     X, Y = np.meshgrid(x, x, indexing="ij")
     neg = np.maximum(-np.asarray(potential(X, Y), dtype=float), 0.0)
     return float(w @ (neg ** (gamma + 1.0)) @ w)

@@ -12,8 +12,6 @@ SUPPORT_THRESHOLD = 1e-14
 HERMITICITY_TOL = 1e-12
 POINTS_PER_FEATURE = 8
 
-RECORD_SCHEMA = "ltlab.potential/1"
-
 
 def simpson_weights(num_points: int, step: float) -> np.ndarray:
     """Composite-Simpson weights; trapezoid fallback for even point counts."""
@@ -27,32 +25,23 @@ def simpson_weights(num_points: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 @dataclass(frozen=True)
 class SampledPotential:
     """Hermitian n x n potential sampled at grid_start + i*grid_step.
 
     The declared support must lie inside the sampled window; samples outside
-    the support stay below SUPPORT_THRESHOLD in max-entry norm.  Families
-    built by build_family carry analytic evaluators so operators on other
-    grids can resample exactly.
+    the support stay below SUPPORT_THRESHOLD in max-entry norm.  evaluator
+    and derivative_evaluator give V and dV/dx at arbitrary points, shape
+    (len(x), n, n), so operators on other grids resample exactly.
     """
 
     grid_start: float
     grid_step: float
     values: np.ndarray
     support: tuple[float, float]
-    family_tag: str
-    parameters: dict = field(default_factory=dict)
-    analytic_derivative: np.ndarray | None = None
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-    derivative_evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
+    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    derivative_evaluator: Callable[[np.ndarray], np.ndarray] = field(
+        repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -81,11 +70,6 @@ class SampledPotential:
                     f"samples outside the support reach {leak:.3e} "
                     f"(> {SUPPORT_THRESHOLD})"
                 )
-        if self.analytic_derivative is not None:
-            d = np.asarray(self.analytic_derivative, dtype=complex)
-            if d.shape != v.shape:
-                raise ValueError("analytic_derivative shape mismatch")
-            object.__setattr__(self, "analytic_derivative", d)
 
     @property
     def grid(self) -> np.ndarray:
@@ -104,86 +88,27 @@ class SampledPotential:
         return max(abs(self.support[0]), abs(self.support[1]))
 
     def sample_at(self, x: np.ndarray) -> np.ndarray:
-        """Values at arbitrary points: analytic when possible, else interpolated."""
+        """Values at arbitrary points from the analytic evaluator."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.evaluator is not None:
-            out = np.asarray(self.evaluator(x), dtype=complex)
-            if out.shape != (x.size, self.matrix_dim, self.matrix_dim):
-                raise ValueError("evaluator returned wrong shape")
-            return out
-        return self._interpolate(x)
-
-    def _interpolate(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        n = self.matrix_dim
-        out = np.zeros((x.size, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                col = self.values[:, i, j]
-                out[:, i, j] = np.interp(x, g, col.real, left=0.0, right=0.0)
-                out[:, i, j] += 1j * np.interp(x, g, col.imag, left=0.0, right=0.0)
+        out = np.asarray(self.evaluator(x), dtype=complex)
+        if out.shape != (x.size, self.matrix_dim, self.matrix_dim):
+            raise ValueError("evaluator returned wrong shape")
         return out
 
     def derivative_samples(self) -> np.ndarray:
-        """dV/dx on the stored grid: analytic if available, else 4th-order FD."""
-        if self.analytic_derivative is not None:
-            return self.analytic_derivative
-        v = self.values
-        h = self.grid_step
-        pad = np.zeros((2,) + v.shape[1:], dtype=complex)
-        ext = np.concatenate([pad, v, pad], axis=0)
-        i = np.arange(v.shape[0]) + 2
-        d = (-ext[i + 2] + 8 * ext[i + 1] - 8 * ext[i - 1] + ext[i - 2]) / (12 * h)
-        return d
+        """dV/dx on the stored grid."""
+        return self.derivative_evaluator(self.grid)
 
 
-@dataclass(frozen=True)
-class MatrixFunctionSplit:
-    """Pointwise spectral split V = positive_part - negative_part."""
-
-    positive_part: SampledPotential
-    negative_part: SampledPotential
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.negative_part.matrix_dim
-
-
-def _eig_split(blocks: np.ndarray, sign: int) -> np.ndarray:
-    mu, u = np.linalg.eigh(blocks)
-    kept = np.maximum(sign * mu, 0.0)
+def part_values(potential: SampledPotential, part: str) -> np.ndarray:
+    """V_plus or V_minus at each sample, shape (N, n, n), from the pointwise
+    eigendecomposition: V = V_plus - V_minus with commuting PSD parts."""
+    if part not in ("plus", "minus"):
+        raise ValueError("part must be 'plus' or 'minus'")
+    mu, u = np.linalg.eigh(potential.values)
+    kept = np.maximum(mu if part == "plus" else -mu, 0.0)
     out = np.einsum("xij,xj,xkj->xik", u, kept, np.conj(u))
-    return _hermitize(out)
-
-
-def split_parts(potential: SampledPotential) -> MatrixFunctionSplit:
-    """Split into commuting PSD parts via the pointwise eigendecomposition."""
-    ev = potential.evaluator
-
-    def part_eval(sign):
-        if ev is None:
-            return None
-
-        def f(x):
-            return _eig_split(np.asarray(ev(x), dtype=complex), sign)
-
-        return f
-
-    parts = []
-    for sign, label in ((1, "plus"), (-1, "minus")):
-        vals = _eig_split(potential.values, sign)
-        parts.append(
-            SampledPotential(
-                grid_start=potential.grid_start,
-                grid_step=potential.grid_step,
-                values=vals,
-                support=potential.support,
-                family_tag=f"{potential.family_tag}:{label}",
-                parameters={},
-                evaluator=part_eval(sign),
-            )
-        )
-    return MatrixFunctionSplit(positive_part=parts[0], negative_part=parts[1])
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
 def part_eigenvalues(potential: SampledPotential, part: str) -> np.ndarray:
@@ -230,15 +155,8 @@ def scale(potential: SampledPotential, coupling: float) -> SampledPotential:
     return replace(
         potential,
         values=c * potential.values,
-        analytic_derivative=(
-            None
-            if potential.analytic_derivative is None
-            else c * potential.analytic_derivative
-        ),
-        family_tag="scaled",
-        parameters={"coupling": c, "base": to_record(potential)},
-        evaluator=(None if ev is None else (lambda x: c * ev(x))),
-        derivative_evaluator=(None if dev is None else (lambda x: c * dev(x))),
+        evaluator=lambda x: c * ev(x),
+        derivative_evaluator=lambda x: c * dev(x),
     )
 
 
@@ -262,7 +180,7 @@ def _check_resolution(step: float, feature: float, tag: str):
         )
 
 
-def _scalar_family(x_eval, d_eval, window, step, support, tag, params):
+def _scalar_family(x_eval, d_eval, window, step, support):
     a, b = support
 
     def masked(f):
@@ -285,9 +203,6 @@ def _scalar_family(x_eval, d_eval, window, step, support, tag, params):
         grid_step=step,
         values=v_eval(x),
         support=support,
-        family_tag=tag,
-        parameters=params,
-        analytic_derivative=dv_eval(x),
         evaluator=v_eval,
         derivative_evaluator=dv_eval,
     )
@@ -317,8 +232,6 @@ def _build_square_well(depth: float, half_width: float, grid_step: float | None 
         window,
         h,
         (-half_width, half_width),
-        "square-well",
-        {"depth": depth, "half_width": half_width, "grid_step": h},
     )
 
 
@@ -345,8 +258,6 @@ def _build_poschl_teller(nu: float, grid_step: float | None = None):
         window,
         h,
         (-radius, radius),
-        "poschl-teller",
-        {"nu": nu, "grid_step": h},
     )
 
 
@@ -370,8 +281,6 @@ def _build_gaussian(depth: float, width: float, grid_step: float | None = None):
         window,
         h,
         (-radius, radius),
-        "gaussian",
-        {"depth": depth, "width": width, "grid_step": h},
     )
 
 
@@ -419,21 +328,11 @@ def _build_rank_one_narrow(
     window = (-2 * h, width + 2 * h)
     start, count = _grid_for(window, h)
     x = start + h * np.arange(count)
-    dir_param = [[float(c.real), float(c.imag)] for c in e]
     return SampledPotential(
         grid_start=start,
         grid_step=h,
         values=v(x),
         support=(0.0, width),
-        family_tag="rank-one-narrow",
-        parameters={
-            "integral": integral,
-            "width": width,
-            "matrix_dim": n,
-            "direction": dir_param,
-            "grid_step": h,
-        },
-        analytic_derivative=dv(x),
         evaluator=v,
         derivative_evaluator=dv,
     )
@@ -532,19 +431,6 @@ def _build_random_smooth(
         grid_step=h,
         values=v(x),
         support=(-a, a),
-        family_tag="random-smooth",
-        parameters={
-            "matrix_dim": n,
-            "seed": int(seed),
-            "support_radius": a,
-            "modes": modes,
-            "amplitude": amplitude,
-            "decay": decay,
-            "depth_offset": depth_offset,
-            "real_valued": bool(real_valued),
-            "grid_step": h,
-        },
-        analytic_derivative=dv(x),
         evaluator=v,
         derivative_evaluator=dv,
     )
@@ -568,22 +454,11 @@ def direct_sum(first: SampledPotential, second: SampledPotential) -> SampledPote
         out[:, n1:, n1:] = second.sample_at(xs)
         return out
 
-    have_der = True
-    for p in (first, second):
-        if p.evaluator is not None and p.derivative_evaluator is None:
-            have_der = False
-
     def dv(xs):
         xs = np.asarray(xs, float)
         out = np.zeros((xs.size, n, n), dtype=complex)
-        for pot, sl in ((first, slice(0, n1)), (second, slice(n1, n))):
-            if pot.derivative_evaluator is not None:
-                out[:, sl, sl] = pot.derivative_evaluator(xs)
-            else:
-                tmp = replace(pot, evaluator=None)
-                dsamp = pot.derivative_samples()
-                hold = replace(tmp, values=dsamp, analytic_derivative=None)
-                out[:, sl, sl] = hold._interpolate(xs)
+        out[:, :n1, :n1] = first.derivative_evaluator(xs)
+        out[:, n1:, n1:] = second.derivative_evaluator(xs)
         return out
 
     return SampledPotential(
@@ -591,95 +466,38 @@ def direct_sum(first: SampledPotential, second: SampledPotential) -> SampledPote
         grid_step=h,
         values=v(x),
         support=(lo, hi),
-        family_tag="direct-sum",
-        parameters={
-            "blocks": [to_record(first), to_record(second)],
-        },
-        analytic_derivative=dv(x) if have_der else None,
         evaluator=v,
-        derivative_evaluator=dv if have_der else None,
+        derivative_evaluator=dv,
     )
 
 
-_FAMILY_BUILDERS = {
+FAMILY_BUILDERS = {
     "square-well": _build_square_well,
     "poschl-teller": _build_poschl_teller,
     "gaussian": _build_gaussian,
     "rank-one-narrow": _build_rank_one_narrow,
     "random-smooth": _build_random_smooth,
 }
+FAMILIES = (*sorted(FAMILY_BUILDERS), "direct-sum", "scaled")
 
 
-def build_family(family_tag: str, **parameters) -> SampledPotential:
-    """Construct a named family member; see _FAMILY_BUILDERS for tags."""
-    if family_tag == "direct-sum":
-        blocks = parameters.get("blocks")
-        if not blocks or len(blocks) != 2:
-            raise ValueError("direct-sum needs a 'blocks' list with two entries")
-        built = [b if isinstance(b, SampledPotential) else from_record(b) for b in blocks]
-        return direct_sum(built[0], built[1])
-    if family_tag == "scaled":
-        base = parameters.get("base")
-        if base is None or "coupling" not in parameters:
-            raise ValueError("scaled needs 'base' record and 'coupling'")
-        inner = base if isinstance(base, SampledPotential) else from_record(base)
-        return scale(inner, parameters["coupling"])
-    builder = _FAMILY_BUILDERS.get(family_tag)
+def build_family(family: str, **parameters) -> SampledPotential:
+    """Construct a named family member; see FAMILY_BUILDERS for tags.
+
+    direct-sum takes blocks=[spec, spec] and scaled takes base=spec and
+    coupling, each spec a {"family", "parameters"} dict built by build.
+    """
+    if family == "direct-sum":
+        first, second = parameters["blocks"]
+        return direct_sum(build(first), build(second))
+    if family == "scaled":
+        return scale(build(parameters["base"]), parameters["coupling"])
+    builder = FAMILY_BUILDERS.get(family)
     if builder is None:
-        known = sorted(_FAMILY_BUILDERS) + ["direct-sum", "scaled"]
-        raise ValueError(f"unknown family {family_tag!r}; known: {known}")
+        raise ValueError(f"unknown family {family!r}; known: {list(FAMILIES)}")
     return builder(**parameters)
 
 
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _matrix_to_lists(v: np.ndarray):
-    return {"real": v.real.tolist(), "imag": v.imag.tolist()}
-
-
-def _lists_to_matrix(rec) -> np.ndarray:
-    return np.asarray(rec["real"], dtype=float) + 1j * np.asarray(
-        rec["imag"], dtype=float
-    )
-
-
-def to_record(potential: SampledPotential, include_samples: bool = False) -> dict:
-    rec = {
-        "schema": RECORD_SCHEMA,
-        "family_tag": potential.family_tag,
-        "parameters": potential.parameters,
-        "grid": {
-            "start": potential.grid_start,
-            "step": potential.grid_step,
-            "count": potential.num_points,
-        },
-        "support": [potential.support[0], potential.support[1]],
-        "matrix_dim": potential.matrix_dim,
-    }
-    if include_samples:
-        rec["samples"] = _matrix_to_lists(potential.values)
-        if potential.analytic_derivative is not None:
-            rec["derivative_samples"] = _matrix_to_lists(potential.analytic_derivative)
-    return rec
-
-
-def from_record(record: dict) -> SampledPotential:
-    if record.get("schema") != RECORD_SCHEMA:
-        raise ValueError(f"unknown potential record schema {record.get('schema')!r}")
-    if "samples" in record:
-        g = record["grid"]
-        der = None
-        if "derivative_samples" in record:
-            der = _lists_to_matrix(record["derivative_samples"])
-        return SampledPotential(
-            grid_start=float(g["start"]),
-            grid_step=float(g["step"]),
-            values=_lists_to_matrix(record["samples"]),
-            support=(float(record["support"][0]), float(record["support"][1])),
-            family_tag=record["family_tag"],
-            parameters=record.get("parameters", {}),
-            analytic_derivative=der,
-        )
-    return build_family(record["family_tag"], **record.get("parameters", {}))
+def build(spec: dict) -> SampledPotential:
+    """The potential a {"family", "parameters"} spec names."""
+    return build_family(spec["family"], **spec.get("parameters", {}))

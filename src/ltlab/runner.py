@@ -10,6 +10,7 @@ plot-data files for the sweep-type audits.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -32,7 +33,6 @@ from . import (
 from .reports import CSV_COLUMNS, sanitize_json
 
 SCHEMA_VERSION = 1
-SEEDED_FAMILIES = {"random-smooth"}
 GRID_KEYS = {"box_radius", "num_interior", "k_max", "refine"}
 DEFAULT_INTERIOR = 1200
 
@@ -51,19 +51,35 @@ class Scenario:
     options: dict = field(default_factory=dict)
 
 
-def _require_seeds(spec: dict, where: str):
-    family = spec.get("family")
+def _check_potential(spec, where: str):
+    """Family, nesting and parameters of a potential spec, nested specs too."""
+    if not isinstance(spec, dict) or spec.get("family") not in potentials.FAMILIES:
+        raise ConfigError(
+            f"{where}: expected an object with a family in {list(potentials.FAMILIES)}"
+        )
+    family = spec["family"]
     parameters = spec.get("parameters", {})
-    if family in SEEDED_FAMILIES and "seed" not in parameters:
-        raise ConfigError(f"{where}: family {family!r} needs an explicit seed")
-    if family == "scaled":
-        base = parameters.get("base")
-        if isinstance(base, dict) and "family" in base:
-            _require_seeds(base, where)
+    if not isinstance(parameters, dict):
+        raise ConfigError(f"{where}.parameters: expected an object")
     if family == "direct-sum":
-        for block in parameters.get("blocks", []):
-            if isinstance(block, dict) and "family" in block:
-                _require_seeds(block, where)
+        blocks = parameters.get("blocks")
+        if set(parameters) != {"blocks"} or not isinstance(blocks, list) or len(blocks) != 2:
+            raise ConfigError(f"{where}.parameters: direct-sum needs exactly two blocks")
+        for j, block in enumerate(blocks):
+            _check_potential(block, f"{where}.parameters.blocks[{j}]")
+    elif family == "scaled":
+        if set(parameters) != {"base", "coupling"}:
+            raise ConfigError(
+                f"{where}.parameters: scaled needs exactly 'base' and 'coupling'"
+            )
+        _check_potential(parameters["base"], f"{where}.parameters.base")
+    else:
+        if family == "random-smooth" and "seed" not in parameters:
+            raise ConfigError(f"{where}: family {family!r} needs an explicit seed")
+        try:
+            inspect.signature(potentials.FAMILY_BUILDERS[family]).bind(**parameters)
+        except TypeError as exc:
+            raise ConfigError(f"{where}.parameters: {family}: {exc}") from None
 
 
 def validate_config(config) -> list[Scenario]:
@@ -97,9 +113,7 @@ def validate_config(config) -> list[Scenario]:
                 raise ConfigError(f"{where}.audits: unknown audit tag {tag!r}")
         potential_spec = item.get("potential")
         if potential_spec is not None:
-            if not isinstance(potential_spec, dict) or "family" not in potential_spec:
-                raise ConfigError(f"{where}.potential: expected an object with a family")
-            _require_seeds(potential_spec, f"{where}.potential")
+            _check_potential(potential_spec, f"{where}.potential")
         needs_potential = [t for t in audits if t in POTENTIAL_AUDITS]
         if needs_potential and potential_spec is None:
             raise ConfigError(
@@ -133,24 +147,6 @@ def validate_config(config) -> list[Scenario]:
     return scenarios
 
 
-def build_potential(spec: dict):
-    """Recursive family construction so configs can nest scaled/direct-sum."""
-    family = spec["family"]
-    parameters = dict(spec.get("parameters", {}))
-    if family == "scaled":
-        inner = parameters.pop("base")
-        if isinstance(inner, dict) and "family" in inner:
-            inner = build_potential(inner)
-        return potentials.scale(inner, parameters["coupling"])
-    if family == "direct-sum":
-        blocks = [
-            build_potential(b) if isinstance(b, dict) and "family" in b else b
-            for b in parameters["blocks"]
-        ]
-        return potentials.build_family("direct-sum", blocks=blocks)
-    return potentials.build_family(family, **parameters)
-
-
 class ScenarioContext:
     """Lazy, cached access to the expensive per-scenario objects."""
 
@@ -170,7 +166,7 @@ class ScenarioContext:
             spec = self.scenario.potential_spec
             if spec is None:
                 raise ValueError("scenario declares no potential")
-            self._cache["potential"] = build_potential(spec)
+            self._cache["potential"] = potentials.build(spec)
         return self._cache["potential"]
 
     def box_radius(self) -> float:
@@ -223,10 +219,7 @@ class ScenarioContext:
             if kind == "gaussian":
                 well = multidim.gaussian_well_2d(spec["depth"], spec["width"])
             elif kind == "separable":
-                well = multidim.separable_well_2d(
-                    build_potential({"family": spec["family"],
-                                     "parameters": spec.get("parameters", {})})
-                )
+                well = multidim.separable_well_2d(potentials.build(spec))
             else:
                 raise ValueError(f"unknown planar well kind {kind!r}")
             self._cache["well_2d"] = well
@@ -420,11 +413,9 @@ def _run_trace_identities(ctx):
 
 
 def _run_remainder_sweep(ctx):
-    couplings = ctx.couplings()
     reports, rows = bounds.remainder_sweep(
         ctx.potential(),
-        couplings,
-        sweep=ctx.coupling_sweep(couplings),
+        ctx.coupling_sweep(ctx.couplings()),
         base_tolerance=ctx.tolerance("remainder-sweep", 1e-6),
         slope_cap=float(ctx.option("slope_cap", 1.6)),
     )
@@ -433,12 +424,11 @@ def _run_remainder_sweep(ctx):
 
 
 def _run_weyl_ratios(ctx):
-    couplings = ctx.couplings()
+    sweep = ctx.coupling_sweep(ctx.couplings())
     reports = []
     for gamma in ctx.option("gammas", (1.0, 1.5)):
         sub, rows = bounds.weyl_ratio_sweep(
-            ctx.potential(), float(gamma), couplings,
-            sweep=ctx.coupling_sweep(couplings),
+            ctx.potential(), float(gamma), sweep,
             base_tolerance=ctx.tolerance("weyl-ratios", 1e-6),
         )
         ctx.add_plot(f"weyl-{gamma}", _columns_csv(rows))

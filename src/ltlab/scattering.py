@@ -33,6 +33,7 @@ from .spectral1d import NegativeSpectrum
 
 K_MIN = 1e-3
 K_CAP = 60.0
+COARSE_CHUNK = 61
 FINE_END, FINE_STEP = 3.0, 5e-3
 MID_END, MID_STEP = 8.0, 2e-2
 COARSE_STEP = 0.1
@@ -326,12 +327,7 @@ def _spectral_integrals(k, logdet, segments, mode):
 
 
 def compute_scattering(
-    potential: SampledPotential,
-    k_max: float | None = None,
-    k_min: float = K_MIN,
-    k_cap: float = K_CAP,
-    refine: int = 1,
-    coarse_chunk: int = 61,
+    potential: SampledPotential, k_max: float | None = None, refine: int = 1
 ) -> ScatteringData:
     """Matching data over the standard segmented grid with adaptive tail stop.
 
@@ -341,8 +337,8 @@ def compute_scattering(
     grid is simply truncated there and no tail certificate is attached.
     """
     mode = "adaptive" if k_max is None else "truncated"
-    cap = k_cap if k_max is None else float(k_max)
-    plan = _segment_plan(k_min, cap, refine)
+    cap = K_CAP if k_max is None else float(k_max)
+    plan = _segment_plan(K_MIN, cap, refine)
 
     segments = []
     k_parts = []
@@ -369,8 +365,8 @@ def compute_scattering(
         else:
             pos = lo
             while pos <= hi:
-                chunks.append((pos, min(pos + coarse_chunk - 1, hi)))
-                pos += coarse_chunk
+                chunks.append((pos, min(pos + COARSE_CHUNK - 1, hi)))
+                pos += COARSE_CHUNK
     min_stop = segments[0]["last"]
 
     n = potential.matrix_dim

@@ -17,6 +17,11 @@ CUT_MOVES = 8
 CUT_STEP = 1e3
 ENERGY_EDGE_THRESHOLD = 1e-8
 MIN_INTERIOR_POINTS = 16
+# default_box: binding energies below the floor are treated as the floor, and
+# the shallowest state must decay by exp(-BOX_MARGIN) inside the box
+BOX_ENERGY_FLOOR = 0.04
+BOX_MARGIN = 8.0
+BOX_PROBE_INTERIOR = 600
 
 
 @dataclass(frozen=True)
@@ -127,23 +132,6 @@ class NegativeSpectrum:
         return float(
             gamma * (self.energies ** max(gamma - 1.0, 0.0) * self.error_estimates).sum()
         )
-
-    def to_record(self) -> dict:
-        return {
-            "energies": self.energies.tolist(),
-            "box_radius": self.box_radius,
-            "num_interior": self.num_interior,
-            "grid_step": self.grid_step,
-            "threshold": self.threshold,
-            "dimension": self.dimension,
-            "extrapolated": self.extrapolated,
-            "error_estimates": (
-                None
-                if self.error_estimates is None
-                else self.error_estimates.tolist()
-            ),
-            "count_mismatch": self.count_mismatch,
-        }
 
 
 def discretize(
@@ -337,23 +325,19 @@ def refined_negative_spectrum(
     return richardson_pair(coarse, fine)
 
 
-def default_box(
-    potential: SampledPotential,
-    energy_floor: float = 0.04,
-    coarse_interior: int = 600,
-    margin: float = 8.0,
-) -> float:
-    """Box radius so the shallowest bound state decays by exp(-margin) inside.
+def default_box(potential: SampledPotential) -> float:
+    """Box radius so the shallowest bound state decays by exp(-BOX_MARGIN) inside.
 
-    A coarse pre-solve locates the smallest binding energy; energy_floor caps
-    the box growth when states sit arbitrarily close to the edge.
+    A coarse pre-solve locates the smallest binding energy; BOX_ENERGY_FLOOR
+    caps the box growth when states sit arbitrarily close to the edge.
     """
     radius = potential.support_radius
-    probe = radius + margin / math.sqrt(energy_floor)
+    probe = radius + BOX_MARGIN / math.sqrt(BOX_ENERGY_FLOOR)
     spec = negative_spectrum(
-        discretize(potential, probe, coarse_interior), threshold=energy_floor / 10.0
+        discretize(potential, probe, BOX_PROBE_INTERIOR),
+        threshold=BOX_ENERGY_FLOOR / 10.0,
     )
     if spec.count == 0:
         return probe
-    e_min = max(float(spec.energies.min()), energy_floor)
-    return radius + margin / math.sqrt(e_min)
+    e_min = max(float(spec.energies.min()), BOX_ENERGY_FLOOR)
+    return radius + BOX_MARGIN / math.sqrt(e_min)

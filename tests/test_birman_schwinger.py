@@ -104,7 +104,8 @@ def test_real_kernel_matches_complex_kernel():
         grid_step=well.grid_step,
         values=u @ well.values @ u.conj().T,
         support=well.support,
-        family_tag="conjugated",
+        evaluator=lambda x: u @ well.evaluator(x) @ u.conj().T,
+        derivative_evaluator=lambda x: u @ well.derivative_evaluator(x) @ u.conj().T,
     )
     for eps in (0.0, 1.0):
         real_op = bs.build_L(well, eps)
@@ -119,21 +120,21 @@ def test_real_kernel_matches_complex_kernel():
         assert np.abs(real_op.eigenvalues - complex_op.eigenvalues).max() <= tol
 
 
-def _dense_kernel(source, epsilon, stride=1):
+def _dense_kernel(potential, epsilon, stride=1):
     """Eigenvalues (descending) and trace of the assembled kernel matrix."""
-    neg = bs._negative_part_of(source)
-    idx, pts, w = bs._restriction_grid(neg, stride)
-    a = np.sqrt(w)[:, None, None] * bs._psd_sqrt(neg.values[idx])
+    neg = potentials.part_values(potential, "minus")
+    idx, pts, w = bs._restriction_grid(potential, neg, stride)
+    a = np.sqrt(w)[:, None, None] * bs._psd_sqrt(neg[idx])
     kern = np.exp(-epsilon * np.abs(pts[:, None] - pts[None, :]))
-    m, n = pts.size, neg.matrix_dim
+    m, n = pts.size, potential.matrix_dim
     big = np.einsum("ij,iab,jbc->iajc", kern, a, a).reshape(m * n, m * n)
     big = 0.5 * (big + big.conj().T)
     return np.linalg.eigvalsh(big)[::-1], float(np.trace(big).real)
 
 
-def _assert_matches_dense(source, epsilon, top, stride=1):
-    op = bs.build_L(source, epsilon, stride, top=top)
-    dense, trace = _dense_kernel(source, epsilon, stride)
+def _assert_matches_dense(potential, epsilon, top, stride=1):
+    op = bs.build_L(potential, epsilon, stride, top=top)
+    dense, trace = _dense_kernel(potential, epsilon, stride)
     tol = 1e-12 * trace
     assert op.size == dense.size
     assert op.eigenvalues.size == min(top, dense.size)
@@ -142,13 +143,27 @@ def _assert_matches_dense(source, epsilon, top, stride=1):
     return op
 
 
-def _small_well(values, support):
-    x = 0.5 * np.arange(len(values))
-    inside = (x >= support[0]) & (x <= support[1])
-    values = np.where(inside[:, None, None], values, 0.0)
+def _small_well(coefficients, support):
+    """V = sum_p b^p C_p with b(x) = -exp(-(x - 2)^2), zero outside support,
+    on the 9-point grid 0, 0.5, ..., 4; coefficients maps p to C_p."""
+
+    def well(derivative):
+        def f(x):
+            x = np.asarray(x, float)
+            b = -np.exp(-((x - 2.0) ** 2))
+            db = -2.0 * (x - 2.0) * b
+            out = sum(
+                (p * b ** (p - 1) * db if derivative else b**p)[:, None, None] * np.asarray(c)
+                for p, c in coefficients.items()
+            )
+            inside = (x >= support[0]) & (x <= support[1])
+            return np.where(inside[:, None, None], out, 0.0)
+
+        return f
+
     return potentials.SampledPotential(
-        grid_start=0.0, grid_step=0.5, values=values, support=support,
-        family_tag="small",
+        grid_start=0.0, grid_step=0.5, values=well(False)(0.5 * np.arange(9)),
+        support=support, evaluator=well(False), derivative_evaluator=well(True),
     )
 
 
@@ -217,13 +232,11 @@ def test_zero_decay_is_the_gram_matrix(random_2x2, lanczos_shapes):
 @pytest.mark.parametrize("epsilon", [0.0, 0.7])
 def test_small_operators_give_every_eigenvalue(epsilon, lanczos_shapes):
     # fewer rows than top + 2: ARPACK cannot take every wanted eigenvalue
-    x = 0.5 * np.arange(9)
-    bump = -np.exp(-((x - 2.0) ** 2))[:, None, None]
     mix = np.array([[1.0, 0.4 - 0.3j], [0.4 + 0.3j, 0.8]])
     turn = np.array([[0.5, 0.2j], [-0.2j, -0.1]])
-    scalar = _small_well(bump, (0.4, 3.6))  # 7 rows
-    single = _small_well(bump, (1.9, 2.1))  # 1 row
-    coupled = _small_well(bump * mix + bump**2 * turn, (1.4, 2.6))  # 6 rows
+    scalar = _small_well({1: [[1.0]]}, (0.4, 3.6))  # 7 rows
+    single = _small_well({1: [[1.0]]}, (1.9, 2.1))  # 1 row
+    coupled = _small_well({1: mix, 2: turn}, (1.4, 2.6))  # 6 rows
     for well in (scalar, single, coupled):
         _assert_matches_dense(well, epsilon, top=8)
     if epsilon > 0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltlab import fractional, potentials
+from ltlab import fractional, potentials, spectral1d
 
 
 @pytest.fixture(scope="module")
@@ -13,12 +13,16 @@ def cauchy():
 
 
 def zero_potential():
+    def zero(x):
+        return np.zeros((np.size(x), 1, 1))
+
     return potentials.SampledPotential(
         grid_start=-1.0,
         grid_step=0.05,
         values=np.zeros((41, 1, 1)),
         support=(-1.0, 1.0),
-        family_tag="zero",
+        evaluator=zero,
+        derivative_evaluator=zero,
     )
 
 
@@ -84,7 +88,7 @@ def test_periodic_operator_diagonalizes_to_symbol():
 def test_negative_levels_match_the_full_spectrum(pt1):
     # the two boxes of fractional_moment_audit at its default size
     radius = pt1.support_radius + 10.0
-    threshold = fractional.ENERGY_EDGE_THRESHOLD
+    threshold = spectral1d.ENERGY_EDGE_THRESHOLD
     for scale in (1, 2):
         mat = fractional.periodic_operator(pt1, 2.0, scale * radius, scale * 1024)
         full = np.linalg.eigvalsh(mat)
@@ -112,7 +116,7 @@ def test_fractional_moment_budget_covers_solver_roundoff(pt1):
     mat = fractional.periodic_operator(
         pt1, 2.0, 2.0 * rep.provenance["box_radius"], 2 * 1024
     )
-    levels = fractional._negative_levels(mat, fractional.ENERGY_EDGE_THRESHOLD)
+    levels = fractional._negative_levels(mat, spectral1d.ENERGY_EDGE_THRESHOLD)
     roundoff = np.finfo(float).eps * np.linalg.norm(mat, 1)
     assert roundoff > rep.provenance["drift"]
     uncertainty = rep.provenance["drift"] + roundoff

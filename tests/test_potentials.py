@@ -57,10 +57,9 @@ def test_trace_power_integral_rejects_small_power(pt1):
         potentials.part_eigenvalues(pt1, "negative")
 
 
-def test_split_parts_reconstruct_and_annihilate(random_2x2):
-    split = potentials.split_parts(random_2x2)
-    vp = split.positive_part.values
-    vm = split.negative_part.values
+def test_part_values_reconstruct_and_annihilate(random_2x2):
+    vp = potentials.part_values(random_2x2, "plus")
+    vm = potentials.part_values(random_2x2, "minus")
     assert_allclose(vp - vm, random_2x2.values, atol=1e-12)
     assert np.linalg.eigvalsh(vp).min() >= -1e-12
     assert np.linalg.eigvalsh(vm).min() >= -1e-12
@@ -113,23 +112,38 @@ def test_direct_sum_blocks(pt1):
     assert np.abs(samp[:, 0, 1]).max() == 0.0
 
 
-def test_serialization_round_trip():
-    pot = potentials.build_family("gaussian", depth=2.5, width=1.1)
-    clone = potentials.from_record(potentials.to_record(pot))
-    assert_allclose(clone.values, pot.values)
-    assert clone.family_tag == pot.family_tag
-    # sampled payloads survive without the analytic evaluator
-    full = potentials.from_record(potentials.to_record(pot, include_samples=True))
-    assert_allclose(full.values, pot.values)
+def _fourth_order_difference(pot):
+    """Central 4th-order difference of the samples, zero-padded past the window."""
+    v = pot.values
+    pad = np.zeros((2,) + v.shape[1:], dtype=complex)
+    ext = np.concatenate([pad, v, pad], axis=0)
+    i = np.arange(v.shape[0]) + 2
+    return (-ext[i + 2] + 8 * ext[i + 1] - 8 * ext[i - 1] + ext[i - 2]) / (12 * pot.grid_step)
 
 
-def test_derivative_fallback_matches_analytic():
-    pot = potentials.build_family("gaussian", depth=2.0, width=1.0)
-    rec = potentials.to_record(pot, include_samples=True)
-    del rec["derivative_samples"]
-    sampled = potentials.from_record(rec)
-    fd = sampled.derivative_samples()
-    assert_allclose(fd, pot.analytic_derivative, atol=1e-6)
+def test_derivative_samples_match_finite_difference(pt1):
+    gaussian = potentials.build_family("gaussian", depth=2.0, width=1.0)
+    for pot in (
+        gaussian,
+        potentials.scale(gaussian, 2.5),
+        potentials.direct_sum(pt1, gaussian),
+    ):
+        d = pot.derivative_samples()
+        assert d.shape == pot.values.shape
+        assert_allclose(d, _fourth_order_difference(pot), rtol=0, atol=1e-6)
+
+
+def test_nested_specs_build_like_their_parts(pt1):
+    gaussian = {"family": "gaussian", "parameters": {"depth": 2.0, "width": 1.0}}
+    scaled = {"family": "scaled", "parameters": {"base": gaussian, "coupling": 2.5}}
+    pt = {"family": "poschl-teller", "parameters": {"nu": 1.0}}
+    both = potentials.build({"family": "direct-sum", "parameters": {"blocks": [pt, scaled]}})
+    reference = potentials.direct_sum(
+        pt1, potentials.scale(potentials.build_family("gaussian", depth=2.0, width=1.0), 2.5)
+    )
+    assert both.grid_step == reference.grid_step
+    assert np.array_equal(both.values, reference.values)
+    assert np.array_equal(both.derivative_samples(), reference.derivative_samples())
 
 
 def test_unknown_family_raises():
@@ -142,6 +156,10 @@ def test_resolution_guard():
         potentials.build_family("gaussian", depth=1.0, width=1.0, grid_step=0.5)
 
 
+def _zero(x):
+    return np.zeros((np.size(x), 1, 1))
+
+
 def test_support_must_sit_inside_window():
     vals = np.zeros((5, 1, 1))
     with pytest.raises(ValueError, match="support"):
@@ -150,7 +168,8 @@ def test_support_must_sit_inside_window():
             grid_step=0.1,
             values=vals,
             support=(0.0, 2.0),
-            family_tag="zero",
+            evaluator=_zero,
+            derivative_evaluator=_zero,
         )
 
 
@@ -164,5 +183,6 @@ def test_hermiticity_guard():
             grid_step=0.5,
             values=vals,
             support=(-1.0, 1.0),
-            family_tag="bad",
+            evaluator=_zero,
+            derivative_evaluator=_zero,
         )

@@ -60,6 +60,35 @@ def test_validate_config_field_messages():
         ],
         "needs an explicit seed",
     )
+
+    def check_potential(potential, message):
+        check([{"name": "a", "audits": ["sharp-half"], "potential": potential}], message)
+
+    gaussian = {"family": "gaussian", "parameters": {"depth": 1.0, "width": 1.0}}
+    check_potential({"family": "gausian"}, r"scenarios\[0\].potential: expected an object with a family")
+    check_potential(["gaussian"], "expected an object with a family")
+    check_potential(
+        {"family": "gaussian", "parameters": {"depth": 1.0, "width": 1.0, "widht": 1.0}},
+        r"potential.parameters: gaussian: .*'widht'",
+    )
+    check_potential({"family": "gaussian", "parameters": {"depth": 1.0}}, "missing")
+    check_potential(
+        {"family": "direct-sum", "parameters": {"blocks": [gaussian]}},
+        "direct-sum needs exactly two blocks",
+    )
+    check_potential(
+        {"family": "direct-sum", "parameters": {"blocks": [gaussian, {"family": "gausian"}]}},
+        r"potential.parameters.blocks\[1\]: expected an object with a family",
+    )
+    check_potential(
+        {"family": "scaled", "parameters": {"base": gaussian}},
+        "scaled needs exactly 'base' and 'coupling'",
+    )
+    check_potential(
+        {"family": "scaled", "parameters": {"coupling": 2.0, "base": {
+            "family": "random-smooth", "parameters": {"matrix_dim": 2}}}},
+        r"potential.parameters.base: family 'random-smooth' needs an explicit seed",
+    )
     check(
         [
             {
