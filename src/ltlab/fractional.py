@@ -10,16 +10,27 @@ potential's mass.
 For the power-law density family the rearrangement monotonicity needed in
 the energy parameter holds identically (it is the sign of
 E^{alpha/beta} - E'^{alpha/beta}), so no runtime check is performed.
+
+The periodic operator A = C + V is never assembled: C, the circulant of
+the symbol |p|^beta, is diagonal under np.fft, and V is the samples.  With
+B = sqrt|V| and W = -sign V on the m samples where V is nonzero, and
+K(t) = B^T (C + t)^{-1} B, the Haynsworth inertia formula for the block
+matrix [[C + t, B], [B^T, W]] gives the Birman-Schwinger count
+n_-(A + t) = n_-(W - K(t)) - n_-(W) for t > 0 (W = I for a well, where it
+reads n_-(I - K(t))).  An L D L^T of the m x m matrix W - K(t) counts the
+levels below -t, and the same factor at t = -sigma solves (A - sigma) x = y
+by Woodbury for shift-invert Lanczos.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant
-from scipy.linalg.lapack import dlamch, dsyevr
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+from scipy.sparse.linalg import LinearOperator
 from scipy.special import gamma as gamma_function
 
 from . import potentials, spectral1d
@@ -33,10 +44,18 @@ POINTWISE_SLACK = 1e-9
 DRIFT_BUDGET = 1e-6
 REFINEMENT_TOLERANCE = 1e-4
 MASS_SEGMENTS = ((0.0, 2.0, 401), (2.0, 10.0, 161), (10.0, 60.0, 201))
+# a tabulation with its refinement and checks evaluates about 3,000 points;
+# the bound keeps ten of those, a few MB, for the life of the process
+DENSITY_CACHE_POINTS = 1 << 15
 
 
+@functools.lru_cache(maxsize=DENSITY_CACHE_POINTS)
 def _density_value(stability_index: float, scale: float, momentum: float):
-    """One point of the stable density, with the quadrature error estimate."""
+    """One point of the stable density, with the quadrature error estimate.
+
+    Cached for the process: a refined grid whose even points are the coarse
+    grid, and the mass check of a second tabulation, repeat no quadrature.
+    """
     from scipy.integrate import quad
 
     p = abs(momentum)
@@ -299,45 +318,160 @@ def characteristic_function_check(
     )
 
 
-def periodic_operator(
-    potential: SampledPotential,
-    operator_exponent: float,
-    box_radius: float,
-    num_points: int,
-) -> np.ndarray:
-    """Dense |p|^beta + V on the periodic grid of the box [-L, L).
+@dataclass(frozen=True)
+class _BirmanSchwingerFactor:
+    """L D L^T of W - B^T (C + shift)^{-1} B on the support of V (module docstring).
 
-    The multiplier is diagonal in the discrete frequency basis; conjugating
-    back to position space gives a symmetric circulant, assembled from the
-    inverse transform of the symbol.
+    A pivot at or below guard = eps * ||W - K||_1, the backward error of the
+    factorization, voids the count, as a pivot below eps * ||A||_1 does for
+    the sparse factors of spectral1d.
     """
-    step = 2.0 * box_radius / num_points
-    x = -box_radius + step * np.arange(num_points)
-    momenta = 2.0 * math.pi * np.fft.fftfreq(num_points, d=step)
-    symbol = np.abs(momenta) ** operator_exponent
-    kernel = np.fft.ifft(symbol).real
-    kinetic = circulant(kernel)
-    kinetic = 0.5 * (kinetic + kinetic.T)
-    v = potential.sample_at(x)[:, 0, 0].real
-    return kinetic + np.diag(v)
+
+    support: np.ndarray
+    weights: np.ndarray  # B = sqrt|V| on the support
+    offset: int  # n_-(W): the samples with V > 0
+    ldu: np.ndarray
+    ipiv: np.ndarray
+    pivots: np.ndarray  # eigenvalues of D's blocks: the inertia of the matrix
+    guard: float  # eps * ||W - K||_1, the factor's roundoff scale
+
+    def count(self) -> int | None:
+        """n_-(A + shift), or None when a pivot sits at roundoff level."""
+        if np.abs(self.pivots).min() <= self.guard:
+            return None
+        return int((self.pivots < 0).sum()) - self.offset
 
 
-def _negative_levels(matrix: np.ndarray, threshold: float) -> np.ndarray:
-    """Binding energies |E| of the eigenvalues E <= -threshold, deepest first.
+@dataclass(frozen=True)
+class PeriodicOperator:
+    """|p|^beta + V on the periodic grid of the box [-L, L), never assembled.
 
-    Only the eigenvalues in the half-open (-inf, -threshold] are computed, by
-    bisection on the tridiagonal form.  ABSTOL at the safe minimum (LAPACK's
-    advice for high accuracy) runs each bisection to convergence instead of
-    stopping at a width of eps * ||T||, which is about 1e-9 for the |p|^4
-    operator of the bundled suite.
+    The kinetic part C is the symmetric circulant with first column
+    `column`, the inverse transform of the symbol |p|^beta at the discrete
+    momenta; np.fft diagonalizes it with eigenvalues `symbol`.  `samples`
+    holds V(x_j).
     """
-    vals, _, count, _, info = dsyevr(
-        matrix, compute_v=0, lower=1, range="V", vl=-np.inf, vu=-threshold,
-        abstol=dlamch("S"),
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
-    return np.sort(-vals[:count])[::-1]
+
+    symbol: np.ndarray
+    column: np.ndarray
+    samples: np.ndarray
+
+    @classmethod
+    def on_box(
+        cls,
+        potential: SampledPotential,
+        operator_exponent: float,
+        box_radius: float,
+        num_points: int,
+    ) -> PeriodicOperator:
+        step = 2.0 * box_radius / num_points
+        x = -box_radius + step * np.arange(num_points)
+        momenta = 2.0 * math.pi * np.fft.fftfreq(num_points, d=step)
+        symbol = np.abs(momenta) ** operator_exponent
+        column = np.fft.ifft(symbol).real
+        # the symbol is even, so C is symmetric: make its column even to the bit
+        column = 0.5 * (column + column[-np.arange(num_points)])
+        return cls(symbol, column, potential.sample_at(x)[:, 0, 0].real)
+
+    @property
+    def size(self) -> int:
+        return self.samples.size
+
+    def norm_1(self) -> float:
+        """||A||_1 = max_j (sum_{d != 0} |c_d| + |c_0 + v_j|), read off the column."""
+        off_diagonal = np.abs(self.column[1:]).sum()
+        return float(off_diagonal + np.abs(self.column[0] + self.samples).max())
+
+    @property
+    def _half_symbol(self) -> np.ndarray:
+        """The symbol at the momenta np.fft.rfft keeps; the rest mirror them."""
+        return self.symbol[: self.size // 2 + 1]
+
+    def _circulant(self, x: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+        """The circulant with eigenvalues f(symbol), given on the rfft half, applied to x."""
+        return np.fft.irfft(np.fft.rfft(x) * eigenvalues, self.size)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._circulant(x, self._half_symbol) + self.samples * x
+
+    def _factor(self, shift: float) -> _BirmanSchwingerFactor:
+        """Factor W - K(shift), K(shift) = B^T (C + shift)^{-1} B, for shift > 0.
+
+        (C + shift)^{-1} is circulant, so K is gathered from its first column.
+        """
+        support = np.flatnonzero(self.samples)
+        values = self.samples[support]
+        weights = np.sqrt(np.abs(values))
+        resolvent = np.fft.irfft(1.0 / (self._half_symbol + shift), self.size)
+        gap = (support[:, None] - support[None, :]) % self.size
+        matrix = np.diag(-np.sign(values)) - weights[:, None] * resolvent[gap] * weights
+        guard = float(np.finfo(float).eps * np.abs(matrix).sum(axis=0).max())
+        lwork = int(dsytrf_lwork(support.size, lower=1)[0])
+        ldu, ipiv, info = dsytrf(matrix, lower=1, lwork=lwork, overwrite_a=1)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"dsytrf failed with info = {info}")
+        # Sylvester: D has the inertia of the matrix; a 2 x 2 block of D
+        # (ipiv < 0 on both its rows) counts by its two eigenvalues
+        pivots = np.diagonal(ldu).copy()
+        k = 0
+        while k < support.size:
+            if ipiv[k] < 0:
+                mid = 0.5 * (pivots[k] + pivots[k + 1])
+                radius = math.hypot(0.5 * (pivots[k] - pivots[k + 1]), ldu[k + 1, k])
+                pivots[k : k + 2] = mid - radius, mid + radius
+                k += 2
+            else:
+                k += 1
+        return _BirmanSchwingerFactor(
+            support, weights, int((values > 0).sum()), ldu, ipiv, pivots, guard
+        )
+
+    def count_below(self, threshold: float) -> tuple[int, float]:
+        """Number of eigenvalues below -cut, and the cut (spectral1d._stable_count)."""
+        if not self.samples.any():
+            return 0, threshold
+        return spectral1d._stable_count(
+            lambda cut: self._factor(cut).count(),
+            threshold,
+            np.finfo(float).eps * self.norm_1(),
+            self.size,
+        )
+
+    def negative_levels(self, threshold: float) -> np.ndarray:
+        """Binding energies |E| of the eigenvalues below -threshold, deepest first.
+
+        Shift-invert Lanczos runs at sigma = 1.15 min V - 0.05 < min V <= A
+        and applies (A - sigma)^{-1} = G + G B (W - K)^{-1} B^T G by
+        Woodbury, with G = (C - sigma)^{-1} by FFT and K = K(-sigma).
+        """
+        count, cut = self.count_below(threshold)
+        if count == 0:
+            return np.empty(0)
+        sigma = 1.15 * float(self.samples.min()) - 0.05
+        factor = self._factor(-sigma)
+        if factor.count() != 0:
+            raise np.linalg.LinAlgError(
+                f"no stable factor at the shift {sigma:.3e} below the spectrum"
+            )
+        green = 1.0 / (self._half_symbol - sigma)
+
+        def solve(x):
+            y = self._circulant(x, green)
+            s, _ = dsytrs(factor.ldu, factor.ipiv, factor.weights * y[factor.support], lower=1)
+            z = np.zeros(self.size)
+            z[factor.support] = factor.weights * s
+            return y + self._circulant(z, green)
+
+        shape = (self.size, self.size)
+        vals = spectral1d._eigsh_below(
+            LinearOperator(shape, matvec=self.matvec, dtype=float),
+            sigma,
+            count,
+            cut,
+            np.finfo(float).eps * self.norm_1(),
+            OPinv=LinearOperator(shape, matvec=solve, dtype=float),
+        )
+        return np.sort(-vals)[::-1]
 
 
 def fractional_moment_audit(
@@ -363,11 +497,11 @@ def fractional_moment_audit(
     if potentials.part_eigenvalues(potential, "plus").max(initial=0.0) > 1e-12:
         raise ValueError("potential must be nonpositive")
     box_radius = potential.support_radius + box_margin
-    small = _negative_levels(
-        periodic_operator(potential, beta, box_radius, num_points), threshold
-    )
-    matrix = periodic_operator(potential, beta, 2.0 * box_radius, 2 * num_points)
-    levels = _negative_levels(matrix, threshold)
+    small = PeriodicOperator.on_box(
+        potential, beta, box_radius, num_points
+    ).negative_levels(threshold)
+    operator = PeriodicOperator.on_box(potential, beta, 2.0 * box_radius, 2 * num_points)
+    levels = operator.negative_levels(threshold)
     paired = min(small.size, levels.size)
     drift = float(np.abs(levels[:paired] - small[:paired]).max(initial=0.0))
     extra = levels[paired:]
@@ -377,8 +511,9 @@ def fractional_moment_audit(
         )
     power = (beta - 1.0) / beta
     lhs = float((levels**power).sum())
-    # a backward-stable solve moves each level by up to eps * ||A||_2 <= eps * ||A||_1
-    uncertainty = drift + np.finfo(float).eps * float(np.linalg.norm(matrix, 1))
+    # a backward-stable solve moves each level by up to eps * ||A||_2 <= eps * ||A||_1,
+    # and the matrix-free levels stay within that of a dense solve of A
+    uncertainty = drift + np.finfo(float).eps * operator.norm_1()
     safe = levels > 2.0 * uncertainty
     lhs_error = float(
         (power * (levels[safe] - uncertainty) ** (power - 1.0) * uncertainty).sum()

@@ -179,7 +179,7 @@ def negative_spectrum_2d(
     that value separates the bound states cleanly.
     """
     sigma = float(op.potential_values.min()) - 0.1
-    vals = spectral1d._eigsh_below(op.to_sparse(), sigma, threshold)
+    vals = spectral1d._sparse_levels(op.to_sparse(), sigma, threshold)
     return NegativeSpectrum(
         energies=np.sort(-vals)[::-1],
         box_radius=op.box_radius,

@@ -82,6 +82,19 @@ def _check_potential(spec, where: str):
             raise ConfigError(f"{where}.parameters: {family}: {exc}") from None
 
 
+def _check_well(spec, where: str):
+    """A planar well: a Gaussian with depth and width, or a separable potential spec."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind == "gaussian":
+        missing = sorted({"depth", "width"} - set(spec))
+        if missing:
+            raise ConfigError(f"{where}: a gaussian well needs {missing[0]!r}")
+    elif kind == "separable":
+        _check_potential(spec, where)
+    else:
+        raise ConfigError(f"{where}: expected an object with kind 'gaussian' or 'separable'")
+
+
 def validate_config(config) -> list[Scenario]:
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
@@ -134,6 +147,8 @@ def validate_config(config) -> list[Scenario]:
         options = item.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError(f"{where}.options: expected an object")
+        if "well" in options:
+            _check_well(options["well"], f"{where}.options.well")
         scenarios.append(
             Scenario(
                 name=name,
@@ -603,8 +618,13 @@ def run_scenario(scenario: Scenario) -> dict:
 def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
     """Validate, execute, and (optionally) persist a full suite."""
     path = Path(config_path)
-    raw = path.read_bytes()
-    config = json.loads(raw)
+    try:
+        raw = path.read_bytes()
+        config = json.loads(raw)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
     scenarios = validate_config(config)
     if jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

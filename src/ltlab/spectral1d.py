@@ -183,7 +183,7 @@ def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.nda
             )
             for c in channels
         ])
-    return _eigsh_below(op.to_sparse(), op.spectrum_shift(), threshold)
+    return _sparse_levels(op.to_sparse(), op.spectrum_shift(), threshold)
 
 
 def _pivot_guard(mat) -> float:
@@ -196,16 +196,14 @@ def _inertia_count(mat, threshold: float) -> tuple[int, float]:
 
     mat + cut*I is factored as L D L^T: a symmetric fill-reducing ordering,
     no row exchanges, so the negative pivots count the eigenvalues below
-    -cut exactly.  The cut starts at threshold.  A pivot below the guard, or
-    a row exchange (SuperLU makes one on a vanishing diagonal), voids the
-    count: the cut then moves deeper by 1e3, 4e3, ... guards, so a level
-    within that distance of the edge may be left out, never miscounted.
+    -cut exactly.  A pivot below the guard, or a row exchange (SuperLU makes
+    one on a vanishing diagonal), voids the count and moves the cut
+    (_stable_count).
     """
-    size = mat.shape[0]
     guard = _pivot_guard(mat)
-    eye = sp.identity(size, format="csc")
-    cut = threshold
-    for move in range(CUT_MOVES):
+    eye = sp.identity(mat.shape[0], format="csc")
+
+    def count_at(cut):
         try:
             lu = spla.splu(
                 (mat + cut * eye).tocsc(),
@@ -214,37 +212,56 @@ def _inertia_count(mat, threshold: float) -> tuple[int, float]:
                 options={"SymmetricMode": True},
             )
         except RuntimeError:  # an exactly singular factor
-            pass
-        else:
-            pivots = lu.U.diagonal()
-            if (lu.perm_r == lu.perm_c).all() and np.abs(pivots).min() > guard:
-                return int((pivots.real < 0).sum()), cut
+            return None
+        pivots = lu.U.diagonal()
+        if (lu.perm_r == lu.perm_c).all() and np.abs(pivots).min() > guard:
+            return int((pivots.real < 0).sum())
+        return None
+
+    return _stable_count(count_at, threshold, guard, mat.shape[0])
+
+
+def _stable_count(count_at, threshold: float, guard: float, size: int) -> tuple[int, float]:
+    """count_at(cut) at the first cut whose factor it trusts, and that cut.
+
+    count_at returns None when its factor has a pivot at roundoff level.  The
+    cut starts at threshold and then moves deeper by 1e3, 4e3, ... guards
+    (guard = eps * ||A||_1), so a level within that distance of the edge may
+    be left out, never miscounted.
+    """
+    cut = threshold
+    for move in range(CUT_MOVES):
+        count = count_at(cut)
+        if count is not None:
+            return count, cut
         cut = threshold + CUT_STEP * 4.0**move * guard
     raise RuntimeError(f"no stable LDL^T factor of a {size}-row operator near {-threshold:.3e}")
 
 
-def _eigsh_below(mat, sigma: float, threshold: float) -> np.ndarray:
-    """Eigenvalues of mat at or below -threshold, as many as the inertia counts.
+def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float,
+                 OPinv=None) -> np.ndarray:
+    """The count lowest eigenvalues of mat, which an inertia count puts below -cut.
 
     sigma lies below the spectrum, so the k eigenvalues nearest to it are the
     k lowest, and shift-invert Lanczos is asked for exactly the certified
-    count.  Single-vector Lanczos can miss a copy of a repeated eigenvalue
-    and converge to the next level up instead; only then does k grow.  The
-    count lowest Ritz values must sit below the cut, to within CUT_STEP
-    guards of Ritz roundoff; a solve that never gets there raises.  The
-    start vector is seeded normal noise: an even one would leave the odd
-    states of a symmetric well to roundoff.
+    count.  OPinv applies (mat - sigma)^{-1} when mat is not a sparse matrix
+    for ARPACK to factor.  Single-vector Lanczos can miss a copy of a
+    repeated eigenvalue and converge to the next level up instead; only then
+    does k grow.  The count lowest Ritz values must sit below the cut, to
+    within CUT_STEP guards of Ritz roundoff; a solve that never gets there
+    raises.  The start vector is seeded normal noise: an even one would
+    leave the odd states of a symmetric well to roundoff.
     """
-    count, cut = _inertia_count(mat, threshold)
     if count == 0:
         return np.empty(0)
     size = mat.shape[0]
     v0 = np.random.default_rng(0).standard_normal(size)
-    edge = -cut + CUT_STEP * _pivot_guard(mat)
+    edge = -cut + CUT_STEP * guard
     k = count
     while k <= size - 2:
         vals = spla.eigsh(
-            mat, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+            mat, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv,
+            return_eigenvectors=False,
         )
         vals = np.sort(vals)
         if vals[count - 1] <= edge:
@@ -256,6 +273,12 @@ def _eigsh_below(mat, sigma: float, threshold: float) -> np.ndarray:
         f"shift-invert found fewer than the {count} levels below {-cut:.3e} "
         f"that the inertia of a {size}-row operator counts"
     )
+
+
+def _sparse_levels(mat, sigma: float, threshold: float) -> np.ndarray:
+    """Eigenvalues of a sparse mat at or below -threshold, as many as its inertia counts."""
+    count, cut = _inertia_count(mat, threshold)
+    return _eigsh_below(mat, sigma, count, cut, _pivot_guard(mat))
 
 
 def negative_spectrum(

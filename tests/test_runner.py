@@ -253,6 +253,48 @@ def test_cli_config_error_returns_two(tmp_path, capsys):
     assert code == 2
     assert "config error" in captured.err
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ('{"schema_version": 1,', "not valid JSON"),
+], ids=["missing", "truncated"])
+def test_cli_unreadable_config_returns_two(tmp_path, capsys, content, message):
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(runner.ConfigError, match=message):
+        runner.run_config(cfg)
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and message in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_misspelled_separable_well_returns_two(tmp_path, capsys):
+    well = {"kind": "separable", "family": "gausian",
+            "parameters": {"depth": 6.0, "width": 1.0}}
+    cfg = write_config(tmp_path, [{
+        "name": "plane", "audits": ["lt-2d"], "options": {"well": well},
+    }])
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert r"scenarios[0].options.well: expected an object with a family" in captured.err
+
+
+def test_planar_well_validation():
+    def check(well, message):
+        with pytest.raises(runner.ConfigError, match=message):
+            runner.validate_config({"schema_version": 1, "scenarios": [
+                {"name": "a", "audits": ["lt-2d"], "options": {"well": well}}]})
+
+    check({"kind": "gaussian", "depth": 8.0}, "gaussian well needs 'width'")
+    check({"kind": "round", "depth": 8.0, "width": 1.0}, "kind 'gaussian' or 'separable'")
+    check([8.0, 1.2], "kind 'gaussian' or 'separable'")
+    check({"kind": "separable", "family": "gaussian", "parameters": {"depth": 6.0}},
+          r"options.well.parameters: gaussian: .*missing")
+
+
 def test_cli_diff_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path, [CLOSED_FORMS])
     out = tmp_path / "base"
