@@ -95,6 +95,34 @@ def _check_well(spec, where: str):
         raise ConfigError(f"{where}: expected an object with kind 'gaussian' or 'separable'")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_grid(grid: dict, where: str):
+    """Each grid value lies where the solvers accept it."""
+    checks = {
+        "refine": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+        "k_max": (
+            lambda v: _is_number(v) and v > scattering.K_MIN,
+            f"a number above K_MIN = {scattering.K_MIN}",
+        ),
+        "num_interior": (
+            lambda v: _is_int(v) and v >= spectral1d.MIN_INTERIOR_POINTS,
+            f"an integer of at least {spectral1d.MIN_INTERIOR_POINTS}",
+        ),
+        "box_radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    }
+    for key, value in grid.items():
+        accept, expected = checks[key]
+        if not accept(value):
+            raise ConfigError(f"{where}.{key}: expected {expected}, found {value!r}")
+
+
 def validate_config(config) -> list[Scenario]:
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
@@ -138,6 +166,7 @@ def validate_config(config) -> list[Scenario]:
         unknown = set(grid) - GRID_KEYS
         if unknown:
             raise ConfigError(f"{where}.grid: unknown key {sorted(unknown)[0]!r}")
+        _check_grid(grid, f"{where}.grid")
         tolerances = item.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ConfigError(f"{where}.tolerances: expected an object")
@@ -147,8 +176,26 @@ def validate_config(config) -> list[Scenario]:
         options = item.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError(f"{where}.options: expected an object")
+        needs_well = [t for t in audits if t in PLANAR_AUDITS]
+        if needs_well and "well" not in options:
+            raise ConfigError(f"{where}.options.well: audit {needs_well[0]!r} needs a well")
         if "well" in options:
             _check_well(options["well"], f"{where}.options.well")
+        needs_density = [
+            t for t in audits
+            if t in DENSITY_AUDITS
+            or (t == "fractional-moment" and "comparison_constant" not in options)
+        ]
+        if needs_density and "density" not in options:
+            raise ConfigError(
+                f"{where}.options.density: audit {needs_density[0]!r} needs a density"
+            )
+        if "density" in options:
+            density = options["density"]
+            if not isinstance(density, dict) or not _is_number(density.get("stability_index")):
+                raise ConfigError(
+                    f"{where}.options.density: expected an object with a numeric stability_index"
+                )
         scenarios.append(
             Scenario(
                 name=name,
@@ -592,6 +639,19 @@ POTENTIAL_AUDITS = {
     "weyl-ratios",
     "fractional-moment",
 }
+
+
+PLANAR_AUDITS = {
+    "lt-2d",
+    "lt-2d-magnetic",
+    "gauge-invariance",
+    "lifting-2d",
+    "diamagnetic-trend",
+}
+
+# fractional-moment reads the density only to search for its comparison
+# constant, so it needs one when no comparison_constant is given
+DENSITY_AUDITS = {"stable-c0", "characteristic-roundtrip"}
 
 
 def run_scenario(scenario: Scenario) -> dict:

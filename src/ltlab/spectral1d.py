@@ -77,13 +77,31 @@ class DiscretizedOperator1D:
         return 1.15 * tight - 0.05
 
     def to_sparse(self) -> sp.csc_matrix:
+        """The operator as a canonical CSC matrix, built column by column in one step.
+
+        Column (i, b) holds the hop from node i-1, the b-th column of the
+        block V(x_i) + 2/h^2 I, and the hop from node i+1, in that row order;
+        zero entries are dropped.
+        """
         m, n = self.num_interior, self.matrix_dim
         inv_h2 = 1.0 / self.grid_step**2
         shifted = self.potential_blocks + 2.0 * inv_h2 * np.eye(n)
-        main = sp.block_diag(list(shifted), format="csc")
-        ones = np.ones(m - 1)
-        hop = sp.kron(sp.diags([ones, ones], [-1, 1]), -inv_h2 * sp.identity(n))
-        return (main + hop).tocsc()
+        values = np.zeros((m, n, n + 2), dtype=shifted.dtype)
+        values[1:, :, 0] = -inv_h2
+        values[:, :, 1:-1] = np.swapaxes(shifted, 1, 2)
+        values[:-1, :, -1] = -inv_h2
+        node = n * np.arange(m)[:, None, None]
+        channel = np.arange(n)[None, :, None]
+        rows = np.concatenate(
+            [node - n + channel, np.broadcast_to(node + np.arange(n), (m, n, n)),
+             node + n + channel],
+            axis=2,
+        )
+        kept = values != 0
+        indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=2).ravel())])
+        return sp.csc_matrix(
+            (values[kept], rows[kept], indptr), shape=(self.size, self.size)
+        )
 
 
 @dataclass(frozen=True)
@@ -169,20 +187,67 @@ def _constant_channels(blocks: np.ndarray) -> np.ndarray | None:
     return channels.real.T
 
 
+def _mirror_halves(diagonal: np.ndarray, off: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of tridiag(off, diagonal, off) as even (+) odd halves.
+
+    For a mirror-symmetric diagonal the reflection i -> N-1-i commutes with
+    the matrix.  In the basis (e_i +- e_{N-1-i})/sqrt(2) (and e_c, the
+    centre, for odd N) it is the direct sum of the even and the odd half,
+    returned as one length-N tridiagonal with an exact 0 between them, where
+    bisection splits it.  Odd N = 2c+1: the even half is rows 0..c with its
+    last coupling times sqrt(2), the odd half rows 0..c-1.  Even N = 2c: both
+    are rows 0..c-1, with off added to the even half's last diagonal entry
+    and subtracted from the odd half's.
+    """
+    size = diagonal.size
+    c = size // 2
+    even = diagonal[: c + size % 2].copy()
+    odd = diagonal[:c].copy()
+    even_off = np.full(even.size - 1, off)
+    if size % 2:
+        even_off[-1] *= math.sqrt(2.0)
+    else:
+        even[-1] += off
+        odd[-1] -= off
+    return (
+        np.concatenate([even, odd]),
+        np.concatenate([even_off, [0.0], np.full(c - 1, off)]),
+    )
+
+
+def _channel_levels(channel: np.ndarray, inv_h2: float, lower: float, threshold: float):
+    """Levels of -d^2/dx^2 + channel in [lower, -threshold] by tridiagonal bisection.
+
+    A channel mirror-symmetric to CHANNEL_SPLIT_TOL * max|channel| (the
+    sample grid is symmetric about 0, so an even well is, to roundoff) is
+    symmetrized, which by Weyl moves no level by more than that, and solved
+    as even (+) odd halves: each level then costs N/2 Sturm steps, not N.
+    """
+    diagonal = channel + 2.0 * inv_h2
+    off = -inv_h2
+    if np.abs(channel - channel[::-1]).max() <= CHANNEL_SPLIT_TOL * np.abs(channel).max():
+        diagonal, offs = _mirror_halves(0.5 * (diagonal + diagonal[::-1]), off)
+    else:
+        offs = np.full(channel.size - 1, off)
+    return eigh_tridiagonal(
+        diagonal, offs, eigvals_only=True,
+        select="v", select_range=(lower, -threshold),
+    )
+
+
 def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.ndarray:
-    """Tridiagonal bisection per channel, else shift-invert on the coupled well."""
+    """Tridiagonal bisection per channel, else shift-invert on the coupled well.
+
+    A mirror-symmetric channel goes to the bisection as even (+) odd halves
+    (_channel_levels).
+    """
     channels = _constant_channels(op.potential_blocks)
     if channels is not None:
         inv_h2 = 1.0 / op.grid_step**2
-        floor = min(float(channels.min()), 0.0)
-        off = np.full(op.num_interior - 1, -inv_h2)
-        return np.concatenate([
-            eigh_tridiagonal(
-                c + 2.0 * inv_h2, off, eigvals_only=True,
-                select="v", select_range=(floor - 1.0, -threshold),
-            )
-            for c in channels
-        ])
+        lower = min(float(channels.min()), 0.0) - 1.0
+        return np.concatenate(
+            [_channel_levels(c, inv_h2, lower, threshold) for c in channels]
+        )
     return _sparse_levels(op.to_sparse(), op.spectrum_shift(), threshold)
 
 

@@ -295,6 +295,54 @@ def test_planar_well_validation():
           r"options.well.parameters: gaussian: .*missing")
 
 
+def test_required_stage_inputs_are_validated():
+    def check(audits, options, message):
+        with pytest.raises(runner.ConfigError, match=message):
+            runner.validate_config({"schema_version": 1, "scenarios": [
+                {"name": "a", "audits": audits, "options": options}]})
+
+    check(["lt-2d"], {}, r"scenarios\[0\].options.well: audit 'lt-2d' needs a well")
+    check(["gauge-invariance"], {"box_radius": 8.0}, "'gauge-invariance' needs a well")
+    check(["stable-c0"], {"operator_exponent": 1.0, "reference": "pi"},
+          r"options.density: audit 'stable-c0' needs a density")
+    check(["characteristic-roundtrip"], {}, "needs a density")
+    check(["stable-c0"], {"density": {"scale": 1.0}}, "numeric stability_index")
+    # fractional-moment reads the density only to search for its constant
+    potential = {"family": "poschl-teller", "parameters": {"nu": 1.0}}
+    with pytest.raises(runner.ConfigError, match="'fractional-moment' needs a density"):
+        runner.validate_config({"schema_version": 1, "scenarios": [
+            {"name": "a", "audits": ["fractional-moment"], "potential": potential,
+             "options": {"operator_exponent": 1.0}}]})
+    runner.validate_config({"schema_version": 1, "scenarios": [
+        {"name": "a", "audits": ["fractional-moment"], "potential": potential,
+         "options": {"operator_exponent": 1.0, "comparison_constant": "pi"}}]})
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"refine": 0}, "refine: expected a positive integer, found 0"),
+    ({"refine": 1.5}, "refine: expected a positive integer"),
+    ({"refine": True}, "refine: expected a positive integer"),
+    ({"k_max": -3}, "k_max: expected a number above K_MIN"),
+    ({"k_max": 1e-3}, "k_max: expected a number above K_MIN"),
+    ({"k_max": "40"}, "k_max: expected a number above K_MIN"),
+    ({"num_interior": 15}, "num_interior: expected an integer of at least 16"),
+    ({"num_interior": 800.0}, "num_interior: expected an integer"),
+    ({"box_radius": 0.0}, "box_radius: expected a positive number"),
+    ({"box_radius": None}, "box_radius: expected a positive number"),
+])
+def test_grid_values_are_validated(tmp_path, capsys, grid, message):
+    cfg = write_config(tmp_path, [{
+        "name": "pt", "audits": ["unitarity"], "grid": grid,
+        "potential": {"family": "poschl-teller", "parameters": {"nu": 1.0}},
+    }])
+    with pytest.raises(runner.ConfigError, match=rf"scenarios\[0\].grid.{message}"):
+        runner.validate_config(json.loads(cfg.read_text()))
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_diff_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path, [CLOSED_FORMS])
     out = tmp_path / "base"

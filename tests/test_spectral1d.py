@@ -260,3 +260,119 @@ def test_odd_level_of_a_symmetric_coupled_well_in_one_solve(monkeypatch):
     spec = spectral1d.negative_spectrum(op)
     assert ks == [below.sum()]
     assert_allclose(spec.energies, np.sort(-vals[below])[::-1], rtol=0.0, atol=1e-10)
+
+
+def _block_diag_reference(op):
+    """The operator assembled block by block, as sparse block_diag + kron."""
+    import scipy.sparse as sp
+
+    m, n = op.num_interior, op.matrix_dim
+    inv_h2 = 1.0 / op.grid_step**2
+    main = sp.block_diag(list(op.potential_blocks + 2.0 * inv_h2 * np.eye(n)), format="csc")
+    ones = np.ones(m - 1)
+    hop = sp.kron(sp.diags([ones, ones], [-1, 1]), -inv_h2 * sp.identity(n))
+    return (main + hop).tocsc()
+
+
+def test_to_sparse_matches_block_diag_reference(pt2, random_2x2):
+    rotated = potentials.build_family(
+        "rank-one-narrow", integral=2.0, width=0.1, matrix_dim=3,
+        direction=[[0.6, 0.2], [0.3, -0.7], [-0.1, 0.4]],
+    )
+    ops = [
+        spectral1d.discretize(pt2, 20.0, 401),
+        spectral1d.discretize(random_2x2, random_2x2.support_radius + 4.0, 300),
+        spectral1d.discretize(rotated, 6.0, 301),
+        spectral1d.DiscretizedOperator1D(
+            box_radius=3.0, num_interior=20, potential_blocks=np.zeros((20, 2, 2))
+        ),
+    ]
+    for op in ops:
+        got, want = op.to_sparse(), _block_diag_reference(op)
+        assert got.format == "csc" and got.shape == want.shape
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("size", [17, 18])
+def test_mirror_halves_have_the_full_spectrum(size):
+    rng = np.random.default_rng(3)
+    half = rng.standard_normal((size + 1) // 2)
+    diagonal = np.concatenate([half, half[: size // 2][::-1]])
+    off = -2.5
+    full = np.diag(diagonal) + off * (np.eye(size, k=1) + np.eye(size, k=-1))
+    d, e = spectral1d._mirror_halves(diagonal, off)
+    assert d.size == size and e.size == size - 1
+    assert e[(size + 1) // 2 - 1] == 0.0
+    split = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert_allclose(np.linalg.eigvalsh(split), np.linalg.eigvalsh(full), rtol=0.0, atol=1e-13)
+
+
+def _record_tridiagonal(monkeypatch):
+    """Each eigh_tridiagonal call's diagonal and off-diagonal, in order."""
+    seen = []
+    real = spectral1d.eigh_tridiagonal
+
+    def recording(d, e, **kwargs):
+        seen.append((np.array(d), np.array(e)))
+        return real(d, e, **kwargs)
+
+    monkeypatch.setattr(spectral1d, "eigh_tridiagonal", recording)
+    return seen
+
+
+def _unsplit_levels(op, threshold=spectral1d.ENERGY_EDGE_THRESHOLD):
+    """Every channel through one unsplit bisection, and eps * max ||T||_1."""
+    from scipy.linalg import eigh_tridiagonal
+
+    channels = spectral1d._constant_channels(op.potential_blocks)
+    inv_h2 = 1.0 / op.grid_step**2
+    lower = min(float(channels.min()), 0.0) - 1.0
+    levels = [
+        eigh_tridiagonal(
+            c + 2.0 * inv_h2, np.full(c.size - 1, -inv_h2), eigvals_only=True,
+            select="v", select_range=(lower, -threshold),
+        )
+        for c in channels
+    ]
+    norm = np.abs(channels + 2.0 * inv_h2).max() + 2.0 * inv_h2
+    return np.sort(np.concatenate(levels)), np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("well", ["pt2", "gaussian", "square-well", "pt1+pt2"])
+@pytest.mark.parametrize("num_interior", [801, 800])
+def test_even_wells_split_into_even_and_odd_halves(pt1, pt2, monkeypatch, well, num_interior):
+    potential = {
+        "pt2": pt2,
+        "gaussian": potentials.build_family("gaussian", depth=3.0, width=1.0),
+        "square-well": potentials.build_family("square-well", depth=3.0, half_width=1.5),
+        "pt1+pt2": potentials.direct_sum(pt1, pt2),
+    }[well]
+    op = spectral1d.discretize(potential, spectral1d.default_box(potential), num_interior)
+    calls = _count_solver_calls(monkeypatch)
+    seen = _record_tridiagonal(monkeypatch)
+    levels = np.sort(spectral1d._negative_eigenvalues(op, spectral1d.ENERGY_EDGE_THRESHOLD))
+    # one length-N call per channel, each with the exact zero between the halves
+    assert calls == {"tridiagonal": op.matrix_dim, "eigsh": 0}
+    half = (num_interior + 1) // 2
+    for d, e in seen:
+        assert d.size == num_interior
+        assert e[half - 1] == 0.0 and np.count_nonzero(e == 0.0) == 1
+    unsplit, roundoff = _unsplit_levels(op)
+    assert levels.size == unsplit.size >= 2
+    assert_allclose(levels, unsplit, rtol=0.0, atol=roundoff)
+
+
+def test_lopsided_channels_go_through_unsplit(monkeypatch):
+    narrow = potentials.build_family("rank-one-narrow", integral=2.0, width=0.1, matrix_dim=1)
+    smooth = potentials.build_family("random-smooth", matrix_dim=1, seed=2, real_valued=True)
+    for potential in (narrow, smooth):
+        op = spectral1d.discretize(potential, potential.support_radius + 6.0, 301)
+        seen = _record_tridiagonal(monkeypatch)
+        levels = np.sort(spectral1d._negative_eigenvalues(op, spectral1d.ENERGY_EDGE_THRESHOLD))
+        assert len(seen) == 1 and np.count_nonzero(seen[0][1] == 0.0) == 0
+        unsplit, _ = _unsplit_levels(op)
+        assert levels.size >= 1
+        assert np.array_equal(levels, unsplit)
