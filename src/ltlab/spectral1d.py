@@ -224,13 +224,12 @@ def _channel_levels(channel: np.ndarray, inv_h2: float, lower: float, threshold:
     as even (+) odd halves: each level then costs N/2 Sturm steps, not N.
     """
     diagonal = channel + 2.0 * inv_h2
-    off = -inv_h2
     if np.abs(channel - channel[::-1]).max() <= CHANNEL_SPLIT_TOL * np.abs(channel).max():
-        diagonal, offs = _mirror_halves(0.5 * (diagonal + diagonal[::-1]), off)
+        diagonal, off_diagonal = _mirror_halves(0.5 * (diagonal + diagonal[::-1]), -inv_h2)
     else:
-        offs = np.full(channel.size - 1, off)
+        off_diagonal = np.full(channel.size - 1, -inv_h2)
     return eigh_tridiagonal(
-        diagonal, offs, eigvals_only=True,
+        diagonal, off_diagonal, eigvals_only=True,
         select="v", select_range=(lower, -threshold),
     )
 
