@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 from scipy.sparse.linalg import LinearOperator
-from scipy.special import gamma as gamma_function
 
 from . import potentials, spectral1d
 from .potentials import SampledPotential, simpson_weights
@@ -185,7 +184,7 @@ def stable_density(
     )
     at_zero = density.evaluate(0.0)
     closed_form = (
-        gamma_function(1.0 + 1.0 / stability_index)
+        math.gamma(1.0 + 1.0 / stability_index)
         * scale ** (-1.0 / stability_index)
         / math.pi
     )

@@ -196,6 +196,12 @@ def validate_config(config) -> list[Scenario]:
                 raise ConfigError(
                     f"{where}.options.density: expected an object with a numeric stability_index"
                 )
+        needs_exponent = [t for t in audits if t in EXPONENT_AUDITS]
+        if needs_exponent and not _is_number(options.get("operator_exponent")):
+            raise ConfigError(
+                f"{where}.options.operator_exponent: audit {needs_exponent[0]!r} "
+                "needs a numeric operator_exponent"
+            )
         scenarios.append(
             Scenario(
                 name=name,
@@ -652,6 +658,7 @@ PLANAR_AUDITS = {
 # fractional-moment reads the density only to search for its comparison
 # constant, so it needs one when no comparison_constant is given
 DENSITY_AUDITS = {"stable-c0", "characteristic-roundtrip"}
+EXPONENT_AUDITS = {"stable-c0", "fractional-moment"}
 
 
 def run_scenario(scenario: Scenario) -> dict:
@@ -753,8 +760,9 @@ def diff_manifests(old: dict, new: dict, rtol: float) -> tuple[int, list[str]]:
     position within each scenario.  A verdict (passed, inconclusive) or a
     scenario error that changes is listed; so is an lhs, rhs or residual
     that moves by more than rtol * max(|a|, |b|, |rhs|), with |rhs| the
-    larger of the two records' right-hand sides.  Raises ValueError when the
-    scenario names or their audit tags do not line up.
+    larger of the two records' right-hand sides, and such a line ends with
+    the new record's tolerance.  Raises ValueError when the scenario names or
+    their audit tags do not line up.
     """
     old, new = strip_timing(old), strip_timing(new)
     names = [s["name"] for s in old["scenarios"]]
@@ -781,7 +789,8 @@ def diff_manifests(old: dict, new: dict, rtol: float) -> tuple[int, list[str]]:
                 if move is None or move > rtol:
                     shown = "n/a" if move is None else f"{move:.2e}"
                     lines.append(
-                        f"{where}: {key} {a[key]!r} -> {b[key]!r} (scaled move {shown})"
+                        f"{where}: {key} {a[key]!r} -> {b[key]!r} "
+                        f"(scaled move {shown}, tolerance {b['tolerance']!r})"
                     )
     return compared, lines
 

@@ -187,6 +187,13 @@ def _constant_channels(blocks: np.ndarray) -> np.ndarray | None:
     return channels.real.T
 
 
+def mirror_symmetric(samples: np.ndarray) -> bool:
+    """Whether samples equal samples[::-1] to CHANNEL_SPLIT_TOL * max|samples|."""
+    return bool(
+        np.abs(samples - samples[::-1]).max() <= CHANNEL_SPLIT_TOL * np.abs(samples).max()
+    )
+
+
 def _mirror_halves(diagonal: np.ndarray, off: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of tridiag(off, diagonal, off) as even (+) odd halves.
 
@@ -224,7 +231,7 @@ def _channel_levels(channel: np.ndarray, inv_h2: float, lower: float, threshold:
     as even (+) odd halves: each level then costs N/2 Sturm steps, not N.
     """
     diagonal = channel + 2.0 * inv_h2
-    if np.abs(channel - channel[::-1]).max() <= CHANNEL_SPLIT_TOL * np.abs(channel).max():
+    if mirror_symmetric(channel):
         diagonal, off_diagonal = _mirror_halves(0.5 * (diagonal + diagonal[::-1]), -inv_h2)
     else:
         off_diagonal = np.full(channel.size - 1, -inv_h2)

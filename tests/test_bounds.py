@@ -37,6 +37,21 @@ def test_constant_factor_table():
         bounds.constant_factor(0.4, 2)
 
 
+def test_constants_match_scipy_gamma():
+    # the constants come from math.lgamma; scipy's Gamma function is the reference
+    from scipy.special import gamma as gamma_function
+
+    for d in (1, 2, 3, 5):
+        for gamma in np.linspace(0.5, 6.0, 23):
+            reference = gamma_function(gamma + 1.0) / (
+                2.0**d * math.pi ** (0.5 * d) * gamma_function(gamma + 0.5 * d + 1.0)
+            )
+            value = bounds.classical_constant(gamma, d)
+            assert_allclose(value, reference, rtol=1e-14)
+            factor = bounds.constant_factor(gamma, d)
+            assert_allclose(factor * value, factor * reference, rtol=1e-14)
+
+
 def test_classical_constant_audit_passes():
     reports = bounds.classical_constant_audit()
     assert len(reports) == 4

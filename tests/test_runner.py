@@ -316,6 +316,18 @@ def test_required_stage_inputs_are_validated():
     runner.validate_config({"schema_version": 1, "scenarios": [
         {"name": "a", "audits": ["fractional-moment"], "potential": potential,
          "options": {"operator_exponent": 1.0, "comparison_constant": "pi"}}]})
+    # both audits read options.operator_exponent as a number
+    density = {"stability_index": 1.0, "scale": 1.0}
+    check(["stable-c0"], {"density": density, "reference": "pi"},
+          r"options.operator_exponent: audit 'stable-c0' needs a numeric operator_exponent")
+    check(["stable-c0"], {"density": density, "operator_exponent": "1"},
+          "needs a numeric operator_exponent")
+    for exponent in (None, True):
+        with pytest.raises(runner.ConfigError,
+                           match="'fractional-moment' needs a numeric operator_exponent"):
+            runner.validate_config({"schema_version": 1, "scenarios": [
+                {"name": "a", "audits": ["fractional-moment"], "potential": potential,
+                 "options": {"operator_exponent": exponent, "comparison_constant": "pi"}}]})
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -376,6 +388,7 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     lines = captured.out.strip().splitlines()
     assert len(lines) == 3
     assert f"closed-forms[1] {records[1]['audit_tag']}: rhs" in lines[0]
+    assert lines[0].endswith(f", tolerance {records[1]['tolerance']!r})")
     assert f"closed-forms[2] {records[2]['audit_tag']}: passed" in lines[1]
     assert lines[2].endswith("2 changes beyond rtol 1e-10")
     code, _ = diff(str(out / "manifest.json"), write("moved.json", moved), rtol="1e-2")
@@ -411,7 +424,8 @@ def test_density_is_cached_by_point_count():
 
 def test_kernel_and_jost_run_loads_no_quadrature(tmp_path):
     # scipy.integrate and scipy.optimize are imported by the audits that call
-    # them, so a process that runs only kernel and Jost audits never loads them
+    # them, and the Gamma functions come from math, so a process that runs
+    # only kernel and Jost audits never loads any of the three
     cfg = write_config(tmp_path, [{
         "name": "poschl-teller-1",
         "potential": {"family": "poschl-teller", "parameters": {"nu": 1.0}},
@@ -423,7 +437,8 @@ def test_kernel_and_jost_run_loads_no_quadrature(tmp_path):
         "import ltlab.cli\n"
         "code = ltlab.cli.main(sys.argv[1:])\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))\n"
+        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
+        "                                     ['scipy', 'special'])))\n"
         "sys.exit(code)\n"
     )
     source = str(Path(ltlab.__file__).resolve().parents[1])

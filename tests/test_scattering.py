@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,7 +91,9 @@ def test_trace_identities_reflectionless(pt1, pt1_spectrum, pt1_scattering):
 def test_scalar_closed_form_matches_coupled_path():
     # V + V has the scalar well's grid and support, so it takes the same
     # steps through the n = 2 LAPACK stage solve, which propagates the -k
-    # columns on their own; the scalar path fills them in by conjugation
+    # columns on their own; the scalar path fills them in by conjugation.
+    # The even Gaussian takes the scalar mirror path (half the steps and two
+    # Wronskians), so it is checked against the full n = 2 propagation
     even = potentials.build_family("gaussian", depth=4.0, width=1.5)
     lopsided = potentials.build_family(
         "random-smooth", matrix_dim=1, seed=3, real_valued=True,
@@ -162,3 +165,105 @@ def test_scalar_steps_equal_the_two_sign_reference():
         for sign in range(2):
             assert np.array_equal(y_top[:, 0, sign], f[sign])
             assert np.array_equal(y_bot[:, 0, sign], fp[sign])
+
+
+# even wells, each with its Jost refine and k_max (None: adaptive stop)
+MIRROR_WELLS = {
+    "poschl-teller-1": (lambda: potentials.build_family("poschl-teller", nu=1.0), 2, None),
+    "poschl-teller-3": (lambda: potentials.build_family("poschl-teller", nu=3.0), 2, None),
+    "gaussian": (lambda: potentials.build_family("gaussian", depth=4.0, width=1.5), 1, 12.0),
+    "square-well": (
+        lambda: potentials.build_family("square-well", depth=3.0, half_width=1.5), 2, 30.0
+    ),
+}
+
+
+def _count_scalar_steps(monkeypatch):
+    """Patch _steps_scalar to add the steps of each call to the returned list."""
+    counted = []
+    steps = scattering._steps_scalar
+
+    def counting(v1, *args):
+        counted.append(v1.size)
+        return steps(v1, *args)
+
+    monkeypatch.setattr(scattering, "_steps_scalar", counting)
+    return counted
+
+
+def _full_path(monkeypatch):
+    """Make _propagate treat every well as lopsided until the patch is undone."""
+    monkeypatch.setattr(scattering, "mirror_symmetric", lambda samples: False)
+
+
+@pytest.mark.parametrize("name", MIRROR_WELLS)
+def test_mirror_path_matches_the_full_path(monkeypatch, name):
+    build, refine, k_max = MIRROR_WELLS[name]
+    well = build()
+    mirror = scattering.compute_scattering(well, k_max=k_max, refine=refine)
+    assert mirror.unitarity_residual.max() <= 1e-9
+    with monkeypatch.context() as patch:
+        _full_path(patch)
+        full = scattering.compute_scattering(well, k_max=k_max, refine=refine)
+    assert_allclose(mirror.k_grid, full.k_grid, rtol=0, atol=0)
+    scale = np.abs(full.a_pos).max()
+    for field_name in ("a_pos", "b_pos", "a_neg", "b_neg"):
+        assert_allclose(
+            getattr(mirror, field_name), getattr(full, field_name),
+            rtol=0, atol=1e-12 * scale,
+        )
+
+
+@pytest.mark.parametrize("name", MIRROR_WELLS)
+def test_mirror_path_takes_half_the_steps(monkeypatch, name):
+    well = MIRROR_WELLS[name][0]()
+    a, b = well.support
+    k = np.linspace(0.05, 9.0, 37)
+    base = int(math.ceil((b - a) / (well.grid_step / 4.0)))
+    parities = set()
+    for ns in (base, base + 1):
+        # a target just above span / ns gives exactly ns steps
+        step = (b - a) / (ns - 0.5)
+        with monkeypatch.context() as patch:
+            counted = _count_scalar_steps(patch)
+            y_top, y_bot = scattering._propagate(well, k, step)
+        assert sum(counted) == (ns + 1) // 2
+        with monkeypatch.context() as patch:
+            _full_path(patch)
+            counted = _count_scalar_steps(patch)
+            full_top, full_bot = scattering._propagate(well, k, step)
+        assert sum(counted) == ns
+        parities.add(ns % 2)
+        mirror = scattering._match(y_top, y_bot, k, a, 1)
+        full = scattering._match(full_top, full_bot, k, a, 1)
+        scale = np.abs(full[0]).max()
+        for got, want in zip(mirror, full):
+            assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+    assert parities == {0, 1}
+
+
+def test_lopsided_and_off_centre_wells_take_the_full_path(monkeypatch):
+    # random-smooth is centred but its samples are lopsided; the shifted
+    # Gaussian is even about x = 0.5, so its samples mirror but its support
+    # is not centred on the origin the Jost phases refer to
+    lopsided = potentials.build_family(
+        "random-smooth", matrix_dim=1, seed=3, real_valued=True,
+        support_radius=2.0, modes=3, grid_step=0.05,
+    )
+    even = potentials.build_family("gaussian", depth=4.0, width=1.5)
+    shift = 0.5
+    shifted = dataclasses.replace(
+        even,
+        grid_start=even.grid_start + shift,
+        support=(even.support[0] + shift, even.support[1] + shift),
+        evaluator=lambda x: even.evaluator(x - shift),
+        derivative_evaluator=lambda x: even.derivative_evaluator(x - shift),
+    )
+    k = np.linspace(0.05, 9.0, 37)
+    for well in (lopsided, shifted):
+        a, b = well.support
+        step = well.grid_step / 2.0
+        counted = _count_scalar_steps(monkeypatch)
+        scattering._propagate(well, k, step)
+        assert sum(counted) == int(math.ceil((b - a) / step))
+        monkeypatch.undo()
