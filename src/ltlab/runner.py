@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,6 +124,33 @@ def _check_grid(grid: dict, where: str):
             raise ConfigError(f"{where}.{key}: expected {expected}, found {value!r}")
 
 
+def _check_density(spec, where: str):
+    if not isinstance(spec, dict) or not _is_number(spec.get("stability_index")):
+        raise ConfigError(f"{where}: expected an object with a numeric stability_index")
+
+
+def _check_options(audits, options: dict, where: str):
+    """The inputs the audits read, then their required options, then every option's type."""
+    needs = {name: [t for t in audits if name in AUDITS[t].inputs] for name in ("well", "density")}
+    if "comparison_constant" not in options:
+        # fractional-moment reads the density only to search for its constant
+        needs["density"] += [t for t in audits if t == "fractional-moment"]
+    for name, check in (("well", _check_well), ("density", _check_density)):
+        if needs[name] and name not in options:
+            raise ConfigError(f"{where}.{name}: audit {needs[name][0]!r} needs a {name}")
+        if name in options:
+            check(options[name], f"{where}.{name}")
+    for tag in audits:
+        for name, default in AUDITS[tag].options.items():
+            kind = OPTION_KINDS[name]
+            if default is REQUIRED and not kind.accept(options.get(name)):
+                raise ConfigError(f"{where}.{name}: audit {tag!r} needs a {kind.adjective} {name}")
+    for name, value in options.items():
+        kind = OPTION_KINDS.get(name)
+        if kind is not None and not kind.accept(value):
+            raise ConfigError(f"{where}.{name}: expected {kind.adjective} value, found {value!r}")
+
+
 def validate_config(config) -> list[Scenario]:
     if not isinstance(config, dict):
         raise ConfigError("config: expected a JSON object")
@@ -150,12 +178,12 @@ def validate_config(config) -> list[Scenario]:
         if not isinstance(audits, list) or not audits:
             raise ConfigError(f"{where}.audits: expected a nonempty list")
         for tag in audits:
-            if tag not in AUDIT_REGISTRY:
+            if tag not in AUDITS:
                 raise ConfigError(f"{where}.audits: unknown audit tag {tag!r}")
         potential_spec = item.get("potential")
         if potential_spec is not None:
             _check_potential(potential_spec, f"{where}.potential")
-        needs_potential = [t for t in audits if t in POTENTIAL_AUDITS]
+        needs_potential = [t for t in audits if "potential" in AUDITS[t].inputs]
         if needs_potential and potential_spec is None:
             raise ConfigError(
                 f"{where}.potential: audit {needs_potential[0]!r} needs a potential"
@@ -171,57 +199,44 @@ def validate_config(config) -> list[Scenario]:
         if not isinstance(tolerances, dict):
             raise ConfigError(f"{where}.tolerances: expected an object")
         for tag, value in tolerances.items():
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not _is_number(value) or value <= 0:
                 raise ConfigError(f"{where}.tolerances.{tag}: expected a positive number")
+            if tag not in audits or AUDITS[tag].tolerance is None:
+                raise ConfigError(
+                    f"{where}.tolerances.{tag}: expected one of the scenario's audits "
+                    "that takes a tolerance"
+                )
         options = item.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError(f"{where}.options: expected an object")
-        needs_well = [t for t in audits if t in PLANAR_AUDITS]
-        if needs_well and "well" not in options:
-            raise ConfigError(f"{where}.options.well: audit {needs_well[0]!r} needs a well")
-        if "well" in options:
-            _check_well(options["well"], f"{where}.options.well")
-        needs_density = [
-            t for t in audits
-            if t in DENSITY_AUDITS
-            or (t == "fractional-moment" and "comparison_constant" not in options)
-        ]
-        if needs_density and "density" not in options:
-            raise ConfigError(
-                f"{where}.options.density: audit {needs_density[0]!r} needs a density"
-            )
-        if "density" in options:
-            density = options["density"]
-            if not isinstance(density, dict) or not _is_number(density.get("stability_index")):
-                raise ConfigError(
-                    f"{where}.options.density: expected an object with a numeric stability_index"
-                )
-        needs_exponent = [t for t in audits if t in EXPONENT_AUDITS]
-        if needs_exponent and not _is_number(options.get("operator_exponent")):
-            raise ConfigError(
-                f"{where}.options.operator_exponent: audit {needs_exponent[0]!r} "
-                "needs a numeric operator_exponent"
-            )
-        scenarios.append(
-            Scenario(
-                name=name,
-                audits=tuple(audits),
-                potential_spec=potential_spec,
-                grid=dict(grid),
-                tolerances=dict(tolerances),
-                options=dict(options),
-            )
-        )
+        _check_options(audits, options, f"{where}.options")
+        scenarios.append(Scenario(
+            name=name, audits=tuple(audits), potential_spec=potential_spec,
+            grid=dict(grid), tolerances=dict(tolerances), options=dict(options),
+        ))
     return scenarios
 
 
 class ScenarioContext:
-    """Lazy, cached access to the expensive per-scenario objects."""
+    """Lazy, cached access to the expensive per-scenario objects.
+
+    Each stage is built once per scenario, and `timings` holds the seconds
+    its build took under its key.  Those seconds include the stages it reads
+    that were not built yet.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.plots: dict[str, str] = {}
+        self.timings: dict[str, float] = {}
         self._cache: dict = {}
+
+    def _stage(self, key: str, build):
+        if key not in self._cache:
+            started = time.perf_counter()
+            self._cache[key] = build()
+            self.timings[key] = time.perf_counter() - started
+        return self._cache[key]
 
     def option(self, key, default=None):
         return self.scenario.options.get(key, default)
@@ -230,74 +245,55 @@ class ScenarioContext:
         return float(self.scenario.tolerances.get(tag, default))
 
     def potential(self):
-        if "potential" not in self._cache:
-            spec = self.scenario.potential_spec
-            if spec is None:
-                raise ValueError("scenario declares no potential")
-            self._cache["potential"] = potentials.build(spec)
-        return self._cache["potential"]
+        return self._stage("potential", lambda: potentials.build(self.scenario.potential_spec))
 
     def box_radius(self) -> float:
-        if "box_radius" not in self._cache:
-            given = self.scenario.grid.get("box_radius")
-            self._cache["box_radius"] = (
-                float(given) if given is not None else spectral1d.default_box(self.potential())
-            )
-        return self._cache["box_radius"]
+        given = self.scenario.grid.get("box_radius")
+        return self._stage("box_radius", lambda: (
+            float(given) if given is not None else spectral1d.default_box(self.potential())
+        ))
 
     def spectrum(self):
-        if "spectrum" not in self._cache:
-            num_interior = int(self.scenario.grid.get("num_interior", DEFAULT_INTERIOR))
-            self._cache["spectrum"] = spectral1d.refined_negative_spectrum(
-                self.potential(), self.box_radius(), num_interior
-            )
-        return self._cache["spectrum"]
+        return self._stage("spectrum", lambda: spectral1d.refined_negative_spectrum(
+            self.potential(), self.box_radius(),
+            self.scenario.grid.get("num_interior", DEFAULT_INTERIOR),
+        ))
 
     def scattering_data(self):
-        if "scattering" not in self._cache:
-            self._cache["scattering"] = scattering.compute_scattering(
-                self.potential(),
-                k_max=self.scenario.grid.get("k_max"),
-                refine=int(self.scenario.grid.get("refine", 1)),
-            )
-        return self._cache["scattering"]
+        return self._stage("scattering", lambda: scattering.compute_scattering(
+            self.potential(),
+            k_max=self.scenario.grid.get("k_max"),
+            refine=self.scenario.grid.get("refine", 1),
+        ))
 
-    def coupling_sweep(self, couplings):
-        key = ("sweep", tuple(float(a) for a in couplings))
-        if key not in self._cache:
-            self._cache[key] = bounds.coupling_sweep(self.potential(), couplings)
-        return self._cache[key]
+    def coupling_sweep(self):
+        """The potential's spectra at every coupling of options.couplings."""
+        return self._stage(
+            "sweep", lambda: bounds.coupling_sweep(self.potential(), self.couplings())
+        )
 
     def couplings(self):
         spec = self.option("couplings")
         if spec is None:
             return bounds.ALPHA_DEFAULTS
         if isinstance(spec, dict):
-            return tuple(
-                np.geomspace(spec["start"], spec["stop"], int(spec["count"]))
-            )
+            return tuple(np.geomspace(spec["start"], spec["stop"], spec["count"]))
         return tuple(float(a) for a in spec)
 
     def well_2d(self):
-        if "well_2d" not in self._cache:
+        def build():
             spec = self.option("well")
-            if spec is None:
-                raise ValueError("planar audits need a 'well' entry in options")
-            kind = spec.get("kind")
-            if kind == "gaussian":
-                well = multidim.gaussian_well_2d(spec["depth"], spec["width"])
-            elif kind == "separable":
-                well = multidim.separable_well_2d(potentials.build(spec))
-            else:
-                raise ValueError(f"unknown planar well kind {kind!r}")
-            self._cache["well_2d"] = well
-        return self._cache["well_2d"]
+            if spec["kind"] == "gaussian":
+                return multidim.gaussian_well_2d(spec["depth"], spec["width"])
+            return multidim.separable_well_2d(potentials.build(spec))
+
+        return self._stage("well_2d", build)
 
     def plane_box(self) -> float:
         return float(self.option("box_radius", 8.0))
 
     def plane_points(self) -> int:
-        return int(self.option("num_interior", 64))
+        return self.option("num_interior", 64)
 
     def vector_potential(self, magnetic: bool):
         if not magnetic:
@@ -306,379 +302,263 @@ class ScenarioContext:
 
     def planar_spectrum(self, num_interior: int, magnetic: bool):
         """Unrefined planar spectrum, solved once per (grid, field)."""
-        key = ("planar_spectrum", num_interior, magnetic)
-        if key not in self._cache:
-            self._cache[key] = multidim.negative_spectrum_2d(
-                multidim.build_operator_2d(
-                    self.well_2d(), self.plane_box(), num_interior,
-                    self.vector_potential(magnetic),
-                )
+        key = f"planar_spectrum-{num_interior}" + ("-magnetic" if magnetic else "")
+        return self._stage(key, lambda: multidim.negative_spectrum_2d(
+            multidim.build_operator_2d(
+                self.well_2d(), self.plane_box(), num_interior,
+                self.vector_potential(magnetic),
             )
-        return self._cache[key]
+        ))
 
     def spectrum_2d(self, magnetic: bool):
         """Richardson pairing of the planar M and 2M+1 grids, as in one dimension."""
         points = self.plane_points()
-        return spectral1d.richardson_pair(
-            self.planar_spectrum(points, magnetic),
-            self.planar_spectrum(2 * points + 1, magnetic),
-        )
+        return self._stage("spectrum_2d" + ("-magnetic" if magnetic else ""), lambda: (
+            spectral1d.richardson_pair(
+                self.planar_spectrum(points, magnetic),
+                self.planar_spectrum(2 * points + 1, magnetic),
+            )
+        ))
 
     def density(self, points: int | None = None):
         """The options' density tabulated on `points` momenta (default: its grid_points)."""
         spec = self.option("density")
-        if spec is None:
-            raise ValueError("fractional audits need a 'density' entry in options")
         if points is None:
             points = int(spec.get("grid_points", 801))
-        key = ("density", points)
-        if key not in self._cache:
-            self._cache[key] = fractional.stable_density(
-                float(spec["stability_index"]),
-                float(spec.get("scale", 1.0)),
-                fractional.default_momentum_grid(
-                    float(spec.get("grid_cutoff", 40.0)), points
-                ),
-            )
-        return self._cache[key]
+        return self._stage(f"density-{points}", lambda: fractional.stable_density(
+            float(spec["stability_index"]),
+            float(spec.get("scale", 1.0)),
+            fractional.default_momentum_grid(float(spec.get("grid_cutoff", 40.0)), points),
+        ))
 
     def add_plot(self, name: str, content: str):
         self.plots[name] = content
 
 
 def _columns_csv(columns: dict) -> str:
-    header = ",".join(columns)
-    length = len(next(iter(columns.values())))
-    lines = [header]
-    for i in range(length):
-        lines.append(
-            ",".join(
-                repr(float(columns[key][i]))
-                if isinstance(columns[key][i], (int, float, np.floating))
-                else str(columns[key][i])
-                for key in columns
-            )
-        )
-    return "\n".join(lines) + "\n"
+    def cell(value):
+        return repr(float(value)) if isinstance(value, (int, float, np.floating)) else str(value)
+
+    rows = [",".join(map(cell, row)) for row in zip(*columns.values())]
+    return "\n".join([",".join(columns), *rows]) + "\n"
 
 
-# --- audit handlers: each takes the context, returns a list of reports
-
-
-def _run_classical_constants(ctx):
-    return bounds.classical_constant_audit()
-
-
-def _run_product_identity(ctx):
-    return [bounds.product_identity_audit()]
-
-
-def _run_constant_ordering(ctx):
-    return bounds.constant_ordering_audit()
-
-
-def _run_sharp_half(ctx):
-    return [
-        bounds.sharp_half_audit(
-            ctx.potential(), ctx.spectrum(), ctx.tolerance("sharp-half", 1e-6)
-        )
-    ]
-
-
-def _run_sharp_half_sweep(ctx):
-    reports, rows = bounds.sharpness_sweep(
-        integral=float(ctx.option("integral", 2.0)),
-        widths=tuple(ctx.option("widths", (1e-1, 1e-2, 1e-3))),
-        base_tolerance=ctx.tolerance("sharp-half", 1e-3),
-        saturation_floor=float(ctx.option("saturation_floor", 0.499)),
-    )
-    ctx.add_plot("sharpness", _columns_csv(rows))
+def _plotted(ctx, name: str, result, render=_columns_csv) -> list:
+    """Keep a sweep's rows as the plot `name` and return its reports."""
+    reports, rows = result
+    ctx.add_plot(name, render(rows))
     return reports
 
 
-def _run_lifted_moment(ctx):
-    return [
-        bounds.lifted_moment_audit(
-            ctx.potential(), ctx.spectrum(), float(g),
-            ctx.tolerance("lifted-moment", 1e-6),
-        )
-        for g in ctx.option("gammas", (0.5, 1.5))
-    ]
+class Kind(NamedTuple):
+    """An option's type: the word for it in messages, its test and its conversion."""
+
+    adjective: str
+    accept: Callable
+    convert: Callable = lambda value: value
 
 
-def _run_half_moment_sandwich(ctx):
-    return bounds.half_moment_sandwich(
-        ctx.potential(), ctx.spectrum(), ctx.tolerance("half-moment-sandwich", 1e-6)
-    )
+def _is_couplings(value) -> bool:
+    if isinstance(value, dict):
+        return (set(value) == {"start", "stop", "count"} and _is_int(value["count"])
+                and _is_number(value["start"]) and _is_number(value["stop"]))
+    return NUMBERS.accept(value)
 
 
-def _run_holder_chain(ctx):
-    return bounds.holder_chain_audit(
-        ctx.potential(), ctx.scattering_data(), ctx.tolerance("holder-chain", 1e-9)
-    )
+NUMBER = Kind("numeric", _is_number, float)
+INTEGER = Kind("integer", _is_int)
+NUMBERS = Kind("numeric-list", lambda v: isinstance(v, list) and all(map(_is_number, v)), tuple)
+FLAG = Kind("boolean", lambda v: isinstance(v, bool))
+CONSTANT = Kind(
+    "numeric or 'pi'", lambda v: v == "pi" or _is_number(v),
+    lambda v: math.pi if v == "pi" else float(v),
+)
+
+# One type per option name.  box_radius, num_interior and field_strength are
+# also read by the planar stages.  Names not listed here are ignored.
+OPTION_KINDS = {
+    "box_radius": NUMBER, "num_interior": INTEGER, "field_strength": NUMBER,
+    "integral": NUMBER, "widths": NUMBERS, "saturation_floor": NUMBER,
+    "gammas": NUMBERS, "count": INTEGER, "seed": INTEGER,
+    "epsilons": NUMBERS, "n_max": INTEGER, "slope_cap": NUMBER,
+    "couplings": Kind("numeric-list or {start, stop, count}", _is_couplings),
+    "magnetic_gamma": NUMBER, "gauge_points": INTEGER, "gauge_seed": INTEGER,
+    "lifting_gamma": NUMBER, "operator_exponent": NUMBER, "reference": CONSTANT,
+    "refine_grid": FLAG, "comparison_constant": CONSTANT, "box_margin": NUMBER,
+    "num_points": INTEGER,
+}
+
+REQUIRED = object()  # the default of an option that every config must give
 
 
-def _run_lifting_identity(ctx):
-    return bounds.lifting_identity_sweep(
-        count=int(ctx.option("count", 20)),
-        seed=int(ctx.option("seed", 7)),
-        tolerance=ctx.tolerance("lifting-identity", 1e-8),
-    )
+@dataclass(frozen=True)
+class Audit:
+    """One audit tag, declared.
+
+    `run(ctx, options, tolerance)` returns the audit's reports.  `inputs`
+    names what it reads besides options: the scenario's potential, or the
+    well or density entry of its options.  `options` maps each option it
+    reads to its default, and `tolerance` is its base tolerance, None when
+    it takes none.
+    """
+
+    run: Callable
+    inputs: tuple = ()
+    options: dict = field(default_factory=dict)
+    tolerance: float | None = None
 
 
-def _run_birman_schwinger(ctx):
-    return [
-        birman_schwinger.birman_schwinger_audit(
-            ctx.potential(), ctx.spectrum(), ctx.tolerance("birman-schwinger", 1e-3)
-        )
-    ]
-
-
-def _run_kyfan(ctx):
-    epsilons = ctx.option("epsilons")
-    reports, profile = birman_schwinger.monotonicity_audit(
-        ctx.potential(),
-        None if epsilons is None else np.asarray(epsilons, dtype=float),
-        n_max=int(ctx.option("n_max", 10)),
-    )
-    ctx.add_plot("kyfan", profile.to_csv())
-    return reports
-
-
-def _run_cauchy_kernel(ctx):
-    return [
-        birman_schwinger.cauchy_kernel_identity_check(
-            tolerance=ctx.tolerance("cauchy-kernel", 1e-6)
-        )
-    ]
-
-
-def _run_unitarity(ctx):
-    return [
-        scattering.unitarity_audit(
-            ctx.scattering_data(), ctx.tolerance("unitarity", 1e-7)
-        )
-    ]
-
-
-def _run_spectral_positivity(ctx):
-    return scattering.positivity_audit(ctx.scattering_data())
-
-
-def _run_conjugation_symmetry(ctx):
-    report = scattering.conjugation_symmetry_check(
-        ctx.potential(), ctx.scattering_data(),
-        ctx.tolerance("conjugation-symmetry", 1e-7),
-    )
-    return [] if report is None else [report]
-
-
-def _run_trace_identities(ctx):
-    return scattering.trace_identity_audit(
-        ctx.potential(), ctx.spectrum(), ctx.scattering_data(),
-        ctx.tolerance("trace-identities", 1e-3),
-    )
-
-
-def _run_remainder_sweep(ctx):
-    reports, rows = bounds.remainder_sweep(
-        ctx.potential(),
-        ctx.coupling_sweep(ctx.couplings()),
-        base_tolerance=ctx.tolerance("remainder-sweep", 1e-6),
-        slope_cap=float(ctx.option("slope_cap", 1.6)),
-    )
-    ctx.add_plot("remainder", _columns_csv(rows))
-    return reports
-
-
-def _run_weyl_ratios(ctx):
-    sweep = ctx.coupling_sweep(ctx.couplings())
-    reports = []
-    for gamma in ctx.option("gammas", (1.0, 1.5)):
-        sub, rows = bounds.weyl_ratio_sweep(
-            ctx.potential(), float(gamma), sweep,
-            base_tolerance=ctx.tolerance("weyl-ratios", 1e-6),
-        )
-        ctx.add_plot(f"weyl-{gamma}", _columns_csv(rows))
-        reports.extend(sub)
-    return reports
-
-
-def _run_lt_2d(ctx):
-    spectrum = ctx.spectrum_2d(False)
-    return [
-        multidim.lt_audit_2d(
-            ctx.well_2d(), spectrum, float(gamma), ctx.plane_box(),
-            base_tolerance=ctx.tolerance("lt-2d", 1e-3),
-        )
-        for gamma in ctx.option("gammas", (0.75, 1.0, 1.5))
-    ]
-
-
-def _run_lt_2d_magnetic(ctx):
-    spectrum = ctx.spectrum_2d(True)
-    return [
-        multidim.lt_audit_2d(
-            ctx.well_2d(), spectrum, float(ctx.option("magnetic_gamma", 1.5)),
-            ctx.plane_box(), magnetic=True,
-            base_tolerance=ctx.tolerance("lt-2d-magnetic", 1e-3),
-        )
-    ]
-
-
-def _run_gauge_invariance(ctx):
-    return multidim.gauge_invariance_check(
-        ctx.well_2d(), ctx.plane_box(),
-        int(ctx.option("gauge_points", min(ctx.plane_points(), 32))),
-        field_strength=float(ctx.option("field_strength", 1.0)),
-        seed=int(ctx.option("gauge_seed", 5)),
-        tolerance=ctx.tolerance("gauge-invariance", 1e-8),
-    )
-
-
-def _run_lifting_2d(ctx):
-    return [
-        multidim.lifting_inequality_audit(
-            ctx.well_2d(), ctx.plane_box(), ctx.plane_points(),
-            gamma=float(ctx.option("lifting_gamma", 1.0)),
-            base_tolerance=ctx.tolerance("lifting-2d", 1e-9),
-            spectrum_2d=ctx.planar_spectrum(ctx.plane_points(), False),
-        )
-    ]
-
-
-def _run_diamagnetic_trend(ctx):
-    return [
-        multidim.diamagnetic_trend_check(
+AUDITS = {
+    "classical-constants": Audit(lambda ctx, o, tol: bounds.classical_constant_audit()),
+    "product-identity": Audit(lambda ctx, o, tol: [bounds.product_identity_audit()]),
+    "constant-ordering": Audit(lambda ctx, o, tol: bounds.constant_ordering_audit()),
+    "sharp-half": Audit(
+        lambda ctx, o, tol: [bounds.sharp_half_audit(ctx.potential(), ctx.spectrum(), tol)],
+        ("potential",), tolerance=1e-6),
+    "sharp-half-sweep": Audit(
+        lambda ctx, o, tol: _plotted(ctx, "sharpness", bounds.sharpness_sweep(
+            o["integral"], o["widths"], base_tolerance=tol,
+            saturation_floor=o["saturation_floor"])),
+        options={"integral": 2.0, "widths": (1e-1, 1e-2, 1e-3), "saturation_floor": 0.499},
+        tolerance=1e-3),
+    "lifted-moment": Audit(
+        lambda ctx, o, tol: [
+            bounds.lifted_moment_audit(ctx.potential(), ctx.spectrum(), float(g), tol)
+            for g in o["gammas"]],
+        ("potential",), {"gammas": (0.5, 1.5)}, 1e-6),
+    "half-moment-sandwich": Audit(
+        lambda ctx, o, tol: bounds.half_moment_sandwich(ctx.potential(), ctx.spectrum(), tol),
+        ("potential",), tolerance=1e-6),
+    "holder-chain": Audit(
+        lambda ctx, o, tol: bounds.holder_chain_audit(
+            ctx.potential(), ctx.scattering_data(), tol),
+        ("potential",), tolerance=1e-9),
+    "lifting-identity": Audit(
+        lambda ctx, o, tol: bounds.lifting_identity_sweep(o["count"], o["seed"], tolerance=tol),
+        options={"count": 20, "seed": 7}, tolerance=1e-8),
+    "birman-schwinger": Audit(
+        lambda ctx, o, tol: [birman_schwinger.birman_schwinger_audit(
+            ctx.potential(), ctx.spectrum(), tol)],
+        ("potential",), tolerance=1e-3),
+    "kyfan-monotonicity": Audit(
+        lambda ctx, o, tol: _plotted(ctx, "kyfan", birman_schwinger.monotonicity_audit(
+            ctx.potential(),
+            None if o["epsilons"] is None else np.asarray(o["epsilons"], dtype=float),
+            n_max=o["n_max"]), render=lambda profile: profile.to_csv()),
+        ("potential",), {"epsilons": None, "n_max": 10}),
+    "cauchy-kernel": Audit(
+        lambda ctx, o, tol: [birman_schwinger.cauchy_kernel_identity_check(tolerance=tol)],
+        tolerance=1e-6),
+    "unitarity": Audit(
+        lambda ctx, o, tol: [scattering.unitarity_audit(ctx.scattering_data(), tol)],
+        ("potential",), tolerance=1e-7),
+    "spectral-positivity": Audit(
+        lambda ctx, o, tol: scattering.positivity_audit(ctx.scattering_data()),
+        ("potential",)),
+    "conjugation-symmetry": Audit(
+        # the check returns None when the potential is not real
+        lambda ctx, o, tol: list(filter(None, [scattering.conjugation_symmetry_check(
+            ctx.potential(), ctx.scattering_data(), tol)])),
+        ("potential",), tolerance=1e-7),
+    "trace-identities": Audit(
+        lambda ctx, o, tol: scattering.trace_identity_audit(
+            ctx.potential(), ctx.spectrum(), ctx.scattering_data(), tol),
+        ("potential",), tolerance=1e-3),
+    # couplings is read by the sweep stage that remainder-sweep and weyl-ratios share
+    "remainder-sweep": Audit(
+        lambda ctx, o, tol: _plotted(ctx, "remainder", bounds.remainder_sweep(
+            ctx.potential(), ctx.coupling_sweep(), base_tolerance=tol, slope_cap=o["slope_cap"])),
+        ("potential",), {"couplings": None, "slope_cap": 1.6}, 1e-6),
+    "weyl-ratios": Audit(
+        lambda ctx, o, tol: [
+            report
+            for gamma in o["gammas"]
+            for report in _plotted(ctx, f"weyl-{gamma}", bounds.weyl_ratio_sweep(
+                ctx.potential(), float(gamma), ctx.coupling_sweep(), base_tolerance=tol))],
+        ("potential",), {"gammas": (1.0, 1.5), "couplings": None}, 1e-6),
+    "lt-2d": Audit(
+        lambda ctx, o, tol: [
+            multidim.lt_audit_2d(ctx.well_2d(), ctx.spectrum_2d(False), float(gamma),
+                                 ctx.plane_box(), base_tolerance=tol)
+            for gamma in o["gammas"]],
+        ("well",), {"gammas": (0.75, 1.0, 1.5)}, 1e-3),
+    "lt-2d-magnetic": Audit(
+        lambda ctx, o, tol: [multidim.lt_audit_2d(
+            ctx.well_2d(), ctx.spectrum_2d(True), o["magnetic_gamma"], ctx.plane_box(),
+            magnetic=True, base_tolerance=tol)],
+        ("well",), {"magnetic_gamma": 1.5}, 1e-3),
+    "gauge-invariance": Audit(
+        lambda ctx, o, tol: multidim.gauge_invariance_check(
+            ctx.well_2d(), ctx.plane_box(),
+            min(ctx.plane_points(), 32) if o["gauge_points"] is None else o["gauge_points"],
+            field_strength=o["field_strength"], seed=o["gauge_seed"], tolerance=tol),
+        ("well",), {"gauge_points": None, "field_strength": 1.0, "gauge_seed": 5}, 1e-8),
+    "lifting-2d": Audit(
+        lambda ctx, o, tol: [multidim.lifting_inequality_audit(
+            ctx.well_2d(), ctx.plane_box(), ctx.plane_points(), gamma=o["lifting_gamma"],
+            base_tolerance=tol, spectrum_2d=ctx.planar_spectrum(ctx.plane_points(), False))],
+        ("well",), {"lifting_gamma": 1.0}, 1e-9),
+    "diamagnetic-trend": Audit(
+        lambda ctx, o, tol: [multidim.diamagnetic_trend_check(
             ctx.planar_spectrum(ctx.plane_points(), False),
             ctx.planar_spectrum(ctx.plane_points(), True),
-            gamma=float(ctx.option("magnetic_gamma", 1.5)),
-            field_strength=float(ctx.option("field_strength", 1.0)),
-        )
-    ]
-
-
-def _run_stable_c0(ctx):
-    reference = ctx.option("reference")
-    if reference == "pi":
-        reference = math.pi
-    density = ctx.density()
-    refined = None
-    if ctx.option("refine_grid", False):
-        refined = ctx.density(2 * density.momentum_grid.size - 1)
-    return fractional.c0_reference_audit(
-        float(ctx.option("operator_exponent")),
-        density,
-        reference=None if reference is None else float(reference),
-        refined=refined,
-        base_tolerance=ctx.tolerance("stable-c0", 1e-6),
-    )
-
-
-def _run_characteristic_roundtrip(ctx):
-    return [
-        fractional.characteristic_function_check(
-            ctx.density(),
-            tolerance=ctx.tolerance("characteristic-roundtrip", 1e-8),
-        )
-    ]
-
-
-def _run_fractional_moment(ctx):
-    exponent = float(ctx.option("operator_exponent"))
-    constant = ctx.option("comparison_constant")
-    if constant == "pi":
-        constant = math.pi
-    if constant is None:
-        constant = fractional.c0_search(exponent, ctx.density())
-    return [
-        fractional.fractional_moment_audit(
-            ctx.potential(), exponent, float(constant),
-            box_margin=float(ctx.option("box_margin", 10.0)),
-            num_points=int(ctx.option("num_points", 1024)),
-            base_tolerance=ctx.tolerance("fractional-moment", 1e-6),
-        )
-    ]
-
-
-AUDIT_REGISTRY = {
-    "classical-constants": _run_classical_constants,
-    "product-identity": _run_product_identity,
-    "constant-ordering": _run_constant_ordering,
-    "sharp-half": _run_sharp_half,
-    "sharp-half-sweep": _run_sharp_half_sweep,
-    "lifted-moment": _run_lifted_moment,
-    "half-moment-sandwich": _run_half_moment_sandwich,
-    "holder-chain": _run_holder_chain,
-    "lifting-identity": _run_lifting_identity,
-    "birman-schwinger": _run_birman_schwinger,
-    "kyfan-monotonicity": _run_kyfan,
-    "cauchy-kernel": _run_cauchy_kernel,
-    "unitarity": _run_unitarity,
-    "spectral-positivity": _run_spectral_positivity,
-    "conjugation-symmetry": _run_conjugation_symmetry,
-    "trace-identities": _run_trace_identities,
-    "remainder-sweep": _run_remainder_sweep,
-    "weyl-ratios": _run_weyl_ratios,
-    "lt-2d": _run_lt_2d,
-    "lt-2d-magnetic": _run_lt_2d_magnetic,
-    "gauge-invariance": _run_gauge_invariance,
-    "lifting-2d": _run_lifting_2d,
-    "diamagnetic-trend": _run_diamagnetic_trend,
-    "stable-c0": _run_stable_c0,
-    "characteristic-roundtrip": _run_characteristic_roundtrip,
-    "fractional-moment": _run_fractional_moment,
-}
-
-POTENTIAL_AUDITS = {
-    "sharp-half",
-    "lifted-moment",
-    "half-moment-sandwich",
-    "holder-chain",
-    "birman-schwinger",
-    "kyfan-monotonicity",
-    "unitarity",
-    "spectral-positivity",
-    "conjugation-symmetry",
-    "trace-identities",
-    "remainder-sweep",
-    "weyl-ratios",
-    "fractional-moment",
+            gamma=o["magnetic_gamma"], field_strength=o["field_strength"])],
+        ("well",), {"magnetic_gamma": 1.5, "field_strength": 1.0}),
+    "stable-c0": Audit(
+        lambda ctx, o, tol: fractional.c0_reference_audit(
+            o["operator_exponent"], ctx.density(), reference=o["reference"],
+            refined=ctx.density(2 * ctx.density().momentum_grid.size - 1)
+            if o["refine_grid"] else None,
+            base_tolerance=tol),
+        ("density",), {"operator_exponent": REQUIRED, "reference": None, "refine_grid": False},
+        1e-6),
+    "characteristic-roundtrip": Audit(
+        lambda ctx, o, tol: [fractional.characteristic_function_check(
+            ctx.density(), tolerance=tol)],
+        ("density",), tolerance=1e-8),
+    # the density is an input only when no comparison_constant is given
+    "fractional-moment": Audit(
+        lambda ctx, o, tol: [fractional.fractional_moment_audit(
+            ctx.potential(), o["operator_exponent"],
+            fractional.c0_search(o["operator_exponent"], ctx.density())
+            if o["comparison_constant"] is None else o["comparison_constant"],
+            box_margin=o["box_margin"], num_points=o["num_points"], base_tolerance=tol)],
+        ("potential",), {"operator_exponent": REQUIRED, "comparison_constant": None,
+                         "box_margin": 10.0, "num_points": 1024}, 1e-6),
 }
 
 
-PLANAR_AUDITS = {
-    "lt-2d",
-    "lt-2d-magnetic",
-    "gauge-invariance",
-    "lifting-2d",
-    "diamagnetic-trend",
-}
-
-# fractional-moment reads the density only to search for its comparison
-# constant, so it needs one when no comparison_constant is given
-DENSITY_AUDITS = {"stable-c0", "characteristic-roundtrip"}
-EXPONENT_AUDITS = {"stable-c0", "fractional-moment"}
+def _dispatch(ctx: ScenarioContext, tag: str) -> list:
+    """Run one audit with its options and tolerance resolved from the scenario."""
+    audit = AUDITS[tag]
+    given = ctx.scenario.options
+    options = {
+        name: OPTION_KINDS[name].convert(given[name]) if name in given else default
+        for name, default in audit.options.items()
+    }
+    tolerance = None if audit.tolerance is None else ctx.tolerance(tag, audit.tolerance)
+    return audit.run(ctx, options, tolerance)
 
 
 def run_scenario(scenario: Scenario) -> dict:
-    """Execute one scenario; failures are captured, never propagated."""
+    """Execute one scenario; each audit's failure is captured on its own."""
     ctx = ScenarioContext(scenario)
-    records = []
-    error = None
+    records, errors = [], []
     started = time.perf_counter()
-    try:
-        for tag in scenario.audits:
-            for report in AUDIT_REGISTRY[tag](ctx):
-                records.append(report.to_record())
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
+    for tag in scenario.audits:
+        begun = time.perf_counter()
+        try:
+            records += [report.to_record() for report in _dispatch(ctx, tag)]
+        except Exception as exc:
+            errors.append(f"{tag}: {type(exc).__name__}: {exc}")
+        ctx.timings[tag] = ctx.timings.get(tag, 0.0) + time.perf_counter() - begun
     return {
         "name": scenario.name,
         "wall_time_s": time.perf_counter() - started,
-        "error": error,
+        "error": "; ".join(errors) or None,
         "reports": records,
         "plots": ctx.plots,
+        "timings": ctx.timings,
     }
 
 
@@ -732,11 +612,11 @@ def render_manifest(manifest: dict) -> str:
 
 
 def strip_timing(manifest: dict) -> dict:
-    """Copy with every wall_time_s removed, for bit-for-bit comparisons."""
+    """Copy with every wall_time_s and timings removed, for bit-for-bit comparisons."""
 
     def scrub(obj):
         if isinstance(obj, dict):
-            return {k: scrub(v) for k, v in obj.items() if k != "wall_time_s"}
+            return {k: scrub(v) for k, v in obj.items() if k not in ("wall_time_s", "timings")}
         if isinstance(obj, list):
             return [scrub(v) for v in obj]
         return obj

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ CLOSED_FORMS = {
     "name": "closed-forms",
     "audits": ["classical-constants", "product-identity", "lifting-identity"],
 }
+POSCHL_TELLER_1 = {"family": "poschl-teller", "parameters": {"nu": 1.0}}
 
 
 def test_validate_config_field_messages():
@@ -129,9 +131,11 @@ def test_run_config_writes_outputs(tmp_path):
 
 
 def test_failing_scenario_is_isolated(tmp_path):
+    # the width 0.3 is no multiple of the sweep's grid step, so the audit
+    # raises at run time; the audits after it in the scenario still run
     bad = {
         "name": "bad-sweep",
-        "audits": ["sharp-half-sweep"],
+        "audits": ["sharp-half-sweep", "cauchy-kernel", "sharp-half-sweep"],
         "options": {"integral": 2.0, "widths": [0.3]},
     }
     cfg = write_config(tmp_path, [bad, CLOSED_FORMS])
@@ -139,7 +143,11 @@ def test_failing_scenario_is_isolated(tmp_path):
     assert manifest["global_pass"] is False
     first, second = manifest["scenarios"]
     assert first["name"] == "bad-sweep"
-    assert first["error"].startswith("ValueError:")
+    failures = first["error"].split("; ")
+    assert len(failures) == 2
+    assert all(f.startswith("sharp-half-sweep: ValueError:") for f in failures)
+    assert [r["audit_tag"] for r in first["reports"]] == ["cauchy-kernel"]
+    assert first["reports"][0]["passed"] is True
     assert second["error"] is None
     assert len(second["reports"]) > 0
 
@@ -155,8 +163,21 @@ def test_manifest_is_deterministic(tmp_path):
 
 
 def test_strip_timing_is_recursive():
-    nested = {"a": [{"wall_time_s": 1.0, "x": 2}], "wall_time_s": 3.0}
+    nested = {"a": [{"wall_time_s": 1.0, "timings": {"x": 1.0}, "x": 2}], "wall_time_s": 3.0}
     assert runner.strip_timing(nested) == {"a": [{"x": 2}]}
+
+
+def test_scenario_timings_cover_audits_and_stages(tmp_path):
+    cfg = write_config(tmp_path, [{
+        "name": "pt", "potential": POSCHL_TELLER_1, "audits": ["sharp-half", "cauchy-kernel"],
+    }])
+    manifest = runner.run_config(cfg)
+    timings = manifest["scenarios"][0]["timings"]
+    assert set(timings) == {"sharp-half", "cauchy-kernel", "potential", "box_radius", "spectrum"}
+    assert all(seconds >= 0.0 for seconds in timings.values())
+    # an audit's seconds include the stages it built
+    assert timings["sharp-half"] >= timings["spectrum"]
+    assert "timings" not in runner.strip_timing(manifest)["scenarios"][0]
 
 
 def test_report_formats(tmp_path):
@@ -293,6 +314,91 @@ def test_planar_well_validation():
     check([8.0, 1.2], "kind 'gaussian' or 'separable'")
     check({"kind": "separable", "family": "gaussian", "parameters": {"depth": 6.0}},
           r"options.well.parameters: gaussian: .*missing")
+
+
+@pytest.mark.parametrize("scenario, message", [
+    # each of these ran until the bad value was read, and dropped the audit after it
+    ({"audits": ["stable-c0", "characteristic-roundtrip"],
+      "options": {"density": {"stability_index": 1.0}, "operator_exponent": 2.0,
+                  "reference": "tau"}},
+     "options.reference: expected numeric or 'pi' value, found 'tau'"),
+    ({"audits": ["lifted-moment", "sharp-half"], "potential": POSCHL_TELLER_1,
+      "options": {"gammas": 1.5}},
+     "options.gammas: expected numeric-list value, found 1.5"),
+    ({"audits": ["lifting-identity", "cauchy-kernel"], "options": {"count": "twenty"}},
+     "options.count: expected integer value, found 'twenty'"),
+    # an option is typed whether or not an audit of the scenario reads it
+    ({"audits": ["cauchy-kernel"], "options": {"gammas": [1.0, "1.5"]}},
+     "options.gammas: expected numeric-list value"),
+    ({"audits": ["lt-2d"], "options": {
+        "well": {"kind": "gaussian", "depth": 8.0, "width": 1.2}, "num_interior": 20.5}},
+     "options.num_interior: expected integer value, found 20.5"),
+    ({"audits": ["cauchy-kernel"], "options": {"refine_grid": 1}},
+     "options.refine_grid: expected boolean value, found 1"),
+    ({"audits": ["cauchy-kernel"], "options": {"couplings": {"start": 1.0, "stop": 9.0}}},
+     "options.couplings: expected numeric-list or {start, stop, count} value"),
+    ({"audits": ["cauchy-kernel"], "options": {"field_strength": True}},
+     "options.field_strength: expected numeric value, found True"),
+], ids=["reference", "gammas", "count", "unread", "planar-grid", "flag", "couplings", "bool"])
+def test_ill_typed_options_exit_two(tmp_path, capsys, scenario, message):
+    cfg = write_config(tmp_path, [{"name": "a", **scenario}])
+    with pytest.raises(runner.ConfigError, match=re.escape(f"scenarios[0].{message}")):
+        runner.validate_config(json.loads(cfg.read_text()))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_option_names_are_ignored():
+    runner.validate_config({"schema_version": 1, "scenarios": [{
+        "name": "a", "audits": ["cauchy-kernel"], "options": {"rank": 6, "gamma": "x"},
+    }]})
+
+
+@pytest.mark.parametrize("tag", ["cauchy-kernal", "unitarity", "classical-constants"],
+                         ids=["misspelt", "not-run", "no-tolerance"])
+def test_tolerance_keys_are_validated(tmp_path, capsys, tag):
+    cfg = write_config(tmp_path, [{**CLOSED_FORMS, "audits": CLOSED_FORMS["audits"] + [
+        "cauchy-kernel"], "tolerances": {tag: 1e-3}}])
+    with pytest.raises(runner.ConfigError, match=rf"scenarios\[0\].tolerances.{tag}: expected "
+                       "one of the scenario's audits that takes a tolerance"):
+        runner.validate_config(json.loads(cfg.read_text()))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+
+
+def test_sharp_half_sweep_reads_its_own_tolerance():
+    def tolerances(given):
+        result = runner.run_scenario(runner.validate_config({"schema_version": 1, "scenarios": [{
+            "name": "sweep", "audits": ["sharp-half-sweep"],
+            "options": {"widths": [0.05, 0.025]}, "tolerances": given,
+        }]})[0])
+        assert result["error"] is None
+        return [r["tolerance"] for r in result["reports"]
+                if r["citation"] == "bound:half-moment-sharp"]
+
+    default = tolerances({})
+    assert len(default) == 2 and all(1e-3 <= t < 0.01 for t in default)
+    assert [t - 0.25 for t in tolerances({"sharp-half-sweep": 0.25})] == pytest.approx(
+        [t - 1e-3 for t in default], abs=1e-12)
+
+
+def test_readme_option_table_matches_audits():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| option | type | used by | meaning |")[1].split("\n\n")[0]
+    documented = {
+        name for row in table.splitlines()[2:]
+        for name in re.findall(r"`(\w+)`", row.split("|")[1])
+    }
+    declared = {name for audit in runner.AUDITS.values() for name in audit.options}
+    stage_options = {"well", "density", "box_radius", "num_interior", "field_strength"}
+    assert documented == declared | stage_options
+    assert set(runner.OPTION_KINDS) == declared | stage_options - {"well", "density"}
+    tags = readme.split("Registered audit tags:")[1].split("\n\n")[0]
+    assert re.findall(r"`([\w-]+)`", tags) == list(runner.AUDITS)
+    reading = readme.split("among their inputs (")[1].split(")")[0]
+    assert re.findall(r"`([\w-]+)`", reading) == [
+        tag for tag, audit in runner.AUDITS.items() if "potential" in audit.inputs]
 
 
 def test_required_stage_inputs_are_validated():
