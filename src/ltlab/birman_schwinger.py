@@ -214,16 +214,11 @@ class KyFanProfile:
     partial_sums: np.ndarray
     traces: np.ndarray
 
-    def to_csv(self) -> str:
-        n_max = self.partial_sums.shape[1]
-        header = "epsilon," + ",".join(f"s{k}" for k in range(1, n_max + 1)) + ",trace"
-        lines = [header]
-        for i, eps in enumerate(self.epsilons):
-            vals = [repr(float(eps))]
-            vals += [repr(float(v)) for v in self.partial_sums[i]]
-            vals.append(repr(float(self.traces[i])))
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
+    @property
+    def columns(self) -> dict:
+        """The plot columns: epsilon, the partial sums s1..sN, and the trace."""
+        sums = {f"s{k + 1}": column for k, column in enumerate(self.partial_sums.T)}
+        return {"epsilon": self.epsilons, **sums, "trace": self.traces}
 
 
 def kyfan_profile(

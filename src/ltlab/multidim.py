@@ -175,11 +175,11 @@ def negative_spectrum_2d(
     """All eigenvalues below -threshold: inertia count, then shift-invert Lanczos.
 
     The kinetic form stays nonnegative with or without link phases, so the
-    bottom of the spectrum lies above min(V) and a shift anchored just below
-    that value separates the bound states cleanly.
+    bottom of the spectrum lies above min(V), and min(V) - 0.1 is the floor
+    from which spectral1d._placed_shift places the shift.
     """
-    sigma = float(op.potential_values.min()) - 0.1
-    vals = spectral1d._sparse_levels(op.to_sparse(), sigma, threshold)
+    floor = float(op.potential_values.min()) - 0.1
+    vals = spectral1d._sparse_levels(op.to_sparse(), floor, threshold)
     return NegativeSpectrum(
         energies=np.sort(-vals)[::-1],
         box_radius=op.box_radius,

@@ -90,6 +90,9 @@ def _check_well(spec, where: str):
         missing = sorted({"depth", "width"} - set(spec))
         if missing:
             raise ConfigError(f"{where}: a gaussian well needs {missing[0]!r}")
+        for key in ("depth", "width"):
+            if not NUMBER.accept(spec[key]):
+                raise ConfigError(f"{where}.{key}: expected numeric value, found {spec[key]!r}")
     elif kind == "separable":
         _check_potential(spec, where)
     else:
@@ -125,8 +128,14 @@ def _check_grid(grid: dict, where: str):
 
 
 def _check_density(spec, where: str):
+    """A stability_index, and scale, grid_cutoff and grid_points of their types when given."""
     if not isinstance(spec, dict) or not _is_number(spec.get("stability_index")):
         raise ConfigError(f"{where}: expected an object with a numeric stability_index")
+    for key, kind in (("scale", NUMBER), ("grid_cutoff", NUMBER), ("grid_points", INTEGER)):
+        if key in spec and not kind.accept(spec[key]):
+            raise ConfigError(
+                f"{where}.{key}: expected {kind.adjective} value, found {spec[key]!r}"
+            )
 
 
 def _check_options(audits, options: dict, where: str):
@@ -343,10 +352,14 @@ def _columns_csv(columns: dict) -> str:
     return "\n".join([",".join(columns), *rows]) + "\n"
 
 
-def _plotted(ctx, name: str, result, render=_columns_csv) -> list:
-    """Keep a sweep's rows as the plot `name` and return its reports."""
+def _plotted(ctx, name: str, result) -> list:
+    """Keep a sweep's columns as the plot `name` and return its reports.
+
+    result is the reports and either the column mapping or an object that
+    carries one as `columns` (the Ky Fan profile).
+    """
     reports, rows = result
-    ctx.add_plot(name, render(rows))
+    ctx.add_plot(name, _columns_csv(getattr(rows, "columns", rows)))
     return reports
 
 
@@ -444,7 +457,7 @@ AUDITS = {
         lambda ctx, o, tol: _plotted(ctx, "kyfan", birman_schwinger.monotonicity_audit(
             ctx.potential(),
             None if o["epsilons"] is None else np.asarray(o["epsilons"], dtype=float),
-            n_max=o["n_max"]), render=lambda profile: profile.to_csv()),
+            n_max=o["n_max"])),
         ("potential",), {"epsilons": None, "n_max": 10}),
     "cauchy-kernel": Audit(
         lambda ctx, o, tol: [birman_schwinger.cauchy_kernel_identity_check(tolerance=tol)],

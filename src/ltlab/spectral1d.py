@@ -8,13 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .potentials import SampledPotential
 
 CHANNEL_SPLIT_TOL = 1e-13
 CUT_MOVES = 8
 CUT_STEP = 1e3
+# _placed_shift: at most this many halvings of [floor, -cut] place the shift
+SHIFT_HALVINGS = 3
 ENERGY_EDGE_THRESHOLD = 1e-8
 MIN_INTERIOR_POINTS = 16
 # default_box: binding energies below the floor are treated as the floor, and
@@ -66,8 +68,9 @@ class DiscretizedOperator1D:
 
         Uses the tighter of the pointwise floor and the square of the
         half-moment bound sum(sqrt(E_j)) <= (1/2) int tr V_minus, which keeps
-        shift-invert well separated even for deep narrow wells whose
-        pointwise depth is orders of magnitude below the ground level.
+        the floor near the ground level even for deep narrow wells whose
+        pointwise depth is orders of magnitude below it.  It is the bottom of
+        the bracket _placed_shift halves for the shift-invert shift.
         """
         mu = np.linalg.eigvalsh(self.potential_blocks)
         floor = float(min(mu.min(), 0.0))
@@ -254,7 +257,7 @@ def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.nda
         return np.concatenate(
             [_channel_levels(c, inv_h2, lower, threshold) for c in channels]
         )
-    return _sparse_levels(op.to_sparse(), op.spectrum_shift(), threshold)
+    return _sparse_levels(op.to_sparse(), op.spectrum_shift(), threshold, band=op.matrix_dim)
 
 
 def _pivot_guard(mat) -> float:
@@ -262,69 +265,143 @@ def _pivot_guard(mat) -> float:
     return float(np.finfo(float).eps * spla.norm(mat, 1))
 
 
-def _inertia_count(mat, threshold: float) -> tuple[int, float]:
-    """Number of eigenvalues of mat below -cut, and the cut (Sylvester's law of inertia).
+def _ldlt(mat, guard: float):
+    """factor_at(shift) for a sparse Hermitian mat: a count, and the solve of mat + shift*I.
 
-    mat + cut*I is factored as L D L^T: a symmetric fill-reducing ordering,
+    mat + shift*I is factored as L D L^T: a symmetric fill-reducing ordering,
     no row exchanges, so the negative pivots count the eigenvalues below
-    -cut exactly.  A pivot below the guard, or a row exchange (SuperLU makes
-    one on a vanishing diagonal), voids the count and moves the cut
-    (_stable_count).
+    -shift exactly.  A pivot at or below the guard, a row exchange (SuperLU
+    makes one on a vanishing diagonal) or an exactly singular matrix voids
+    the count, which is then None.
     """
-    guard = _pivot_guard(mat)
     eye = sp.identity(mat.shape[0], format="csc")
 
-    def count_at(cut):
+    def factor_at(shift):
         try:
             lu = spla.splu(
-                (mat + cut * eye).tocsc(),
+                (mat + shift * eye).tocsc(),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
         except RuntimeError:  # an exactly singular factor
-            return None
+            return None, None
         pivots = lu.U.diagonal()
         if (lu.perm_r == lu.perm_c).all() and np.abs(pivots).min() > guard:
-            return int((pivots.real < 0).sum())
-        return None
+            return int((pivots.real < 0).sum()), lu.solve
+        return None, lu.solve
 
-    return _stable_count(count_at, threshold, guard, mat.shape[0])
+    return factor_at
 
 
-def _stable_count(count_at, threshold: float, guard: float, size: int) -> tuple[int, float]:
-    """count_at(cut) at the first cut whose factor it trusts, and that cut.
+def _banded_cholesky(mat, band: int, guard: float):
+    """factor_at(shift) for a Hermitian mat of bandwidth band: 0 and a solve, or None.
 
-    count_at returns None when its factor has a pivot at roundoff level.  The
-    cut starts at threshold and then moves deeper by 1e3, 4e3, ... guards
-    (guard = eps * ||A||_1), so a level within that distance of the edge may
-    be left out, never miscounted.
+    A banded L L^* (LAPACK pbtrf) of mat + shift*I exists only when that
+    matrix is positive definite, so it certifies a count of 0 and nothing
+    else: a failed factorization, or a pivot |l_ii|^2 at or below the guard,
+    voids the count (None).  That is all a step of _placed_shift asks, and
+    on a block tridiagonal 1D operator (band = matrix_dim) it costs a
+    fraction of the sparse L D L^T.
+    """
+    lower = sp.tril(mat, format="coo")
+    # LAPACK's lower band storage, in Fortran order so pbtrf factors in place
+    stored = np.zeros((band + 1, mat.shape[0]), dtype=mat.dtype, order="F")
+    stored[lower.row - lower.col, lower.col] = lower.data
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (stored,))
+
+    def factor_at(shift):
+        shifted = stored.copy(order="F")
+        shifted[0] += shift
+        chol, info = pbtrf(shifted, lower=1, overwrite_ab=1)
+        if info != 0 or (np.abs(chol[0]) ** 2).min() <= guard:
+            return None, None
+        return 0, lambda x: pbtrs(chol, x, lower=1)[0]
+
+    return factor_at
+
+
+def _inertia_count(mat, threshold: float) -> tuple[int, float]:
+    """Number of eigenvalues of mat below -cut, and the cut (Sylvester's law of inertia).
+
+    A factor that voids its count (_ldlt) moves the cut (_stable_count).
+    """
+    guard = _pivot_guard(mat)
+    return _stable_count(_ldlt(mat, guard), threshold, guard, mat.shape[0])
+
+
+def _stable_count(factor_at, threshold: float, guard: float, size: int) -> tuple[int, float]:
+    """The count of factor_at(cut) at the first cut whose factor it trusts, and that cut.
+
+    factor_at(shift) factors the operator plus shift*I and returns the number
+    of eigenvalues below -shift, None when a pivot sits at roundoff level,
+    and the factor (a solve, for the sparse factors).  The cut starts at
+    threshold and then moves deeper by 1e3, 4e3, ... guards (guard =
+    eps * ||A||_1), so a level within that distance of the edge may be left
+    out, never miscounted.
     """
     cut = threshold
     for move in range(CUT_MOVES):
-        count = count_at(cut)
+        count, _ = factor_at(cut)
         if count is not None:
             return count, cut
         cut = threshold + CUT_STEP * 4.0**move * guard
     raise RuntimeError(f"no stable LDL^T factor of a {size}-row operator near {-threshold:.3e}")
 
 
-def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float,
-                 OPinv=None) -> np.ndarray:
+def _placed_shift(factor_at, floor: float, cut: float):
+    """A shift certified below the spectrum near the ground level, and its factor.
+
+    factor_at is as in _stable_count; floor lies below the spectrum by
+    construction, and an inertia count puts the ground level below -cut.
+    Up to SHIFT_HALVINGS steps count at the midpoint of [bottom, -cut],
+    bottom starting at the floor.  A count of 0 certifies the midpoint below
+    the spectrum and makes it the bottom; any other count, or a voided one,
+    ends the halving: the ground level then lies in the lower half, where a
+    further step would cost a factorization for little.  sigma is one final
+    bracket width below the last certified midpoint, so at least that far
+    below the ground level, or the floor when no midpoint certified.  Either
+    way ||(A - sigma)^{-1}|| is at most 2^SHIFT_HALVINGS times its value at
+    the floor.  When the last step certified, sigma is the bottom before it,
+    whose factor is the one spare kept; otherwise sigma is factored anew,
+    and a count there other than 0 (a floor that is not below the spectrum)
+    raises.
+    """
+    bottom, factor = floor, None  # the last certified point, and its factor before the last step
+    for step in range(1, SHIFT_HALVINGS + 1):
+        mid = 0.5 * (bottom - cut)
+        count, probe = factor_at(-mid)
+        if count != 0:
+            # the final bracket is [bottom, mid]
+            sigma, factor = (2.0 * bottom - mid if bottom > floor else floor), None
+            break
+        if step == SHIFT_HALVINGS:
+            # the final bracket [mid, -cut] is as wide as [bottom, mid]
+            sigma = bottom
+            break
+        bottom, factor = mid, probe if step == SHIFT_HALVINGS - 1 else None
+    if factor is None:
+        probe = None  # release the last probe before factoring sigma
+        count, factor = factor_at(-sigma)
+        if count != 0:
+            raise RuntimeError(f"the shift {sigma:.3e} is not certified below the spectrum")
+    return sigma, factor
+
+
+def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float, OPinv) -> np.ndarray:
     """The count lowest eigenvalues of mat, which an inertia count puts below -cut.
 
-    sigma lies below the spectrum, so the k eigenvalues nearest to it are the
-    k lowest, and shift-invert Lanczos is asked for exactly the certified
-    count.  OPinv applies (mat - sigma)^{-1} when mat is not a sparse matrix
-    for ARPACK to factor.  Single-vector Lanczos can miss a copy of a
-    repeated eigenvalue and converge to the next level up instead; only then
-    does k grow.  The count lowest Ritz values must sit below the cut, to
-    within CUT_STEP guards of Ritz roundoff; a solve that never gets there
-    raises.  The start vector is seeded normal noise: an even one would
-    leave the odd states of a symmetric well to roundoff.
+    sigma is certified below the spectrum (_placed_shift), so the k
+    eigenvalues nearest to it are the k lowest, and shift-invert Lanczos is
+    asked for exactly the certified count.  OPinv applies (mat - sigma)^{-1}
+    with the factor that certified sigma, so ARPACK factors nothing itself.
+    Single-vector Lanczos can miss a copy of a repeated eigenvalue and
+    converge to the next level up instead; only then does k grow.  The count
+    lowest Ritz values must sit below the cut, to within CUT_STEP guards of
+    Ritz roundoff; a solve that never gets there raises.  The start vector
+    is seeded normal noise: an even one would leave the odd states of a
+    symmetric well to roundoff.
     """
-    if count == 0:
-        return np.empty(0)
     size = mat.shape[0]
     v0 = np.random.default_rng(0).standard_normal(size)
     edge = -cut + CUT_STEP * guard
@@ -346,10 +423,23 @@ def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float,
     )
 
 
-def _sparse_levels(mat, sigma: float, threshold: float) -> np.ndarray:
-    """Eigenvalues of a sparse mat at or below -threshold, as many as its inertia counts."""
+def _sparse_levels(mat, floor: float, threshold: float, band: int | None = None) -> np.ndarray:
+    """Eigenvalues of a sparse mat at or below -threshold, as many as its inertia counts.
+
+    floor lies below the spectrum.  Shift-invert runs from the certified
+    shift _placed_shift finds between floor and the cut, with the factor
+    that certified it: a banded Cholesky when mat has bandwidth band (a 1D
+    operator), else the sparse L D L^T, whose fill-reducing ordering keeps
+    a planar grid far cheaper than its bandwidth would.
+    """
     count, cut = _inertia_count(mat, threshold)
-    return _eigsh_below(mat, sigma, count, cut, _pivot_guard(mat))
+    if count == 0:
+        return np.empty(0)
+    guard = _pivot_guard(mat)
+    factor_at = _ldlt(mat, guard) if band is None else _banded_cholesky(mat, band, guard)
+    sigma, solve = _placed_shift(factor_at, floor, cut)
+    opinv = spla.LinearOperator(mat.shape, matvec=solve, dtype=mat.dtype)
+    return _eigsh_below(mat, sigma, count, cut, guard, opinv)
 
 
 def negative_spectrum(

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ltlab import birman_schwinger as bs
-from ltlab import potentials, spectral1d
+from ltlab import potentials, runner, spectral1d
 
 
 def test_rank_at_zero_decay(pt1):
@@ -75,7 +75,7 @@ def test_kernel_is_positive_semidefinite():
 def test_profile_csv_shape():
     well = potentials.build_family("square-well", depth=3.0, half_width=1.5)
     profile = bs.kyfan_profile(well, epsilons=np.array([0.0, 1.0]), n_max=3)
-    lines = profile.to_csv().strip().split("\n")
+    lines = runner._columns_csv(profile.columns).strip().split("\n")
     assert lines[0] == "epsilon,s1,s2,s3,trace"
     assert len(lines) == 3
 

@@ -239,3 +239,24 @@ def test_inertia_count_matches_dense_count_on_a_magnetic_grid(well):
     assert cut == multidim.ENERGY_EDGE_THRESHOLD
     assert count == int((dense <= -cut).sum()) >= 2
     assert count == multidim.negative_spectrum_2d(op).count
+
+
+def test_magnetic_levels_from_the_placed_shift_match_the_dense_solve(well):
+    # two dense LAPACK drivers differ by about 12 eps ||A||_1 on this grid
+    # (complex Hermitian against its real symmetric embedding), so the bound
+    # leaves room for the reference's own roundoff
+    op = multidim.build_operator_2d(well, BOX, 24, multidim.constant_field(1.0))
+    mat = op.to_sparse()
+    full = np.linalg.eigvalsh(op.to_dense())
+    expected = np.sort(-full[full <= -multidim.ENERGY_EDGE_THRESHOLD])[::-1]
+    spec = multidim.negative_spectrum_2d(op)
+    assert spec.count == expected.size >= 2
+    roundoff = spectral1d._pivot_guard(mat)  # eps * ||A||_1
+    assert_allclose(spec.energies, expected, rtol=0, atol=32 * roundoff)
+    # and the shift it ran from is certified below the ground level
+    factor_at = spectral1d._ldlt(mat, roundoff)
+    _, cut = spectral1d._inertia_count(mat, multidim.ENERGY_EDGE_THRESHOLD)
+    floor = float(op.potential_values.min()) - 0.1
+    sigma, _ = spectral1d._placed_shift(factor_at, floor, cut)
+    assert factor_at(-sigma)[0] == 0
+    assert floor <= sigma < full[0]

@@ -339,7 +339,22 @@ def test_planar_well_validation():
      "options.couplings: expected numeric-list or {start, stop, count} value"),
     ({"audits": ["cauchy-kernel"], "options": {"field_strength": True}},
      "options.field_strength: expected numeric value, found True"),
-], ids=["reference", "gammas", "count", "unread", "planar-grid", "flag", "couplings", "bool"])
+    # the fields of a density and of a Gaussian well are typed like options
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {"stability_index": 1.0, "scale": "one"}}},
+     "options.density.scale: expected numeric value, found 'one'"),
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {"stability_index": 1.0, "grid_cutoff": [40.0]}}},
+     "options.density.grid_cutoff: expected numeric value, found [40.0]"),
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {"stability_index": 1.0, "grid_points": 801.0}}},
+     "options.density.grid_points: expected integer value, found 801.0"),
+    ({"audits": ["lt-2d"], "options": {"well": {"kind": "gaussian", "depth": "8", "width": 1.2}}},
+     "options.well.depth: expected numeric value, found '8'"),
+    ({"audits": ["lt-2d"], "options": {"well": {"kind": "gaussian", "depth": 8.0, "width": None}}},
+     "options.well.width: expected numeric value, found None"),
+], ids=["reference", "gammas", "count", "unread", "planar-grid", "flag", "couplings", "bool",
+        "density-scale", "density-cutoff", "density-points", "well-depth", "well-width"])
 def test_ill_typed_options_exit_two(tmp_path, capsys, scenario, message):
     cfg = write_config(tmp_path, [{"name": "a", **scenario}])
     with pytest.raises(runner.ConfigError, match=re.escape(f"scenarios[0].{message}")):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import LinearOperator
 
 from ltlab import potentials, spectral1d
 
@@ -147,6 +148,78 @@ def test_spectrum_shift_sits_below_ground_level(pt2):
     shift = opn.spectrum_shift()
     assert shift < -1.0
     assert shift > -10.0
+
+
+def _shallow_coupled_well():
+    """A 2x2 coupled well whose levels sit far above the half-moment floor."""
+    well = potentials.build_family("random-smooth", matrix_dim=2, seed=0, amplitude=0.5)
+    return spectral1d.discretize(well, well.support_radius + 12.0, 300)
+
+
+def test_placed_shift_is_certified_one_bracket_width_below_the_ground_level():
+    op = _shallow_coupled_well()
+    mat = op.to_sparse()
+    dense = np.linalg.eigvalsh(mat.toarray())
+    ground = dense[0]
+    guard = spectral1d._pivot_guard(mat)
+    ldlt = spectral1d._ldlt(mat, guard)
+    certify = spectral1d._banded_cholesky(mat, op.matrix_dim, guard)
+    count, cut = spectral1d._inertia_count(mat, spectral1d.ENERGY_EDGE_THRESHOLD)
+    floor = op.spectrum_shift()
+    sigma, solve = spectral1d._placed_shift(certify, floor, cut)
+    assert count >= 1 and ldlt(-sigma)[0] == 0
+    # the final bracket is at least (-cut - floor) / 2^halvings wide, and the
+    # floor is far below this well's levels, so the halving moves the shift
+    assert floor < sigma <= ground - (-cut - floor) / 2.0**spectral1d.SHIFT_HALVINGS
+    # the banded certificate says what the L D L^T count says about definiteness
+    above = 0.5 * (dense[0] + dense[1])
+    assert ldlt(-above)[0] == 1 and certify(-above) == (None, None)
+    # the returned factor solves with mat - sigma
+    x = np.random.default_rng(2).standard_normal(mat.shape[0])
+    assert_allclose(solve(mat @ x - sigma * x), x, rtol=0, atol=1e-10)
+
+
+def test_levels_from_the_placed_shift_match_the_dense_solve():
+    # the dense reference carries roundoff of a few eps ||A||_1 itself (see the
+    # magnetic grid of test_multidim), so the bound leaves room for it
+    op = _shallow_coupled_well()
+    mat = op.to_sparse()
+    full = np.linalg.eigvalsh(mat.toarray())
+    levels = spectral1d._sparse_levels(
+        mat, op.spectrum_shift(), spectral1d.ENERGY_EDGE_THRESHOLD, band=op.matrix_dim
+    )
+    expected = full[full <= -spectral1d.ENERGY_EDGE_THRESHOLD]
+    assert levels.size == expected.size == 2
+    assert_allclose(levels, expected, rtol=0, atol=32 * spectral1d._pivot_guard(mat))
+
+
+def test_placed_shift_takes_fewer_operator_applications_than_the_floor():
+    # the 3x3 random well of the benchmark's spectra workload, seed 0, on its
+    # 4,200-row grid: levels -0.088 and -0.0067 against a floor of -1.50
+    well = potentials.build_family("random-smooth", matrix_dim=3, seed=1155653964)
+    op = spectral1d.discretize(well, 25.0, 1400)
+    mat = op.to_sparse()
+    assert mat.shape[0] == 4200
+    guard = spectral1d._pivot_guard(mat)
+    factor_at = spectral1d._banded_cholesky(mat, op.matrix_dim, guard)
+    count, cut = spectral1d._inertia_count(mat, spectral1d.ENERGY_EDGE_THRESHOLD)
+    floor = op.spectrum_shift()
+
+    def solve(sigma, inverse):
+        applied = []
+
+        def apply(x):
+            applied.append(1)
+            return inverse(x)
+
+        opinv = LinearOperator(mat.shape, matvec=apply, dtype=mat.dtype)
+        return spectral1d._eigsh_below(mat, sigma, count, cut, guard, opinv), len(applied)
+
+    at_floor, from_floor = solve(floor, factor_at(-floor)[1])
+    placed, from_placed = solve(*spectral1d._placed_shift(factor_at, floor, cut))
+    assert count == 2
+    assert_allclose(placed, at_floor, rtol=0, atol=32 * guard)
+    assert from_placed < from_floor
 
 
 def test_discretize_rejects_support_outside_box(pt1):
