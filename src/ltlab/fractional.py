@@ -319,12 +319,26 @@ def characteristic_function_check(
 
 @dataclass(frozen=True)
 class _BirmanSchwingerFactor:
-    """L D L^T of W - B^T (C + shift)^{-1} B on the support of V (module docstring)."""
+    """L D L^T of W - B^T (C + shift)^{-1} B on the support of V (module docstring).
+
+    A pivot at or below guard = eps * ||W - K||_1, the backward error of the
+    factorization, voids the count, as a pivot below eps * ||A||_1 does for
+    the sparse factors of spectral1d.
+    """
 
     support: np.ndarray
     weights: np.ndarray  # B = sqrt|V| on the support
+    offset: int  # n_-(W): the samples with V > 0
     ldu: np.ndarray
     ipiv: np.ndarray
+    pivots: np.ndarray  # eigenvalues of D's blocks: the inertia of the matrix
+    guard: float  # eps * ||W - K||_1, the factor's roundoff scale
+
+    def count(self) -> int | None:
+        """n_-(A + shift), or None when a pivot sits at roundoff level."""
+        if np.abs(self.pivots).min() <= self.guard:
+            return None
+        return int((self.pivots < 0).sum()) - self.offset
 
 
 @dataclass(frozen=True)
@@ -379,32 +393,17 @@ class PeriodicOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._circulant(x, self._half_symbol) + self.samples * x
 
-    @functools.cached_property
-    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support of V, and the index (i - j) mod n that gathers K(shift) on it.
+    def _factor(self, shift: float) -> _BirmanSchwingerFactor:
+        """Factor W - K(shift), K(shift) = B^T (C + shift)^{-1} B, for shift > 0.
 
-        Kept for the operator's life: every count and shift factors on it.
-        Fortran order makes the gathered matrix Fortran-ordered, so dsytrf
-        factors it in place.
+        (C + shift)^{-1} is circulant, so K is gathered from its first column.
         """
         support = np.flatnonzero(self.samples)
-        return support, np.asfortranarray((support[:, None] - support[None, :]) % self.size)
-
-    def _factor(self, shift: float) -> tuple[int | None, _BirmanSchwingerFactor]:
-        """n_-(A + shift) and the factor of W - K(shift), K(shift) = B^T (C + shift)^{-1} B.
-
-        shift > 0.  (C + shift)^{-1} is circulant, so K is gathered from its
-        first column.  A pivot at or below guard = eps * ||W - K||_1, the
-        backward error of the factorization, voids the count (None), as a
-        pivot below eps * ||A||_1 does for the sparse factors of spectral1d.
-        """
-        support, gap = self._gather
         values = self.samples[support]
         weights = np.sqrt(np.abs(values))
-        matrix = np.fft.irfft(1.0 / (self._half_symbol + shift), self.size)[gap]
-        matrix *= -weights[:, None]
-        matrix *= weights
-        matrix[np.diag_indices(support.size)] -= np.sign(values)
+        resolvent = np.fft.irfft(1.0 / (self._half_symbol + shift), self.size)
+        gap = (support[:, None] - support[None, :]) % self.size
+        matrix = np.diag(-np.sign(values)) - weights[:, None] * resolvent[gap] * weights
         guard = float(np.finfo(float).eps * np.abs(matrix).sum(axis=0).max())
         lwork = int(dsytrf_lwork(support.size, lower=1)[0])
         ldu, ipiv, info = dsytrf(matrix, lower=1, lwork=lwork, overwrite_a=1)
@@ -422,33 +421,40 @@ class PeriodicOperator:
                 k += 2
             else:
                 k += 1
-        count = None
-        if np.abs(pivots).min() > guard:
-            count = int((pivots < 0).sum()) - int((values > 0).sum())
-        return count, _BirmanSchwingerFactor(support, weights, ldu, ipiv)
+        return _BirmanSchwingerFactor(
+            support, weights, int((values > 0).sum()), ldu, ipiv, pivots, guard
+        )
 
     def count_below(self, threshold: float) -> tuple[int, float]:
         """Number of eigenvalues below -cut, and the cut (spectral1d._stable_count)."""
         if not self.samples.any():
             return 0, threshold
         return spectral1d._stable_count(
-            self._factor, threshold, np.finfo(float).eps * self.norm_1(), self.size
+            lambda cut: self._factor(cut).count(),
+            threshold,
+            np.finfo(float).eps * self.norm_1(),
+            self.size,
         )
 
     def negative_levels(self, threshold: float) -> np.ndarray:
         """Binding energies |E| of the eigenvalues below -threshold, deepest first.
 
-        1.15 min V - 0.05 < min V <= A is the floor from which
-        spectral1d._placed_shift places the shift sigma, certified by the
-        factor of W - K(-sigma).  Shift-invert Lanczos applies
-        (A - sigma)^{-1} = G + G B (W - K)^{-1} B^T G by Woodbury with that
-        factor, G = (C - sigma)^{-1} by FFT.
+        Shift-invert Lanczos runs at sigma = 1.15 min V - 0.05 < min V <= A
+        and applies (A - sigma)^{-1} = G + G B (W - K)^{-1} B^T G by
+        Woodbury, with G = (C - sigma)^{-1} by FFT and K = K(-sigma).  The
+        shift stays at that floor, not placed by spectral1d._placed_shift:
+        each certifying factor is a dense m x m one, dearer than the
+        applications a closer shift saves.
         """
         count, cut = self.count_below(threshold)
         if count == 0:
             return np.empty(0)
-        floor = 1.15 * float(self.samples.min()) - 0.05
-        sigma, factor = spectral1d._placed_shift(self._factor, floor, cut)
+        sigma = 1.15 * float(self.samples.min()) - 0.05
+        factor = self._factor(-sigma)
+        if factor.count() != 0:
+            raise np.linalg.LinAlgError(
+                f"no stable factor at the shift {sigma:.3e} below the spectrum"
+            )
         green = 1.0 / (self._half_symbol - sigma)
 
         def solve(x):
@@ -465,7 +471,7 @@ class PeriodicOperator:
             count,
             cut,
             np.finfo(float).eps * self.norm_1(),
-            LinearOperator(shape, matvec=solve, dtype=float),
+            OPinv=LinearOperator(shape, matvec=solve, dtype=float),
         )
         return np.sort(-vals)[::-1]
 

@@ -8,14 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal
 
 from .potentials import SampledPotential
 
 CHANNEL_SPLIT_TOL = 1e-13
 CUT_MOVES = 8
 CUT_STEP = 1e3
-# _placed_shift: at most this many halvings of [floor, -cut] place the shift
+# _placed_shift: this many halvings of [floor, -cut] place the shift
 SHIFT_HALVINGS = 3
 ENERGY_EDGE_THRESHOLD = 1e-8
 MIN_INTERIOR_POINTS = 16
@@ -39,7 +39,10 @@ class DiscretizedOperator1D:
     potential_blocks: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.potential_blocks, dtype=complex)
+        v = np.asarray(self.potential_blocks)
+        # a real well stays real: ARPACK then runs symmetric Lanczos, not
+        # the complex Arnoldi it runs for every complex matrix
+        v = v.astype(complex if np.iscomplexobj(v) else float)
         object.__setattr__(self, "potential_blocks", v)
         if v.ndim != 3 or v.shape[0] != self.num_interior or v.shape[1] != v.shape[2]:
             raise ValueError("potential_blocks must have shape (num_interior, n, n)")
@@ -257,7 +260,7 @@ def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.nda
         return np.concatenate(
             [_channel_levels(c, inv_h2, lower, threshold) for c in channels]
         )
-    return _sparse_levels(op.to_sparse(), op.spectrum_shift(), threshold, band=op.matrix_dim)
+    return _sparse_levels(op.to_sparse(), op.spectrum_shift(), threshold)
 
 
 def _pivot_guard(mat) -> float:
@@ -294,55 +297,27 @@ def _ldlt(mat, guard: float):
     return factor_at
 
 
-def _banded_cholesky(mat, band: int, guard: float):
-    """factor_at(shift) for a Hermitian mat of bandwidth band: 0 and a solve, or None.
-
-    A banded L L^* (LAPACK pbtrf) of mat + shift*I exists only when that
-    matrix is positive definite, so it certifies a count of 0 and nothing
-    else: a failed factorization, or a pivot |l_ii|^2 at or below the guard,
-    voids the count (None).  That is all a step of _placed_shift asks, and
-    on a block tridiagonal 1D operator (band = matrix_dim) it costs a
-    fraction of the sparse L D L^T.
-    """
-    lower = sp.tril(mat, format="coo")
-    # LAPACK's lower band storage, in Fortran order so pbtrf factors in place
-    stored = np.zeros((band + 1, mat.shape[0]), dtype=mat.dtype, order="F")
-    stored[lower.row - lower.col, lower.col] = lower.data
-    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (stored,))
-
-    def factor_at(shift):
-        shifted = stored.copy(order="F")
-        shifted[0] += shift
-        chol, info = pbtrf(shifted, lower=1, overwrite_ab=1)
-        if info != 0 or (np.abs(chol[0]) ** 2).min() <= guard:
-            return None, None
-        return 0, lambda x: pbtrs(chol, x, lower=1)[0]
-
-    return factor_at
-
-
 def _inertia_count(mat, threshold: float) -> tuple[int, float]:
     """Number of eigenvalues of mat below -cut, and the cut (Sylvester's law of inertia).
 
     A factor that voids its count (_ldlt) moves the cut (_stable_count).
     """
     guard = _pivot_guard(mat)
-    return _stable_count(_ldlt(mat, guard), threshold, guard, mat.shape[0])
+    factor_at = _ldlt(mat, guard)
+    return _stable_count(lambda cut: factor_at(cut)[0], threshold, guard, mat.shape[0])
 
 
-def _stable_count(factor_at, threshold: float, guard: float, size: int) -> tuple[int, float]:
-    """The count of factor_at(cut) at the first cut whose factor it trusts, and that cut.
+def _stable_count(count_at, threshold: float, guard: float, size: int) -> tuple[int, float]:
+    """count_at(cut) at the first cut whose factor it trusts, and that cut.
 
-    factor_at(shift) factors the operator plus shift*I and returns the number
-    of eigenvalues below -shift, None when a pivot sits at roundoff level,
-    and the factor (a solve, for the sparse factors).  The cut starts at
-    threshold and then moves deeper by 1e3, 4e3, ... guards (guard =
-    eps * ||A||_1), so a level within that distance of the edge may be left
-    out, never miscounted.
+    count_at returns None when its factor has a pivot at roundoff level.  The
+    cut starts at threshold and then moves deeper by 1e3, 4e3, ... guards
+    (guard = eps * ||A||_1), so a level within that distance of the edge may
+    be left out, never miscounted.
     """
     cut = threshold
     for move in range(CUT_MOVES):
-        count, _ = factor_at(cut)
+        count = count_at(cut)
         if count is not None:
             return count, cut
         cut = threshold + CUT_STEP * 4.0**move * guard
@@ -352,39 +327,35 @@ def _stable_count(factor_at, threshold: float, guard: float, size: int) -> tuple
 def _placed_shift(factor_at, floor: float, cut: float):
     """A shift certified below the spectrum near the ground level, and its factor.
 
-    factor_at is as in _stable_count; floor lies below the spectrum by
-    construction, and an inertia count puts the ground level below -cut.
-    Up to SHIFT_HALVINGS steps count at the midpoint of [bottom, -cut],
-    bottom starting at the floor.  A count of 0 certifies the midpoint below
-    the spectrum and makes it the bottom; any other count, or a voided one,
-    ends the halving: the ground level then lies in the lower half, where a
-    further step would cost a factorization for little.  sigma is one final
-    bracket width below the last certified midpoint, so at least that far
-    below the ground level, or the floor when no midpoint certified.  Either
-    way ||(A - sigma)^{-1}|| is at most 2^SHIFT_HALVINGS times its value at
-    the floor.  When the last step certified, sigma is the bottom before it,
-    whose factor is the one spare kept; otherwise sigma is factored anew,
-    and a count there other than 0 (a floor that is not below the spectrum)
-    raises.
+    factor_at is _ldlt's; floor lies below the spectrum by construction, and
+    an inertia count puts the ground level below -cut.  SHIFT_HALVINGS
+    bisection steps on [floor, -cut] count at the midpoint: a count of 0
+    certifies it below the spectrum and makes it the bottom, any other count
+    (or a voided one) makes it the top.  The ground level lies above the
+    final bottom, and sigma is one final bracket width below that bottom, so
+    at least that far below the ground level, and ||(A - sigma)^{-1}|| is at
+    most 2^SHIFT_HALVINGS times its value at the floor.  When the last step
+    certified, sigma is the bottom before it, whose factor is the one spare
+    kept; otherwise sigma is factored anew, and a count there other than 0
+    (a floor that is not below the spectrum) raises.
     """
-    bottom, factor = floor, None  # the last certified point, and its factor before the last step
+    bottom, top = floor, -cut
+    spare = None  # the factor at bottom, once a midpoint has certified
     for step in range(1, SHIFT_HALVINGS + 1):
-        mid = 0.5 * (bottom - cut)
+        mid = 0.5 * (bottom + top)
         count, probe = factor_at(-mid)
         if count != 0:
-            # the final bracket is [bottom, mid]
-            sigma, factor = (2.0 * bottom - mid if bottom > floor else floor), None
-            break
-        if step == SHIFT_HALVINGS:
-            # the final bracket [mid, -cut] is as wide as [bottom, mid]
-            sigma = bottom
-            break
-        bottom, factor = mid, probe if step == SHIFT_HALVINGS - 1 else None
-    if factor is None:
-        probe = None  # release the last probe before factoring sigma
-        count, factor = factor_at(-sigma)
-        if count != 0:
-            raise RuntimeError(f"the shift {sigma:.3e} is not certified below the spectrum")
+            top = mid
+        elif step == SHIFT_HALVINGS and spare is not None:
+            return bottom, spare
+        else:
+            bottom, spare = mid, probe
+        probe = None  # only the spare lives on while the next factor is made
+    sigma = 2.0 * bottom - top
+    spare = None  # release it before factoring sigma
+    count, factor = factor_at(-sigma)
+    if count != 0:
+        raise RuntimeError(f"the shift {sigma:.3e} is not certified below the spectrum")
     return sigma, factor
 
 
@@ -423,21 +394,18 @@ def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float, OPinv)
     )
 
 
-def _sparse_levels(mat, floor: float, threshold: float, band: int | None = None) -> np.ndarray:
+def _sparse_levels(mat, floor: float, threshold: float) -> np.ndarray:
     """Eigenvalues of a sparse mat at or below -threshold, as many as its inertia counts.
 
     floor lies below the spectrum.  Shift-invert runs from the certified
-    shift _placed_shift finds between floor and the cut, with the factor
-    that certified it: a banded Cholesky when mat has bandwidth band (a 1D
-    operator), else the sparse L D L^T, whose fill-reducing ordering keeps
-    a planar grid far cheaper than its bandwidth would.
+    shift _placed_shift finds between floor and the cut, with the L D L^T
+    that certified it.
     """
     count, cut = _inertia_count(mat, threshold)
     if count == 0:
         return np.empty(0)
     guard = _pivot_guard(mat)
-    factor_at = _ldlt(mat, guard) if band is None else _banded_cholesky(mat, band, guard)
-    sigma, solve = _placed_shift(factor_at, floor, cut)
+    sigma, solve = _placed_shift(_ldlt(mat, guard), floor, cut)
     opinv = spla.LinearOperator(mat.shape, matvec=solve, dtype=mat.dtype)
     return _eigsh_below(mat, sigma, count, cut, guard, opinv)
 
