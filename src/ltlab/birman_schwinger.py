@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dtbtrs
 
-from .potentials import SampledPotential, part_eigenvalues, part_values
+from .potentials import SampledPotential, _hermitian_apply, part_eigenvalues, part_values
 from .reports import BoundReport
 from .spectral1d import NegativeSpectrum, _constant_channels
 
@@ -86,10 +86,7 @@ def _restriction_grid(potential: SampledPotential, neg: np.ndarray, stride: int)
 
 
 def _psd_sqrt(blocks: np.ndarray) -> np.ndarray:
-    mu, u = np.linalg.eigh(blocks)
-    root = np.sqrt(np.maximum(mu, 0.0))
-    w = np.einsum("xij,xj,xkj->xik", u, root, np.conj(u))
-    return 0.5 * (w + np.conj(np.swapaxes(w, 1, 2)))
+    return _hermitian_apply(blocks, lambda mu: np.sqrt(np.maximum(mu, 0.0)))
 
 
 def _leading_eigenvalues(

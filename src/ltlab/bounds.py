@@ -24,6 +24,9 @@ POSITIVE_PART_TOL = 1e-12
 INTEGRAL_SLACK = 1e-9
 SWEEP_BASE_STEP = 0.025
 SHARPNESS_POINTS_PER_WIDTH = 8
+SHARPNESS_BOX_RADIUS = 8.0
+PRODUCT_DIMS = (2, 3, 4, 5, 6, 7, 8)
+ORDERING_DIMS = tuple(range(3, 11))
 WEYL_LIMIT_TOLERANCE = 0.02
 
 
@@ -112,23 +115,22 @@ def product_identity_check(gamma: float, d: int) -> BoundReport:
     )
 
 
-def product_identity_audit(
-    gammas=GAMMA_DEFAULTS, dims=(2, 3, 4, 5, 6, 7, 8)
-) -> BoundReport:
+def product_identity_audit() -> BoundReport:
+    """The worst product_identity_check over GAMMA_DEFAULTS x PRODUCT_DIMS."""
     worst = None
-    for d in dims:
-        for gamma in gammas:
+    for d in PRODUCT_DIMS:
+        for gamma in GAMMA_DEFAULTS:
             rep = product_identity_check(gamma, d)
             if worst is None or rep.residual > worst.residual:
                 worst = rep
-    worst.provenance["grid"] = {"gammas": list(gammas), "dims": list(dims)}
+    worst.provenance["grid"] = {"gammas": list(GAMMA_DEFAULTS), "dims": list(PRODUCT_DIMS)}
     return worst
 
 
-def constant_ordering_audit(dims=tuple(range(3, 11))) -> list[BoundReport]:
+def constant_ordering_audit() -> list[BoundReport]:
     """Doubled gamma=1 constant stays below the gamma=0 one; log-convexity."""
     ratios = [
-        2.0 * classical_constant(1.0, d) / classical_constant(0.0, d) for d in dims
+        2.0 * classical_constant(1.0, d) / classical_constant(0.0, d) for d in ORDERING_DIMS
     ]
     i = int(np.argmax(ratios))
     ordering = BoundReport(
@@ -137,9 +139,9 @@ def constant_ordering_audit(dims=tuple(range(3, 11))) -> list[BoundReport]:
         rhs=1.0,
         tolerance=0.0,
         passed=max(ratios) < 1.0,
-        spec=BoundSpec(1.0, dims[i], "upper", 2.0, "constant:ordering"),
+        spec=BoundSpec(1.0, ORDERING_DIMS[i], "upper", 2.0, "constant:ordering"),
         residual=1.0 - ratios[i],
-        provenance={"dims": list(dims), "ratios": ratios},
+        provenance={"dims": list(ORDERING_DIMS), "ratios": ratios},
     )
     worst_gap = math.inf
     for d in (1, 2, 3, 5):
@@ -197,7 +199,6 @@ def sharpness_sweep(
     widths=(1e-1, 1e-2, 1e-3),
     base_tolerance: float = 1e-3,
     saturation_floor: float = 0.499,
-    box_radius: float = 8.0,
 ) -> tuple[list[BoundReport], dict]:
     """Rank-one wells of fixed weight and shrinking width saturate the bound.
 
@@ -208,7 +209,7 @@ def sharpness_sweep(
     rows = {"width": [], "ratio": [], "levels": [], "budget": []}
     for width in widths:
         step = width / SHARPNESS_POINTS_PER_WIDTH
-        cells = 2.0 * box_radius / step
+        cells = 2.0 * SHARPNESS_BOX_RADIUS / step
         if abs(cells - round(cells)) > 1e-9:
             raise ValueError("box radius must be an integer multiple of the step")
         num_interior = int(round(cells)) - 1
@@ -216,7 +217,7 @@ def sharpness_sweep(
             "rank-one-narrow", integral=integral, width=width
         )
         spectrum = spectral1d.refined_negative_spectrum(
-            well, box_radius, num_interior
+            well, SHARPNESS_BOX_RADIUS, num_interior
         )
         rep = sharp_half_audit(well, spectrum, base_tolerance=base_tolerance)
         rep.provenance["width"] = width

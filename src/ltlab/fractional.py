@@ -17,9 +17,12 @@ B = sqrt|V| and W = -sign V on the m samples where V is nonzero, and
 K(t) = B^T (C + t)^{-1} B, the Haynsworth inertia formula for the block
 matrix [[C + t, B], [B^T, W]] gives the Birman-Schwinger count
 n_-(A + t) = n_-(W - K(t)) - n_-(W) for t > 0 (W = I for a well, where it
-reads n_-(I - K(t))).  An L D L^T of the m x m matrix W - K(t) counts the
-levels below -t, and the same factor at t = -sigma solves (A - sigma) x = y
-by Woodbury for shift-invert Lanczos.
+reads n_-(I - K(t))).  One L D L^T of the m x m matrix W - K(t) counts the
+levels below -t and, by Woodbury, solves (A + t) x = y.  That is the
+factor_at contract of spectral1d._ldlt, so the periodic levels come from
+the same count, certified shift and shift-invert Lanczos
+(spectral1d._shift_invert_levels) as the coupled and planar ones; only
+the shift differs.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ POINTWISE_SLACK = 1e-9
 DRIFT_BUDGET = 1e-6
 REFINEMENT_TOLERANCE = 1e-4
 MASS_SEGMENTS = ((0.0, 2.0, 401), (2.0, 10.0, 161), (10.0, 60.0, 201))
+# characteristic_function_check inverts the tabulation rule at these x
+CHARACTERISTIC_POINTS = (0.5, 1.0, 2.0)
 # a tabulation with its refinement and checks evaluates about 3,000 points;
 # the bound keeps ten of those, a few MB, for the life of the process
 DENSITY_CACHE_POINTS = 1 << 15
@@ -289,13 +294,13 @@ def c0_reference_audit(
 
 
 def characteristic_function_check(
-    density: ComparisonDensity, points=(0.5, 1.0, 2.0), tolerance: float = 1e-8
+    density: ComparisonDensity, tolerance: float = 1e-8
 ) -> BoundReport:
     """Fourier-invert the tabulation rule back to exp(-scale*|x|^alpha)."""
     from scipy.integrate import quad
 
     worst = 0.0
-    for x in points:
+    for x in CHARACTERISTIC_POINTS:
         value, _ = quad(
             density.evaluate,
             0.0,
@@ -313,32 +318,8 @@ def characteristic_function_check(
         tolerance=tolerance,
         passed=worst <= tolerance,
         residual=worst,
-        provenance={"points": list(points)},
+        provenance={"points": list(CHARACTERISTIC_POINTS)},
     )
-
-
-@dataclass(frozen=True)
-class _BirmanSchwingerFactor:
-    """L D L^T of W - B^T (C + shift)^{-1} B on the support of V (module docstring).
-
-    A pivot at or below guard = eps * ||W - K||_1, the backward error of the
-    factorization, voids the count, as a pivot below eps * ||A||_1 does for
-    the sparse factors of spectral1d.
-    """
-
-    support: np.ndarray
-    weights: np.ndarray  # B = sqrt|V| on the support
-    offset: int  # n_-(W): the samples with V > 0
-    ldu: np.ndarray
-    ipiv: np.ndarray
-    pivots: np.ndarray  # eigenvalues of D's blocks: the inertia of the matrix
-    guard: float  # eps * ||W - K||_1, the factor's roundoff scale
-
-    def count(self) -> int | None:
-        """n_-(A + shift), or None when a pivot sits at roundoff level."""
-        if np.abs(self.pivots).min() <= self.guard:
-            return None
-        return int((self.pivots < 0).sum()) - self.offset
 
 
 @dataclass(frozen=True)
@@ -393,15 +374,20 @@ class PeriodicOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._circulant(x, self._half_symbol) + self.samples * x
 
-    def _factor(self, shift: float) -> _BirmanSchwingerFactor:
-        """Factor W - K(shift), K(shift) = B^T (C + shift)^{-1} B, for shift > 0.
+    def _factor_at(self, shift: float):
+        """n_-(A + shift) and the solve of A + shift, from one L D L^T of W - K(shift).
 
-        (C + shift)^{-1} is circulant, so K is gathered from its first column.
+        (C + shift)^{-1} = G is circulant, so K(shift) is gathered from its
+        first column.  A pivot at or below eps * ||W - K||_1, the backward
+        error of the factorization, voids the count (None), as a pivot below
+        eps * ||A||_1 does in spectral1d._ldlt.  The solve is Woodbury's:
+        (A + shift)^{-1} = G + G B (W - K)^{-1} B^T G, with G applied by FFT.
         """
         support = np.flatnonzero(self.samples)
         values = self.samples[support]
         weights = np.sqrt(np.abs(values))
-        resolvent = np.fft.irfft(1.0 / (self._half_symbol + shift), self.size)
+        green = 1.0 / (self._half_symbol + shift)
+        resolvent = np.fft.irfft(green, self.size)
         gap = (support[:, None] - support[None, :]) % self.size
         matrix = np.diag(-np.sign(values)) - weights[:, None] * resolvent[gap] * weights
         guard = float(np.finfo(float).eps * np.abs(matrix).sum(axis=0).max())
@@ -421,57 +407,37 @@ class PeriodicOperator:
                 k += 2
             else:
                 k += 1
-        return _BirmanSchwingerFactor(
-            support, weights, int((values > 0).sum()), ldu, ipiv, pivots, guard
-        )
+        count = None
+        if np.abs(pivots).min() > guard:
+            # n_-(W): the samples with V > 0
+            count = int((pivots < 0).sum()) - int((values > 0).sum())
 
-    def count_below(self, threshold: float) -> tuple[int, float]:
-        """Number of eigenvalues below -cut, and the cut (spectral1d._stable_count)."""
-        if not self.samples.any():
-            return 0, threshold
-        return spectral1d._stable_count(
-            lambda cut: self._factor(cut).count(),
-            threshold,
-            np.finfo(float).eps * self.norm_1(),
-            self.size,
-        )
+        def solve(x):
+            y = self._circulant(x, green)
+            s, _ = dsytrs(ldu, ipiv, weights * y[support], lower=1)
+            z = np.zeros(self.size)
+            z[support] = weights * s
+            return y + self._circulant(z, green)
+
+        return count, solve
 
     def negative_levels(self, threshold: float) -> np.ndarray:
         """Binding energies |E| of the eigenvalues below -threshold, deepest first.
 
-        Shift-invert Lanczos runs at sigma = 1.15 min V - 0.05 < min V <= A
-        and applies (A - sigma)^{-1} = G + G B (W - K)^{-1} B^T G by
-        Woodbury, with G = (C - sigma)^{-1} by FFT and K = K(-sigma).  The
-        shift stays at that floor, not placed by spectral1d._placed_shift:
+        spectral1d._shift_invert_levels solves from the floor sigma =
+        1.15 min V - 0.05 < min V <= A, not from spectral1d._placed_shift:
         each certifying factor is a dense m x m one, dearer than the
-        applications a closer shift saves.
+        applications a closer shift saves.  A zero V has no level to factor.
         """
-        count, cut = self.count_below(threshold)
-        if count == 0:
+        if not self.samples.any():
             return np.empty(0)
         sigma = 1.15 * float(self.samples.min()) - 0.05
-        factor = self._factor(-sigma)
-        if factor.count() != 0:
-            raise np.linalg.LinAlgError(
-                f"no stable factor at the shift {sigma:.3e} below the spectrum"
-            )
-        green = 1.0 / (self._half_symbol - sigma)
-
-        def solve(x):
-            y = self._circulant(x, green)
-            s, _ = dsytrs(factor.ldu, factor.ipiv, factor.weights * y[factor.support], lower=1)
-            z = np.zeros(self.size)
-            z[factor.support] = factor.weights * s
-            return y + self._circulant(z, green)
-
-        shape = (self.size, self.size)
-        vals = spectral1d._eigsh_below(
-            LinearOperator(shape, matvec=self.matvec, dtype=float),
-            sigma,
-            count,
-            cut,
+        vals = spectral1d._shift_invert_levels(
+            LinearOperator((self.size, self.size), matvec=self.matvec, dtype=float),
+            self._factor_at,
             np.finfo(float).eps * self.norm_1(),
-            OPinv=LinearOperator(shape, matvec=solve, dtype=float),
+            threshold,
+            lambda cut: (sigma, spectral1d._certified(self._factor_at, sigma)),
         )
         return np.sort(-vals)[::-1]
 
@@ -483,7 +449,6 @@ def fractional_moment_audit(
     box_margin: float = 10.0,
     num_points: int = 1024,
     base_tolerance: float = 1e-6,
-    threshold: float = spectral1d.ENERGY_EDGE_THRESHOLD,
 ) -> BoundReport:
     """Sum of E_j^{(beta-1)/beta} against (c0/2pi) * integral of V_-.
 
@@ -501,9 +466,9 @@ def fractional_moment_audit(
     box_radius = potential.support_radius + box_margin
     small = PeriodicOperator.on_box(
         potential, beta, box_radius, num_points
-    ).negative_levels(threshold)
+    ).negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD)
     operator = PeriodicOperator.on_box(potential, beta, 2.0 * box_radius, 2 * num_points)
-    levels = operator.negative_levels(threshold)
+    levels = operator.negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD)
     paired = min(small.size, levels.size)
     drift = float(np.abs(levels[:paired] - small[:paired]).max(initial=0.0))
     extra = levels[paired:]

@@ -23,7 +23,6 @@ from .spectral1d import DiscretizedOperator1D, NegativeSpectrum
 
 GRID_CAP = 160
 PLANE_QUAD_POINTS = 801
-ENERGY_EDGE_THRESHOLD = spectral1d.ENERGY_EDGE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -169,25 +168,18 @@ def constant_field(strength: float, gauge: str = "landau"):
     raise ValueError(f"unknown gauge {gauge!r}")
 
 
-def negative_spectrum_2d(
-    op: GridOperator2D, threshold: float = ENERGY_EDGE_THRESHOLD
-) -> NegativeSpectrum:
-    """All eigenvalues below -threshold: inertia count, then shift-invert Lanczos.
+def negative_spectrum_2d(op: GridOperator2D) -> NegativeSpectrum:
+    """All eigenvalues below -ENERGY_EDGE_THRESHOLD: inertia count, then shift-invert Lanczos.
 
     The kinetic form stays nonnegative with or without link phases, so the
     bottom of the spectrum lies above min(V), and min(V) - 0.1 is the floor
     from which spectral1d._placed_shift places the shift.
     """
     floor = float(op.potential_values.min()) - 0.1
-    vals = spectral1d._sparse_levels(op.to_sparse(), floor, threshold)
-    return NegativeSpectrum(
-        energies=np.sort(-vals)[::-1],
-        box_radius=op.box_radius,
-        num_interior=op.num_interior,
-        grid_step=op.grid_step,
-        threshold=threshold,
-        dimension=2,
+    vals = spectral1d._sparse_levels(
+        op.to_sparse(), floor, spectral1d.ENERGY_EDGE_THRESHOLD
     )
+    return NegativeSpectrum(energies=np.sort(-vals)[::-1], num_interior=op.num_interior)
 
 
 def plane_moment_integral(potential, box_radius: float, gamma: float) -> float:
@@ -363,7 +355,6 @@ def lifting_inequality_audit(
     gamma: float,
     spectrum_2d: NegativeSpectrum,
     base_tolerance: float = 1e-9,
-    threshold: float = ENERGY_EDGE_THRESHOLD,
 ) -> BoundReport:
     """Planar Riesz mean against the operator-valued 1D comparison problem.
 
@@ -403,8 +394,7 @@ def lifting_inequality_audit(
         levels = spectral1d.negative_spectrum(
             DiscretizedOperator1D(
                 box_radius=box_radius, num_interior=m, potential_blocks=blocks
-            ),
-            threshold,
+            )
         ).energies
     rhs = float((levels**gamma).sum())
     return comparison_report(

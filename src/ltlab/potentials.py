@@ -100,15 +100,20 @@ class SampledPotential:
         return self.derivative_evaluator(self.grid)
 
 
+def _hermitian_apply(blocks: np.ndarray, f) -> np.ndarray:
+    """f(blocks[x]) for each Hermitian block: f of its eigenvalues, symmetrized."""
+    mu, u = np.linalg.eigh(blocks)
+    out = np.einsum("xij,xj,xkj->xik", u, f(mu), np.conj(u))
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+
+
 def part_values(potential: SampledPotential, part: str) -> np.ndarray:
     """V_plus or V_minus at each sample, shape (N, n, n), from the pointwise
     eigendecomposition: V = V_plus - V_minus with commuting PSD parts."""
     if part not in ("plus", "minus"):
         raise ValueError("part must be 'plus' or 'minus'")
-    mu, u = np.linalg.eigh(potential.values)
-    kept = np.maximum(mu if part == "plus" else -mu, 0.0)
-    out = np.einsum("xij,xj,xkj->xik", u, kept, np.conj(u))
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    sign = 1.0 if part == "plus" else -1.0
+    return _hermitian_apply(potential.values, lambda mu: np.maximum(sign * mu, 0.0))
 
 
 def part_eigenvalues(potential: SampledPotential, part: str) -> np.ndarray:

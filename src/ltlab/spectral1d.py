@@ -115,14 +115,9 @@ class NegativeSpectrum:
     """Magnitudes E_j > 0 of the negative eigenvalues, sorted descending."""
 
     energies: np.ndarray
-    box_radius: float
     num_interior: int
-    grid_step: float
     threshold: float = ENERGY_EDGE_THRESHOLD
-    dimension: int = 1
-    extrapolated: bool = False
     error_estimates: np.ndarray | None = None
-    count_mismatch: int = 0
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -297,47 +292,45 @@ def _ldlt(mat, guard: float):
     return factor_at
 
 
-def _inertia_count(mat, threshold: float) -> tuple[int, float]:
-    """Number of eigenvalues of mat below -cut, and the cut (Sylvester's law of inertia).
+def _stable_count(factor_at, threshold: float, guard: float, size: int) -> tuple[int, float]:
+    """The count of factor_at(cut) at the first cut whose factor it trusts, and that cut.
 
-    A factor that voids its count (_ldlt) moves the cut (_stable_count).
-    """
-    guard = _pivot_guard(mat)
-    factor_at = _ldlt(mat, guard)
-    return _stable_count(lambda cut: factor_at(cut)[0], threshold, guard, mat.shape[0])
-
-
-def _stable_count(count_at, threshold: float, guard: float, size: int) -> tuple[int, float]:
-    """count_at(cut) at the first cut whose factor it trusts, and that cut.
-
-    count_at returns None when its factor has a pivot at roundoff level.  The
-    cut starts at threshold and then moves deeper by 1e3, 4e3, ... guards
-    (guard = eps * ||A||_1), so a level within that distance of the edge may
-    be left out, never miscounted.
+    factor_at voids its count (None) when its factor has a pivot at roundoff
+    level.  The cut starts at threshold and then moves deeper by 1e3, 4e3,
+    ... guards (guard = eps * ||A||_1), so a level within that distance of
+    the edge may be left out, never miscounted.
     """
     cut = threshold
     for move in range(CUT_MOVES):
-        count = count_at(cut)
+        count = factor_at(cut)[0]
         if count is not None:
             return count, cut
         cut = threshold + CUT_STEP * 4.0**move * guard
     raise RuntimeError(f"no stable LDL^T factor of a {size}-row operator near {-threshold:.3e}")
 
 
-def _placed_shift(factor_at, floor: float, cut: float):
-    """A shift certified below the spectrum near the ground level, and its factor.
+def _certified(factor_at, sigma: float):
+    """The solve of A - sigma, once its factor counts 0 eigenvalues below sigma; else raise."""
+    count, solve = factor_at(-sigma)
+    if count != 0:
+        raise RuntimeError(f"the shift {sigma:.3e} is not certified below the spectrum")
+    return solve
 
-    factor_at is _ldlt's; floor lies below the spectrum by construction, and
-    an inertia count puts the ground level below -cut.  SHIFT_HALVINGS
-    bisection steps on [floor, -cut] count at the midpoint: a count of 0
-    certifies it below the spectrum and makes it the bottom, any other count
-    (or a voided one) makes it the top.  The ground level lies above the
-    final bottom, and sigma is one final bracket width below that bottom, so
-    at least that far below the ground level, and ||(A - sigma)^{-1}|| is at
-    most 2^SHIFT_HALVINGS times its value at the floor.  When the last step
+
+def _placed_shift(factor_at, floor: float, cut: float):
+    """A shift certified below the spectrum near the ground level, and its solve.
+
+    floor lies below the spectrum by construction, and the inertia count
+    puts the ground level below -cut.  SHIFT_HALVINGS bisection steps on
+    [floor, -cut] count at the midpoint: a count of 0 certifies it below
+    the spectrum and makes it the bottom, any other count (or a voided one)
+    makes it the top.  The ground level lies above the final bottom, and
+    sigma is one final bracket width below that bottom, so at least that far
+    below the ground level, and ||(A - sigma)^{-1}|| is at most
+    2^SHIFT_HALVINGS times its value at the floor.  When the last step
     certified, sigma is the bottom before it, whose factor is the one spare
-    kept; otherwise sigma is factored anew, and a count there other than 0
-    (a floor that is not below the spectrum) raises.
+    kept; otherwise sigma is factored anew and goes through _certified, so a
+    floor that is not below the spectrum raises.
     """
     bottom, top = floor, -cut
     spare = None  # the factor at bottom, once a midpoint has certified
@@ -353,19 +346,16 @@ def _placed_shift(factor_at, floor: float, cut: float):
         probe = None  # only the spare lives on while the next factor is made
     sigma = 2.0 * bottom - top
     spare = None  # release it before factoring sigma
-    count, factor = factor_at(-sigma)
-    if count != 0:
-        raise RuntimeError(f"the shift {sigma:.3e} is not certified below the spectrum")
-    return sigma, factor
+    return sigma, _certified(factor_at, sigma)
 
 
 def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float, OPinv) -> np.ndarray:
     """The count lowest eigenvalues of mat, which an inertia count puts below -cut.
 
-    sigma is certified below the spectrum (_placed_shift), so the k
-    eigenvalues nearest to it are the k lowest, and shift-invert Lanczos is
-    asked for exactly the certified count.  OPinv applies (mat - sigma)^{-1}
-    with the factor that certified sigma, so ARPACK factors nothing itself.
+    sigma is certified below the spectrum (_certified), so the k eigenvalues
+    nearest to it are the k lowest, and shift-invert Lanczos is asked for
+    exactly the certified count.  OPinv applies (mat - sigma)^{-1} with the
+    factor that certified sigma, so ARPACK factors nothing itself.
     Single-vector Lanczos can miss a copy of a repeated eigenvalue and
     converge to the next level up instead; only then does k grow.  The count
     lowest Ritz values must sit below the cut, to within CUT_STEP guards of
@@ -394,20 +384,35 @@ def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float, OPinv)
     )
 
 
-def _sparse_levels(mat, floor: float, threshold: float) -> np.ndarray:
-    """Eigenvalues of a sparse mat at or below -threshold, as many as its inertia counts.
+def _shift_invert_levels(mat, factor_at, guard: float, threshold: float, shift_for) -> np.ndarray:
+    """Eigenvalues of mat at or below -threshold, as many as its inertia counts.
 
-    floor lies below the spectrum.  Shift-invert runs from the certified
-    shift _placed_shift finds between floor and the cut, with the L D L^T
-    that certified it.
+    The level solve of every coupled, planar and periodic operator.
+    factor_at(shift) is (count below -shift or None, solve of mat + shift),
+    as _ldlt returns it; guard is eps * ||mat||_1.  shift_for(cut) gives a
+    sigma certified below the spectrum (_certified) and the solve of
+    mat - sigma, the one choice an operator makes: sparse ones place it
+    (_placed_shift), the periodic one keeps its floor.
     """
-    count, cut = _inertia_count(mat, threshold)
+    count, cut = _stable_count(factor_at, threshold, guard, mat.shape[0])
     if count == 0:
         return np.empty(0)
-    guard = _pivot_guard(mat)
-    sigma, solve = _placed_shift(_ldlt(mat, guard), floor, cut)
+    sigma, solve = shift_for(cut)
     opinv = spla.LinearOperator(mat.shape, matvec=solve, dtype=mat.dtype)
     return _eigsh_below(mat, sigma, count, cut, guard, opinv)
+
+
+def _sparse_levels(mat, floor: float, threshold: float) -> np.ndarray:
+    """_shift_invert_levels of a sparse mat, with _ldlt's factors and the placed shift.
+
+    floor lies below the spectrum; _placed_shift halves [floor, -cut] for
+    the shift.
+    """
+    guard = _pivot_guard(mat)
+    factor_at = _ldlt(mat, guard)
+    return _shift_invert_levels(
+        mat, factor_at, guard, threshold, lambda cut: _placed_shift(factor_at, floor, cut)
+    )
 
 
 def negative_spectrum(
@@ -416,11 +421,7 @@ def negative_spectrum(
     vals = _negative_eigenvalues(op, threshold)
     energies = np.sort(-vals)[::-1]
     return NegativeSpectrum(
-        energies=energies,
-        box_radius=op.box_radius,
-        num_interior=op.num_interior,
-        grid_step=op.grid_step,
-        threshold=threshold,
+        energies=energies, num_interior=op.num_interior, threshold=threshold
     )
 
 
@@ -447,33 +448,21 @@ def richardson_pair(
     order = np.argsort(energies)[::-1]
     return NegativeSpectrum(
         energies=energies[order],
-        box_radius=fine.box_radius,
         num_interior=fine.num_interior,
-        grid_step=fine.grid_step,
         threshold=threshold,
-        dimension=fine.dimension,
-        extrapolated=True,
         error_estimates=errors[order],
-        count_mismatch=fine.count - coarse.count,
     )
 
 
 def refined_negative_spectrum(
-    potential: SampledPotential,
-    box_radius: float,
-    num_interior: int,
-    threshold: float = ENERGY_EDGE_THRESHOLD,
+    potential: SampledPotential, box_radius: float, num_interior: int
 ) -> NegativeSpectrum:
     """Richardson pairing of the num_interior and 2*num_interior+1 grids.
 
     Doubling the interior count this way exactly halves the grid step.
     """
-    coarse = negative_spectrum(
-        discretize(potential, box_radius, num_interior), threshold
-    )
-    fine = negative_spectrum(
-        discretize(potential, box_radius, 2 * num_interior + 1), threshold
-    )
+    coarse = negative_spectrum(discretize(potential, box_radius, num_interior))
+    fine = negative_spectrum(discretize(potential, box_radius, 2 * num_interior + 1))
     return richardson_pair(coarse, fine)
 
 

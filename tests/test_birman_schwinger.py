@@ -34,9 +34,7 @@ def test_unit_eigenvalue_at_bound_state(pt1, pt1_spectrum):
 def test_audit_rejects_bad_inputs(random_2x2, pt1, pt1_spectrum):
     with pytest.raises(ValueError, match="positive part"):
         bs.birman_schwinger_audit(random_2x2, pt1_spectrum)
-    empty = spectral1d.NegativeSpectrum(
-        energies=np.array([]), box_radius=5.0, num_interior=100, grid_step=0.1
-    )
+    empty = spectral1d.NegativeSpectrum(energies=np.array([]), num_interior=100)
     with pytest.raises(ValueError, match="bound state"):
         bs.birman_schwinger_audit(pt1, empty)
     with pytest.raises(ValueError):

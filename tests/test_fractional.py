@@ -132,6 +132,12 @@ def test_norm_from_the_column_is_the_dense_norm(pt1, gaussian_beta4):
         assert_allclose(op.norm_1(), np.linalg.norm(dense_operator(op), 1), rtol=1e-13)
 
 
+def periodic_count(op, cut):
+    """The level count below -cut and the cut, as negative_levels takes them."""
+    guard = np.finfo(float).eps * op.norm_1()
+    return spectral1d._stable_count(op._factor_at, cut, guard, op.size)
+
+
 def test_count_below_matches_the_dense_count(gaussian_beta4):
     op = gaussian_beta4
     full = np.linalg.eigvalsh(dense_operator(op))
@@ -142,7 +148,7 @@ def test_count_below_matches_the_dense_count(gaussian_beta4):
     cuts = [spectral1d.ENERGY_EDGE_THRESHOLD, 10.0]
     cuts += [e + d for e in levels[-3:] for d in (-1e-7, 1e-7)]
     for cut in cuts:
-        count, used = op.count_below(cut)
+        count, used = periodic_count(op, cut)
         assert used == cut
         assert count == int((full < -cut).sum())
 
@@ -158,7 +164,7 @@ def test_positive_samples_enter_the_count_through_their_sign(gaussian_beta4):
     assert (mixed.samples > 0).sum() > 0 and (mixed.samples < 0).sum() > 0
     full = np.linalg.eigvalsh(dense_operator(mixed))
     for cut in (spectral1d.ENERGY_EDGE_THRESHOLD, 0.5, 2.0):
-        assert mixed.count_below(cut) == (int((full < -cut).sum()), cut)
+        assert periodic_count(mixed, cut) == (int((full < -cut).sum()), cut)
     assert_allclose(
         mixed.negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD),
         dense_levels(mixed),
@@ -216,13 +222,14 @@ def test_fractional_moment_budget_covers_solver_roundoff(pt1):
 
 
 def test_fractional_moment_vacuous_case(monkeypatch):
-    # no sample is nonzero: the count is 0 without a factor and no Lanczos runs
+    # no sample is nonzero: there is no level, nothing is factored and no
+    # Lanczos runs
     def refuse(*args, **kwargs):
-        raise AssertionError("eigsh called on a zero potential")
+        raise AssertionError("a zero potential needs no factor and no eigsh")
 
     monkeypatch.setattr(spectral1d.spla, "eigsh", refuse)
+    monkeypatch.setattr(fractional.PeriodicOperator, "_factor_at", refuse)
     op = fractional.PeriodicOperator.on_box(zero_potential(), 2.0, 5.0, 128)
-    assert op.count_below(1e-8) == (0, 1e-8)
     assert op.negative_levels(1e-8).size == 0
     rep = fractional.fractional_moment_audit(
         zero_potential(), 2.0, math.pi, num_points=128
@@ -248,3 +255,33 @@ def test_fractional_moment_input_guards(pt1, random_2x2):
     lifted = potentials.scale(pt1, -1.0)
     with pytest.raises(ValueError, match="nonpositive"):
         fractional.fractional_moment_audit(lifted, 2.0, math.pi)
+
+
+def test_certified_solves_below_the_spectrum_and_raises_above(gaussian_beta4, random_2x2):
+    # both factor kinds: spectral1d._ldlt of a sparse coupled (complex) well
+    # and the periodic operator's Birman-Schwinger _factor_at
+    coupled = spectral1d.discretize(random_2x2, random_2x2.support_radius + 4.0, 200)
+    mat = coupled.to_sparse()
+    cases = [
+        (spectral1d._ldlt(mat, spectral1d._pivot_guard(mat)), mat.toarray()),
+        (gaussian_beta4._factor_at, dense_operator(gaussian_beta4)),
+    ]
+    rng = np.random.default_rng(4)
+    for factor_at, dense in cases:
+        size = dense.shape[0]
+        full = np.linalg.eigvalsh(dense)
+        sigma = full[0] - 0.5
+        x = rng.standard_normal(size)
+        if np.iscomplexobj(dense):
+            x = x + 1j * rng.standard_normal(size)
+        shifted = dense - sigma * np.eye(size)
+        expected = np.linalg.solve(shifted, x)
+        # the forward error of a backward-stable solve is about cond * eps;
+        # measured: 4e-15 of max|expected| (sparse, cond 1.7e3) and 5e-10
+        # (periodic, cond 1.0e7, where |p|^4 makes ||A|| large)
+        roundoff = 4 * np.linalg.cond(shifted) * np.finfo(float).eps
+        got = spectral1d._certified(factor_at, sigma)(x)
+        assert_allclose(got, expected, rtol=0, atol=roundoff * np.abs(expected).max())
+        # between the two lowest levels the factor counts one level below sigma
+        with pytest.raises(RuntimeError, match="not certified"):
+            spectral1d._certified(factor_at, 0.5 * (full[0] + full[1]))

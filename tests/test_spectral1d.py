@@ -29,10 +29,7 @@ def test_square_well_transcendental_oracle():
 def test_richardson_pair_formula():
     def mk(energies, m):
         return spectral1d.NegativeSpectrum(
-            energies=np.asarray(energies, dtype=float),
-            box_radius=10.0,
-            num_interior=m,
-            grid_step=20.0 / (m + 1),
+            energies=np.asarray(energies, dtype=float), num_interior=m
         )
 
     coarse = mk([4.03, 1.02], 400)
@@ -40,8 +37,7 @@ def test_richardson_pair_formula():
     out = spectral1d.richardson_pair(coarse, fine)
     assert_allclose(out.energies[:2], [4.01 - 0.02 / 3.0, 1.01 - 0.01 / 3.0])
     assert_allclose(out.energies[2], 0.2)
-    assert out.count_mismatch == 1
-    assert out.extrapolated
+    assert out.num_interior == 801
     assert_allclose(out.error_estimates, [0.02 / 3.0, 0.01 / 3.0, 0.2])
     # levels extrapolating below the threshold are dropped
     trimmed = spectral1d.richardson_pair(mk([1.0], 400), mk([1.0, 5e-9], 801))
@@ -50,17 +46,10 @@ def test_richardson_pair_formula():
 
 def test_negative_spectrum_validation_and_moments():
     with pytest.raises(ValueError, match="descending"):
-        spectral1d.NegativeSpectrum(
-            energies=np.array([1.0, 2.0]),
-            box_radius=5.0,
-            num_interior=100,
-            grid_step=0.1,
-        )
+        spectral1d.NegativeSpectrum(energies=np.array([1.0, 2.0]), num_interior=100)
     spec = spectral1d.NegativeSpectrum(
         energies=np.array([4.0, 1.0]),
-        box_radius=5.0,
         num_interior=100,
-        grid_step=0.1,
         error_estimates=np.array([1e-3, 1e-4]),
     )
     assert spec.riesz_mean(0.0) == 2.0
@@ -150,6 +139,14 @@ def test_spectrum_shift_sits_below_ground_level(pt2):
     assert shift > -10.0
 
 
+def _ldlt_count(mat, threshold):
+    """The level count below -cut of mat's L D L^T, and the cut, as the solve takes them."""
+    guard = spectral1d._pivot_guard(mat)
+    return spectral1d._stable_count(
+        spectral1d._ldlt(mat, guard), threshold, guard, mat.shape[0]
+    )
+
+
 def _shallow_coupled_well():
     """A 2x2 coupled well whose levels sit far above the half-moment floor."""
     well = potentials.build_family("random-smooth", matrix_dim=2, seed=0, amplitude=0.5)
@@ -161,7 +158,7 @@ def test_placed_shift_is_certified_one_bracket_width_below_the_ground_level():
     mat = op.to_sparse()
     ground = np.linalg.eigvalsh(mat.toarray())[0]
     factor_at = spectral1d._ldlt(mat, spectral1d._pivot_guard(mat))
-    count, cut = spectral1d._inertia_count(mat, spectral1d.ENERGY_EDGE_THRESHOLD)
+    count, cut = _ldlt_count(mat, spectral1d.ENERGY_EDGE_THRESHOLD)
     floor = op.spectrum_shift()
     sigma, solve = spectral1d._placed_shift(factor_at, floor, cut)
     assert count >= 1 and factor_at(-sigma)[0] == 0
@@ -198,7 +195,7 @@ def test_placed_shift_takes_fewer_operator_applications_than_the_floor():
     assert mat.shape[0] == 4200
     guard = spectral1d._pivot_guard(mat)
     factor_at = spectral1d._ldlt(mat, guard)
-    count, cut = spectral1d._inertia_count(mat, spectral1d.ENERGY_EDGE_THRESHOLD)
+    count, cut = _ldlt_count(mat, spectral1d.ENERGY_EDGE_THRESHOLD)
     floor = op.spectrum_shift()
 
     def solve(sigma, inverse):
@@ -251,7 +248,7 @@ def test_inertia_count_matches_dense_count(random_2x2):
     mat = op.to_sparse()
     assert np.iscomplexobj(mat.data)
     for threshold in (spectral1d.ENERGY_EDGE_THRESHOLD, 0.05):
-        count, cut = spectral1d._inertia_count(mat, threshold)
+        count, cut = _ldlt_count(mat, threshold)
         assert cut == threshold
         assert count == _dense_count(mat, threshold) >= 1
 
@@ -267,7 +264,7 @@ def test_tiny_pivots_move_the_cut():
     hop = np.ones(size - 1)
     for diagonal in (1e-18 - threshold, -threshold):
         mat = sp.diags([hop, np.full(size, diagonal), hop], [-1, 0, 1], format="csc")
-        count, cut = spectral1d._inertia_count(mat, threshold)
+        count, cut = _ldlt_count(mat, threshold)
         assert cut > threshold
         assert count == _dense_count(mat, threshold) == size // 2
 
