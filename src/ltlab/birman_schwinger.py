@@ -19,11 +19,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dtbtrs
 
-from .potentials import SampledPotential, _hermitian_apply, part_eigenvalues, part_values
+from .potentials import SampledPotential, _hermitian_apply, part_values, require_nonpositive
 from .reports import BoundReport
 from .spectral1d import NegativeSpectrum, _constant_channels
 
-NONPOSITIVITY_TOL = 1e-12
 CAUCHY_EPSILONS = (0.5, 2.0, 10.0)
 CAUCHY_OFFSETS = (0.0, 0.3, 1.7, 5.0)
 
@@ -308,12 +307,7 @@ def birman_schwinger_audit(
     For the j-th level (energies descending) the j-th descending eigenvalue
     of K at that energy must equal 1; lhs records the worst deviation.
     """
-    mu_plus = part_eigenvalues(potential, "plus")
-    if mu_plus.max() > NONPOSITIVITY_TOL:
-        raise ValueError(
-            f"potential has a positive part ({mu_plus.max():.3e}); "
-            "the unit-eigenvalue correspondence needs V <= 0"
-        )
+    require_nonpositive(potential)
     if spectrum.count == 0:
         raise ValueError("audit needs at least one bound state")
     deviations = []

@@ -9,7 +9,7 @@ from Richardson extrapolation, potential integrals from the sampling grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,12 +20,12 @@ from .spectral1d import NegativeSpectrum
 
 GAMMA_DEFAULTS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5)
 ALPHA_DEFAULTS = tuple(np.geomspace(1.0, 400.0, 13))
-POSITIVE_PART_TOL = 1e-12
 INTEGRAL_SLACK = 1e-9
 SWEEP_BASE_STEP = 0.025
 SHARPNESS_POINTS_PER_WIDTH = 8
 SHARPNESS_BOX_RADIUS = 8.0
 PRODUCT_DIMS = (2, 3, 4, 5, 6, 7, 8)
+PRODUCT_POINT = (0.5, 2)
 ORDERING_DIMS = tuple(range(3, 11))
 WEYL_LIMIT_TOLERANCE = 0.02
 
@@ -116,15 +116,23 @@ def product_identity_check(gamma: float, d: int) -> BoundReport:
 
 
 def product_identity_audit() -> BoundReport:
-    """The worst product_identity_check over GAMMA_DEFAULTS x PRODUCT_DIMS."""
-    worst = None
-    for d in PRODUCT_DIMS:
-        for gamma in GAMMA_DEFAULTS:
-            rep = product_identity_check(gamma, d)
-            if worst is None or rep.residual > worst.residual:
-                worst = rep
-    worst.provenance["grid"] = {"gammas": list(GAMMA_DEFAULTS), "dims": list(PRODUCT_DIMS)}
-    return worst
+    """The worst product_identity_check residual over GAMMA_DEFAULTS x PRODUCT_DIMS.
+
+    Every residual sits at roundoff, so which grid point is worst can change
+    with the last bit of classical_constant.  lhs, rhs and spec are therefore
+    those of the fixed point PRODUCT_POINT; the provenance names the worst one.
+    """
+    checks = [product_identity_check(g, d) for d in PRODUCT_DIMS for g in GAMMA_DEFAULTS]
+    worst = max(checks, key=lambda rep: rep.residual)
+    return replace(
+        product_identity_check(*PRODUCT_POINT),
+        passed=worst.passed,
+        residual=worst.residual,
+        provenance={
+            "worst_at": worst.provenance,
+            "grid": {"gammas": list(GAMMA_DEFAULTS), "dims": list(PRODUCT_DIMS)},
+        },
+    )
 
 
 def constant_ordering_audit() -> list[BoundReport]:
@@ -163,22 +171,13 @@ def constant_ordering_audit() -> list[BoundReport]:
     return [ordering, convexity]
 
 
-def _require_nonpositive(potential: SampledPotential) -> None:
-    peak = float(potentials.part_eigenvalues(potential, "plus").max(initial=0.0))
-    if peak > POSITIVE_PART_TOL:
-        raise ValueError(
-            f"potential has a positive part (max eigenvalue {peak:.3e}); "
-            "this bound requires a nonpositive matrix function"
-        )
-
-
 def sharp_half_audit(
     potential: SampledPotential,
     spectrum: NegativeSpectrum,
     base_tolerance: float = 1e-6,
 ) -> BoundReport:
     """Half moments against one half of the trace integral of the well."""
-    _require_nonpositive(potential)
+    potentials.require_nonpositive(potential)
     lhs = spectrum.riesz_mean(0.5)
     rhs = 0.5 * potentials.trace_power_integral(potential, "minus", 1.0)
     return comparison_report(
@@ -248,7 +247,7 @@ def lifted_moment_audit(
     """Riesz mean at gamma against factor * L^cl * integral of V_-^(gamma+1/2)."""
     if gamma < 0.5:
         raise ValueError("need gamma >= 1/2")
-    _require_nonpositive(potential)
+    potentials.require_nonpositive(potential)
     factor = constant_factor(gamma, 1)
     lhs = spectrum.riesz_mean(gamma)
     rhs = (
@@ -432,7 +431,7 @@ class CouplingSweep:
 def coupling_sweep(
     potential: SampledPotential, couplings=ALPHA_DEFAULTS
 ) -> CouplingSweep:
-    _require_nonpositive(potential)
+    potentials.require_nonpositive(potential)
     if len(couplings) < 6:
         raise ValueError("need at least 6 couplings for the sweep")
     couplings = tuple(float(a) for a in couplings)

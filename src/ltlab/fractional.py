@@ -461,8 +461,7 @@ def fractional_moment_audit(
         raise ValueError("operator exponent must exceed 1")
     if potential.matrix_dim != 1:
         raise ValueError("audit takes scalar potentials")
-    if potentials.part_eigenvalues(potential, "plus").max(initial=0.0) > 1e-12:
-        raise ValueError("potential must be nonpositive")
+    potentials.require_nonpositive(potential)
     box_radius = potential.support_radius + box_margin
     small = PeriodicOperator.on_box(
         potential, beta, box_radius, num_points

@@ -10,6 +10,7 @@ import numpy as np
 
 SUPPORT_THRESHOLD = 1e-14
 HERMITICITY_TOL = 1e-12
+NONPOSITIVITY_TOL = 1e-12
 POINTS_PER_FEATURE = 8
 
 
@@ -124,6 +125,16 @@ def part_eigenvalues(potential: SampledPotential, part: str) -> np.ndarray:
     return np.maximum(mu if part == "plus" else -mu, 0.0)
 
 
+def require_nonpositive(potential: SampledPotential) -> None:
+    """Raise unless every eigenvalue of V(x) is at most NONPOSITIVITY_TOL."""
+    peak = float(part_eigenvalues(potential, "plus").max(initial=0.0))
+    if peak > NONPOSITIVITY_TOL:
+        raise ValueError(
+            f"potential has a positive part (max eigenvalue {peak:.3e}); "
+            "this audit requires a nonpositive matrix function"
+        )
+
+
 def trace_power_integral(potential: SampledPotential, part: str, power: float) -> float:
     """Simpson quadrature of tr(V_part(x)^power) over the sampled window."""
     if power < 0.5:
@@ -169,12 +180,19 @@ def scale(potential: SampledPotential, coupling: float) -> SampledPotential:
 # families
 
 
-def _grid_for(window: tuple[float, float], step: float) -> tuple[float, int]:
-    a, b = window
-    count = int(math.ceil((b - a) / step)) + 1
-    if count % 2 == 0:
-        count += 1
-    return a, count
+def _sampled(v, dv, support: tuple[float, float], step: float) -> SampledPotential:
+    """V and dV/dx on an odd-count grid of the given step over support +- 2 step."""
+    start = support[0] - 2 * step
+    count = int(math.ceil((support[1] + 2 * step - start) / step)) + 1
+    count |= 1
+    return SampledPotential(
+        grid_start=start,
+        grid_step=step,
+        values=v(start + step * np.arange(count)),
+        support=support,
+        evaluator=v,
+        derivative_evaluator=dv,
+    )
 
 
 def _check_resolution(step: float, feature: float, tag: str):
@@ -185,7 +203,7 @@ def _check_resolution(step: float, feature: float, tag: str):
         )
 
 
-def _scalar_family(x_eval, d_eval, window, step, support):
+def _scalar_family(x_eval, d_eval, support, step):
     a, b = support
 
     def masked(f):
@@ -199,18 +217,7 @@ def _scalar_family(x_eval, d_eval, window, step, support):
 
         return g
 
-    v_eval = masked(x_eval)
-    dv_eval = masked(d_eval)
-    start, count = _grid_for(window, step)
-    x = start + step * np.arange(count)
-    return SampledPotential(
-        grid_start=start,
-        grid_step=step,
-        values=v_eval(x),
-        support=support,
-        evaluator=v_eval,
-        derivative_evaluator=dv_eval,
-    )
+    return _sampled(masked(x_eval), masked(d_eval), support, step)
 
 
 def _build_square_well(depth: float, half_width: float, grid_step: float | None = None):
@@ -230,14 +237,7 @@ def _build_square_well(depth: float, half_width: float, grid_step: float | None 
     def dv(x):
         return np.zeros_like(np.asarray(x, float))
 
-    window = (-half_width - 2 * h, half_width + 2 * h)
-    return _scalar_family(
-        v,
-        dv,
-        window,
-        h,
-        (-half_width, half_width),
-    )
+    return _scalar_family(v, dv, (-half_width, half_width), h)
 
 
 def _build_poschl_teller(nu: float, grid_step: float | None = None):
@@ -256,14 +256,7 @@ def _build_poschl_teller(nu: float, grid_step: float | None = None):
         s = 1.0 / np.cosh(x)
         return 2.0 * depth * s * s * np.tanh(x)
 
-    window = (-radius - 2 * h, radius + 2 * h)
-    return _scalar_family(
-        v,
-        dv,
-        window,
-        h,
-        (-radius, radius),
-    )
+    return _scalar_family(v, dv, (-radius, radius), h)
 
 
 def _build_gaussian(depth: float, width: float, grid_step: float | None = None):
@@ -279,14 +272,7 @@ def _build_gaussian(depth: float, width: float, grid_step: float | None = None):
     def dv(x):
         return depth * (2.0 * x / width**2) * np.exp(-((x / width) ** 2))
 
-    window = (-radius - 2 * h, radius + 2 * h)
-    return _scalar_family(
-        v,
-        dv,
-        window,
-        h,
-        (-radius, radius),
-    )
+    return _scalar_family(v, dv, (-radius, radius), h)
 
 
 def _build_rank_one_narrow(
@@ -330,17 +316,7 @@ def _build_rank_one_narrow(
         x = np.asarray(x, float)
         return np.zeros((x.size, n, n), dtype=complex)
 
-    window = (-2 * h, width + 2 * h)
-    start, count = _grid_for(window, h)
-    x = start + h * np.arange(count)
-    return SampledPotential(
-        grid_start=start,
-        grid_step=h,
-        values=v(x),
-        support=(0.0, width),
-        evaluator=v,
-        derivative_evaluator=dv,
-    )
+    return _sampled(v, dv, (0.0, width), h)
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -428,17 +404,7 @@ def _build_random_smooth(
 
     h = 2 * a / 600.0 if grid_step is None else float(grid_step)
     _check_resolution(h, a / max(modes, 1), "random-smooth")
-    window = (-a - 2 * h, a + 2 * h)
-    start, count = _grid_for(window, h)
-    x = start + h * np.arange(count)
-    return SampledPotential(
-        grid_start=start,
-        grid_step=h,
-        values=v(x),
-        support=(-a, a),
-        evaluator=v,
-        derivative_evaluator=dv,
-    )
+    return _sampled(v, dv, (-a, a), h)
 
 
 def direct_sum(first: SampledPotential, second: SampledPotential) -> SampledPotential:
@@ -446,9 +412,6 @@ def direct_sum(first: SampledPotential, second: SampledPotential) -> SampledPote
     h = min(first.grid_step, second.grid_step)
     lo = min(first.support[0], second.support[0])
     hi = max(first.support[1], second.support[1])
-    window = (lo - 2 * h, hi + 2 * h)
-    start, count = _grid_for(window, h)
-    x = start + h * np.arange(count)
     n1, n2 = first.matrix_dim, second.matrix_dim
     n = n1 + n2
 
@@ -466,14 +429,7 @@ def direct_sum(first: SampledPotential, second: SampledPotential) -> SampledPote
         out[:, n1:, n1:] = second.derivative_evaluator(xs)
         return out
 
-    return SampledPotential(
-        grid_start=start,
-        grid_step=h,
-        values=v(x),
-        support=(lo, hi),
-        evaluator=v,
-        derivative_evaluator=dv,
-    )
+    return _sampled(v, dv, (lo, hi), h)
 
 
 FAMILY_BUILDERS = {

@@ -27,7 +27,7 @@ to roundoff and halves the cost of the even wells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,26 +218,11 @@ def _match(y_top, y_bot, k: np.ndarray, x_left: float, n: int):
     return a_pos, b_pos, a_neg, b_neg
 
 
-def _solve_batch(potential: SampledPotential, k_values: np.ndarray, refine: int = 1):
-    k = np.asarray(k_values, dtype=float)
-    step = min(
-        potential.grid_step / 2.0, 1.0 / (OSCILLATION_FRACTION * np.abs(k).max())
-    )
-    y_top, y_bot = _propagate(potential, np.abs(k), step / refine)
-    a_pos, b_pos, a_neg, b_neg = _match(
-        y_top, y_bot, np.abs(k), potential.support[0], potential.matrix_dim
-    )
-    return a_pos, b_pos, a_neg, b_neg
-
-
-def jost_solve(potential: SampledPotential, k: float, refine: int = 1):
-    """Matching matrices (A, B) at one real wavenumber."""
-    if abs(k) < K_MIN:
-        raise ValueError(f"|k| must be at least {K_MIN} (matching divides by k)")
-    a_pos, b_pos, a_neg, b_neg = _solve_batch(potential, np.array([abs(k)]), refine)
-    if k > 0:
-        return a_pos[0], b_pos[0]
-    return a_neg[0], b_neg[0]
+def _solve_batch(potential: SampledPotential, k: np.ndarray, refine: int):
+    """A(k), B(k), A(-k), B(-k) at positive k, stepped to resolve the largest k."""
+    step = min(potential.grid_step / 2.0, 1.0 / (OSCILLATION_FRACTION * k.max()))
+    y_top, y_bot = _propagate(potential, k, step / refine)
+    return _match(y_top, y_bot, k, potential.support[0], potential.matrix_dim)
 
 
 @dataclass
@@ -251,38 +236,47 @@ class ScatteringData:
     b_neg: np.ndarray
     logdet: np.ndarray
     unitarity_residual: np.ndarray
-    segments: list
     i0: float
     i2: float
     i4: float
     integral_details: dict
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.a_pos.shape[1]
 
 
-def _segment_plan(k_min: float, cap: float, refine: int):
-    steps = [
-        (FINE_END, FINE_STEP / refine),
-        (MID_END, MID_STEP / refine),
-        (cap, COARSE_STEP / refine),
-    ]
-    plan = []
-    start = k_min
-    for nominal_end, step in steps:
+def _k_plan(cap: float, refine: int):
+    """The k grid from K_MIN to about cap and its (first, last, step, chunk) segments.
+
+    The fine, mid and coarse segments each span an even number of intervals
+    of their step divided by refine, and each starts on the last point of the
+    one before.  chunk is the number of points solved per batch: a whole fine
+    or mid segment, COARSE_CHUNK points of the coarse one.  A batch's step is
+    set by its largest k, so the batches are part of the grid's definition.
+    """
+    parts, segments = [np.array([K_MIN])], []
+    start, first = K_MIN, 0
+    for nominal_end, nominal_step in (
+        (FINE_END, FINE_STEP), (MID_END, MID_STEP), (cap, COARSE_STEP)
+    ):
+        step = nominal_step / refine
         end = min(nominal_end, cap)
         if end <= start + step / 2.0:
             continue
         intervals = int(math.ceil((end - start) / step))
-        if intervals % 2:
-            intervals += 1
-        plan.append({"start": start, "step": step, "points": intervals + 1})
-        start = start + intervals * step
-    if not plan:
+        intervals += intervals % 2
+        parts.append(start + step * np.arange(1, intervals + 1))
+        chunk = COARSE_CHUNK if nominal_step == COARSE_STEP else intervals + 1
+        segments.append((first, first + intervals, step, chunk))
+        start, first = start + intervals * step, first + intervals
+    if not segments:
         raise ValueError("empty wavenumber grid; raise the cap above k_min")
-    return plan
+    return np.concatenate(parts), segments
+
+
+def _tail_stop(logdet: np.ndarray, earliest: int) -> int | None:
+    """First index >= earliest that ends TAIL_RUN samples below TAIL_THRESHOLD."""
+    below = np.concatenate([[0], np.cumsum(logdet < TAIL_THRESHOLD)])
+    ends = np.flatnonzero(below[TAIL_RUN:] - below[:-TAIL_RUN] == TAIL_RUN) + TAIL_RUN - 1
+    ends = ends[ends >= earliest]
+    return int(ends[0]) if ends.size else None
 
 
 def _uniform_simpson(y: np.ndarray, step: float) -> float:
@@ -306,15 +300,11 @@ def _segment_quadrature(y: np.ndarray, step: float):
 
 
 def _gap_fit(k: np.ndarray, logdet: np.ndarray):
-    """Even quadratic c0 + c2 k^2 through the smallest-k samples."""
+    """Even quadratic c0 + c2 k^2 through the smallest-k samples, c0 clamped at 0."""
     m = min(8, k.size)
     basis = np.stack([np.ones(m), k[:m] ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(basis, logdet[:m], rcond=None)
-    c0, c2 = float(coef[0]), float(coef[1])
-    clamped = c0 < 0.0
-    c0 = max(c0, 0.0)
-    curvature_heavy = abs(c2) * k[m - 1] ** 2 > 0.5 * max(c0, 1e-15)
-    return c0, c2, (clamped or curvature_heavy)
+    return max(float(coef[0]), 0.0), float(coef[1])
 
 
 def _gap_moment(c0: float, c2: float, km: float, j: int) -> float:
@@ -339,32 +329,29 @@ def _tail_bound(k: np.ndarray, logdet: np.ndarray, j: int) -> float:
     return amp * total
 
 
-def _spectral_integrals(k, logdet, segments, mode):
+def _spectral_integrals(k, logdet, segments, adaptive):
     values, errors, gaps, tails = {}, {}, {}, {}
-    c0, c2, flagged = _gap_fit(k, logdet)
+    c0, c2 = _gap_fit(k, logdet)
     km = float(k[0])
     for j in (0, 2, 4):
         total, err = 0.0, 0.0
-        for seg in segments:
-            sl = slice(seg["first"], seg["last"] + 1)
-            y = (k[sl] ** j) * logdet[sl]
-            v, e = _segment_quadrature(y, seg["step"])
+        for first, last, step, _ in segments:
+            # Simpson needs an even interval count within the kept grid
+            last = min(last, k.size - 1)
+            last -= (last - first) % 2
+            if last - first < 2:
+                continue
+            sl = slice(first, last + 1)
+            v, e = _segment_quadrature((k[sl] ** j) * logdet[sl], step)
             total += v
             err += e
         gap = _gap_moment(c0, c2, km, j)
-        tail = _tail_bound(k, logdet, j) if mode == "adaptive" else 0.0
+        tail = _tail_bound(k, logdet, j) if adaptive else 0.0
         values[j] = (total + gap) / math.pi
         errors[j] = (err + gap + tail) / math.pi
         gaps[j] = gap / math.pi
         tails[j] = tail / math.pi
-    return {
-        "values": values,
-        "errors": errors,
-        "gap": gaps,
-        "tail": tails,
-        "gap_coefficients": [c0, c2],
-        "gap_fit_flagged": bool(flagged),
-    }
+    return {"values": values, "errors": errors, "gap": gaps, "tail": tails}
 
 
 def compute_scattering(
@@ -377,108 +364,43 @@ def compute_scattering(
     has not decayed by the cap raises (insufficient decay).  With k_max the
     grid is simply truncated there and no tail certificate is attached.
     """
-    mode = "adaptive" if k_max is None else "truncated"
-    cap = K_CAP if k_max is None else float(k_max)
-    plan = _segment_plan(K_MIN, cap, refine)
-
-    segments = []
-    k_parts = []
-    total = 0
-    for i, seg in enumerate(plan):
-        pts = seg["start"] + seg["step"] * np.arange(seg["points"])
-        if i == 0:
-            first = 0
-            k_parts.append(pts)
-            total = seg["points"]
-        else:
-            first = total - 1
-            k_parts.append(pts[1:])
-            total += seg["points"] - 1
-        segments.append({"first": first, "last": total - 1, "step": seg["step"]})
-    k_grid = np.concatenate(k_parts)
-
-    chunks = []
-    for seg in segments:
-        lo = seg["first"] + (0 if seg is segments[0] else 1)
-        hi = seg["last"]
-        if seg["step"] < COARSE_STEP / refine * 0.999:
-            chunks.append((lo, hi))
-        else:
-            pos = lo
-            while pos <= hi:
-                chunks.append((pos, min(pos + COARSE_CHUNK - 1, hi)))
-                pos += COARSE_CHUNK
-    min_stop = segments[0]["last"]
-
+    adaptive = k_max is None
+    k_grid, segments = _k_plan(K_CAP if adaptive else float(k_max), refine)
     n = potential.matrix_dim
-    a_pos = np.empty((k_grid.size, n, n), dtype=complex)
-    b_pos = np.empty_like(a_pos)
-    a_neg = np.empty_like(a_pos)
-    b_neg = np.empty_like(a_pos)
+    # A(k), B(k), A(-k), B(-k)
+    jost = np.empty((4, k_grid.size, n, n), dtype=complex)
     logdet = np.empty(k_grid.size)
-
-    done = 0
-    stop = None
-    for lo, hi in chunks:
-        ks = k_grid[lo : hi + 1]
-        ap, bp, an, bn = _solve_batch(potential, ks, refine)
-        a_pos[lo : hi + 1] = ap
-        b_pos[lo : hi + 1] = bp
-        a_neg[lo : hi + 1] = an
-        b_neg[lo : hi + 1] = bn
-        logdet[lo : hi + 1] = np.linalg.slogdet(ap)[1]
-        done = hi + 1
-        if mode == "adaptive":
-            below = logdet[:done] < TAIL_THRESHOLD
-            run = 0
-            for t in range(done):
-                run = run + 1 if below[t] else 0
-                if run >= TAIL_RUN and t >= min_stop:
-                    stop = t
-                    break
-            if stop is not None:
-                break
-    if mode == "adaptive" and stop is None:
-        raise ValueError(
-            "insufficient decay: log|det A| stayed above "
-            f"{TAIL_THRESHOLD} up to k = {k_grid[done - 1]:.3f}; "
-            "pass an explicit k_max to integrate a truncated range"
-        )
-
-    keep = done if stop is None else stop + 1
-    k_grid = k_grid[:keep]
-    a_pos, b_pos = a_pos[:keep], b_pos[:keep]
-    a_neg, b_neg = a_neg[:keep], b_neg[:keep]
-    logdet = logdet[:keep]
-
-    used_segments = []
-    for seg in segments:
-        if seg["first"] >= keep - 1:
-            continue
-        last = min(seg["last"], keep - 1)
-        count = last - seg["first"] + 1
-        if count % 2 == 0:
-            last -= 1
-            count -= 1
-        if count >= 3:
-            used_segments.append(
-                {"first": seg["first"], "last": last, "step": seg["step"]}
+    keep = k_grid.size
+    # every segment after the first starts on the point that ends the one before
+    batches = [
+        (lo, min(lo + chunk, last + 1))
+        for first, last, _, chunk in segments
+        for lo in range(first + (first > 0), last + 1, chunk)
+    ]
+    for lo, hi in batches:
+        jost[:, lo:hi] = _solve_batch(potential, k_grid[lo:hi], refine)
+        logdet[lo:hi] = np.linalg.slogdet(jost[0, lo:hi])[1]
+        stop = _tail_stop(logdet[:hi], segments[0][1]) if adaptive else None
+        if stop is not None:
+            keep = stop + 1
+            break
+    else:
+        if adaptive:
+            raise ValueError(
+                "insufficient decay: log|det A| stayed above "
+                f"{TAIL_THRESHOLD} up to k = {k_grid[-1]:.3f}; "
+                "pass an explicit k_max to integrate a truncated range"
             )
 
+    k_grid, logdet = k_grid[:keep], logdet[:keep]
+    a_pos, b_pos, a_neg, b_neg = jost[:, :keep]
     residual = a_pos @ np.conj(np.swapaxes(a_pos, 1, 2)) - np.eye(n)
     residual -= b_neg @ np.conj(np.swapaxes(b_neg, 1, 2))
     unitarity = np.abs(np.linalg.eigvalsh(
         0.5 * (residual + np.conj(np.swapaxes(residual, 1, 2)))
     )).max(axis=1)
 
-    details = _spectral_integrals(k_grid, logdet, used_segments, mode)
-    diagnostics = {
-        "mode": mode,
-        "k_stop": float(k_grid[-1]),
-        "refine": refine,
-        "min_logdet": float(logdet.min()),
-        "gap_fit_flagged": details["gap_fit_flagged"],
-    }
+    details = _spectral_integrals(k_grid, logdet, segments, adaptive)
     return ScatteringData(
         k_grid=k_grid,
         a_pos=a_pos,
@@ -487,12 +409,10 @@ def compute_scattering(
         b_neg=b_neg,
         logdet=logdet,
         unitarity_residual=unitarity,
-        segments=used_segments,
         i0=details["values"][0],
         i2=details["values"][2],
         i4=details["values"][4],
         integral_details=details,
-        diagnostics=diagnostics,
     )
 
 
@@ -549,7 +469,7 @@ def conjugation_symmetry_check(
     measures something only on coupled wells, whose two signs are solved
     independently.
     """
-    asym = np.abs(data_values_transpose_gap(potential)).max()
+    asym = np.abs(potential.values - np.swapaxes(potential.values, 1, 2)).max()
     if asym > 1e-12:
         return None
     dev = max(
@@ -564,10 +484,6 @@ def conjugation_symmetry_check(
         passed=dev <= tolerance,
         provenance={"k_count": data.k_grid.size},
     )
-
-
-def data_values_transpose_gap(potential: SampledPotential) -> np.ndarray:
-    return potential.values - np.swapaxes(potential.values, 1, 2)
 
 
 _IDENTITY_TERMS = (
@@ -632,7 +548,7 @@ def trace_identity_audit(
                     "budget": float(budget),
                     "certified": bool(residual <= budget),
                     "spectrum_levels": spectrum.count,
-                    "k_stop": data.diagnostics["k_stop"],
+                    "k_stop": float(data.k_grid[-1]),
                 },
             )
         )

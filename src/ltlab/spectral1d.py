@@ -61,11 +61,6 @@ class DiscretizedOperator1D:
     def size(self) -> int:
         return self.num_interior * self.matrix_dim
 
-    @property
-    def interior_grid(self) -> np.ndarray:
-        h = self.grid_step
-        return -self.box_radius + h * (1 + np.arange(self.num_interior))
-
     def spectrum_shift(self) -> float:
         """A point strictly below the lowest eigenvalue but near its scale.
 

@@ -73,6 +73,27 @@ def test_product_identity():
     assert worst.passed
 
 
+@pytest.mark.parametrize("point", [(0.5, 2), (2.0, 8), (1.25, 5)])
+def test_product_identity_reports_a_fixed_point(monkeypatch, point):
+    # whichever grid point carries the worst residual, lhs, rhs and spec stay
+    # those of (0.5, 2); only the residual and its named point follow the worst
+    fixed = bounds.product_identity_audit()
+    check = bounds.product_identity_check
+
+    def inflated(gamma, d):
+        rep = check(gamma, d)
+        if (gamma, d) == point:
+            return dataclasses.replace(rep, residual=1e-14)
+        return rep
+
+    monkeypatch.setattr(bounds, "product_identity_check", inflated)
+    moved = bounds.product_identity_audit()
+    assert (moved.lhs, moved.rhs, moved.spec) == (fixed.lhs, fixed.rhs, fixed.spec)
+    assert (moved.spec.gamma, moved.spec.d) == (0.5, 2)
+    assert moved.residual == 1e-14
+    assert moved.provenance["worst_at"] == {"gamma": point[0], "d": point[1]}
+
+
 def test_constant_ordering():
     ordering, convexity = bounds.constant_ordering_audit()
     assert ordering.passed

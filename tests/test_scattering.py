@@ -18,27 +18,75 @@ def square_well_data(square_well):
     return scattering.compute_scattering(square_well, k_max=30.0, refine=2)
 
 
+def _a_at(potential, k, refine):
+    """A(k) of a scalar well from a one-point batch."""
+    return scattering._solve_batch(potential, np.array([k]), refine)[0][0, 0, 0]
+
+
 def test_square_well_matching_oracle(square_well):
     # closed form |A(k)|^2 = 1 + V0^2 sin^2(2qa) / (4 k^2 q^2), q = sqrt(k^2+V0)
     V0, a = 3.0, 1.5
     for k in (1.0, 2.0, 5.0):
-        A, _ = scattering.jost_solve(square_well, k, refine=2)
+        A = _a_at(square_well, k, 2)
         q = math.sqrt(k * k + V0)
         oracle = 1.0 + V0**2 * math.sin(2 * q * a) ** 2 / (4 * k * k * q * q)
-        assert_allclose(abs(A[0, 0]) ** 2, oracle, rtol=1e-9)
+        assert_allclose(abs(A) ** 2, oracle, rtol=1e-9)
 
 
 def test_propagator_is_fourth_order():
     g = potentials.build_family("gaussian", depth=2.0, width=1.0)
-    ref = scattering.jost_solve(g, 2.0, refine=4)[0][0, 0]
-    e1 = abs(scattering.jost_solve(g, 2.0, refine=1)[0][0, 0] - ref)
-    e2 = abs(scattering.jost_solve(g, 2.0, refine=2)[0][0, 0] - ref)
+    ref = _a_at(g, 2.0, 4)
+    e1 = abs(_a_at(g, 2.0, 1) - ref)
+    e2 = abs(_a_at(g, 2.0, 2) - ref)
     assert e1 / e2 >= 8.0
 
 
-def test_jost_solve_rejects_tiny_k(square_well):
-    with pytest.raises(ValueError, match="at least"):
-        scattering.jost_solve(square_well, 1e-5)
+@pytest.mark.parametrize("cap, refine", [(scattering.K_CAP, 1), (scattering.K_CAP, 2),
+                                         (scattering.K_CAP, 3), (12.05, 1)])
+def test_k_plan_segments(cap, refine):
+    nominal = (scattering.FINE_STEP, scattering.MID_STEP, scattering.COARSE_STEP)
+    k, segments = scattering._k_plan(cap, refine)
+    assert k[0] == scattering.K_MIN and np.all(np.diff(k) > 0)
+    assert [s[2] for s in segments] == [step / refine for step in nominal]
+    assert segments[0][0] == 0 and segments[-1][1] == k.size - 1
+    for (_, last, _, _), (first, _, _, _) in zip(segments, segments[1:]):
+        assert first == last
+    for first, last, step, chunk in segments:
+        assert (last - first) % 2 == 0
+        assert_allclose(np.diff(k[first : last + 1]), step, rtol=1e-9)
+    # the fine and mid segments go as one batch, the coarse one in chunks
+    assert [s[3] for s in segments[:2]] == [s[1] - s[0] + 1 for s in segments[:2]]
+    assert segments[2][3] == scattering.COARSE_CHUNK
+    assert k[segments[0][1]] >= scattering.FINE_END
+    assert k[segments[1][1]] >= scattering.MID_END
+    assert k[-1] >= cap
+
+
+def test_k_plan_below_the_fine_end_is_one_segment():
+    k, segments = scattering._k_plan(2.004, 1)
+    assert segments == [(0, k.size - 1, scattering.FINE_STEP, k.size)]
+    assert k.size % 2 == 1 and k[-1] >= 2.004
+    with pytest.raises(ValueError, match="empty wavenumber grid"):
+        scattering._k_plan(scattering.K_MIN, 1)
+
+
+def test_tail_stop():
+    small, big = 0.0, 1.0
+    run = scattering.TAIL_RUN
+    logdet = np.array([big] * 10 + [small] * (run - 1) + [big] + [small] * run + [big])
+    # the first full run ends at index end; split between two batches, it is
+    # found once the batch that holds its end is in, wherever that batch ends
+    end = 9 + 2 * run
+    assert scattering._tail_stop(logdet[: end - 2], 0) is None
+    assert scattering._tail_stop(logdet[:end], 0) is None
+    for prefix in range(end + 1, logdet.size + 1):
+        assert scattering._tail_stop(logdet[:prefix], 0) == end
+    # a run that ends before earliest is ignored; one that goes on past it counts
+    early = np.array([small] * run + [big] * 5)
+    assert scattering._tail_stop(early, run) is None
+    assert scattering._tail_stop(np.full(12, small), 7) == 7
+    assert scattering._tail_stop(np.full(12, big), 0) is None
+    assert scattering._tail_stop(np.full(run - 1, small), 0) is None
 
 
 def test_poschl_teller_is_reflectionless(pt1_scattering):
@@ -67,7 +115,7 @@ def test_conjugation_symmetry(square_well, square_well_data, random_2x2):
     assert rep.passed
     # complex Hermitian entries break transpose symmetry, so +-k data are
     # independent and the check must decline to report
-    gap = np.abs(scattering.data_values_transpose_gap(random_2x2)).max()
+    gap = np.abs(random_2x2.values - np.swapaxes(random_2x2.values, 1, 2)).max()
     assert gap > 1e-12
     assert scattering.conjugation_symmetry_check(random_2x2, square_well_data) is None
 
