@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dtbtrs
 
 from .potentials import SampledPotential, _hermitian_apply, part_values, require_nonpositive
-from .reports import BoundReport
+from .reports import BoundReport, limit_report
 from .spectral1d import NegativeSpectrum, _constant_channels
 
 CAUCHY_EPSILONS = (0.5, 2.0, 10.0)
@@ -262,26 +262,13 @@ def monotonicity_audit(
     trace_tol = 1e-12 * max(scale, 1.0)
     trace_drift = float(np.abs(profile.traces - profile.traces[0]).max())
     reports = [
-        BoundReport(
-            audit_tag="kyfan-monotonicity",
-            lhs=worst,
-            rhs=tol,
-            tolerance=tol,
-            passed=worst <= tol,
-            provenance={
-                "epsilons": profile.epsilons,
-                "n_max": n_max,
-                "worst_increment": violation,
-            },
-        ),
-        BoundReport(
-            audit_tag="kyfan-trace-constancy",
-            lhs=trace_drift,
-            rhs=trace_tol,
-            tolerance=trace_tol,
-            passed=trace_drift <= trace_tol,
-            provenance={"trace": profile.traces[0]},
-        ),
+        limit_report("kyfan-monotonicity", worst, tol, {
+            "epsilons": profile.epsilons,
+            "n_max": n_max,
+            "worst_increment": violation,
+        }),
+        limit_report("kyfan-trace-constancy", trace_drift, trace_tol,
+                     {"trace": profile.traces[0]}),
     ]
     return reports, profile
 
@@ -315,17 +302,10 @@ def birman_schwinger_audit(
         lam = eigenvalue_at_energy(potential, float(energy), j)
         deviations.append(abs(lam - 1.0))
     worst = float(max(deviations))
-    return BoundReport(
-        audit_tag="birman-schwinger",
-        lhs=worst,
-        rhs=tolerance,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-        provenance={
-            "energies": spectrum.energies,
-            "deviations": deviations,
-        },
-    )
+    return limit_report("birman-schwinger", worst, tolerance, {
+        "energies": spectrum.energies,
+        "deviations": deviations,
+    })
 
 
 def cauchy_kernel_identity_check(tolerance: float = 1e-6) -> BoundReport:
@@ -352,11 +332,7 @@ def cauchy_kernel_identity_check(tolerance: float = 1e-6) -> BoundReport:
                     density, 0.0, np.inf, weight="cos", wvar=u, epsabs=1e-11
                 )
             worst = max(worst, abs(val - target) / max(target, 1e-30))
-    return BoundReport(
-        audit_tag="cauchy-kernel",
-        lhs=worst,
-        rhs=tolerance,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-        provenance={"epsilons": list(CAUCHY_EPSILONS), "offsets": list(CAUCHY_OFFSETS)},
+    return limit_report(
+        "cauchy-kernel", worst, tolerance,
+        {"epsilons": list(CAUCHY_EPSILONS), "offsets": list(CAUCHY_OFFSETS)},
     )

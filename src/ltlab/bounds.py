@@ -205,7 +205,6 @@ def sharpness_sweep(
     well edges land on nodes; otherwise the scheme degrades to first order.
     """
     reports = []
-    rows = {"width": [], "ratio": [], "levels": [], "budget": []}
     for width in widths:
         step = width / SHARPNESS_POINTS_PER_WIDTH
         cells = 2.0 * SHARPNESS_BOX_RADIUS / step
@@ -221,18 +220,21 @@ def sharpness_sweep(
         rep = sharp_half_audit(well, spectrum, base_tolerance=base_tolerance)
         rep.provenance["width"] = width
         reports.append(rep)
-        rows["width"].append(width)
-        rows["ratio"].append(rep.ratio)
-        rows["levels"].append(spectrum.count)
-        rows["budget"].append(rep.provenance["budget"])
+    rows = {
+        "width": np.array(widths, dtype=float),
+        "ratio": np.array([rep.ratio for rep in reports]),
+        "levels": np.array([rep.provenance["levels"] for rep in reports]),
+        "budget": np.array([rep.provenance["budget"] for rep in reports]),
+    }
+    last = reports[-1].ratio
     saturation = BoundReport(
         audit_tag="sharp-half-saturation",
-        lhs=rows["ratio"][-1],
+        lhs=last,
         rhs=saturation_floor,
         tolerance=0.0,
-        passed=rows["ratio"][-1] >= saturation_floor,
+        passed=last >= saturation_floor,
         spec=BoundSpec(0.5, 1, "lower", 2.0, "remark:rank-one-saturation"),
-        residual=rows["ratio"][-1] - saturation_floor,
+        residual=last - saturation_floor,
         provenance={"width": widths[-1]},
     )
     return reports + [saturation], rows
@@ -472,52 +474,36 @@ def remainder_sweep(
     v_one = potentials.trace_power_integral(potential, "minus", 1.0)
     deriv_sq = potentials.derivative_square_integral(potential)
     cap_coeff = 3.0 / 16.0 * math.sqrt(v_one) * math.sqrt(deriv_sq)
-    rows = {
-        "coupling": [],
-        "remainder": [],
-        "cap": [],
-        "riesz_mean": [],
-        "budget": [],
-        "levels": [],
-    }
-    for a, spectrum in zip(sweep.couplings, sweep.spectra):
-        riesz = spectrum.riesz_mean(1.5)
-        budget = spectrum.riesz_mean_error(1.5) + INTEGRAL_SLACK * a * a
-        remainder = a * a * l32 * v_sq - riesz
-        rows["coupling"].append(a)
-        rows["remainder"].append(remainder)
-        rows["cap"].append(cap_coeff * a**1.5)
-        rows["riesz_mean"].append(riesz)
-        rows["budget"].append(budget)
-        rows["levels"].append(spectrum.count)
-    rem = np.array(rows["remainder"])
-    cap = np.array(rows["cap"])
-    budget = np.array(rows["budget"])
+    alphas = np.array(sweep.couplings)
+    riesz = np.array([spectrum.riesz_mean(1.5) for spectrum in sweep.spectra])
+    errors = np.array([spectrum.riesz_mean_error(1.5) for spectrum in sweep.spectra])
+    rem = alphas * alphas * l32 * v_sq - riesz
+    cap = np.array([cap_coeff * a**1.5 for a in sweep.couplings])
+    budget = errors + INTEGRAL_SLACK * alphas * alphas
     # each coupling may dip to -(budget + base_tolerance * cap); the record is
     # the coupling with the least room, so its own fields carry the verdict
     i_low = int(np.argmin(rem + budget + base_tolerance * cap))
     nonneg = comparison_report(
         "remainder-nonnegative",
         "lower",
-        rows["remainder"][i_low],
+        rem[i_low],
         0.0,
         spec=BoundSpec(1.5, 1, "lower", 1.0, "remainder:nonnegative"),
-        base_tolerance=base_tolerance * rows["cap"][i_low],
-        lhs_error=rows["budget"][i_low],
-        provenance={"coupling": rows["coupling"][i_low]},
+        base_tolerance=base_tolerance * cap[i_low],
+        lhs_error=budget[i_low],
+        provenance={"coupling": alphas[i_low]},
     )
     i_cap = int(np.argmax((rem - budget) / cap))
     capped = comparison_report(
         "remainder-cap",
         "upper",
-        rows["remainder"][i_cap],
-        rows["cap"][i_cap],
+        rem[i_cap],
+        cap[i_cap],
         spec=BoundSpec(1.5, 1, "upper", 1.0, "remainder:square-root-cap"),
         base_tolerance=base_tolerance,
-        lhs_error=rows["budget"][i_cap],
-        provenance={"coupling": rows["coupling"][i_cap]},
+        lhs_error=budget[i_cap],
+        provenance={"coupling": alphas[i_cap]},
     )
-    alphas = np.array(rows["coupling"])
     top = (alphas >= alphas.max() / 10.0) & (rem > 0)
     if top.sum() >= 3:
         slope = float(
@@ -543,6 +529,10 @@ def remainder_sweep(
             inconclusive=True,
             provenance={"points": int(top.sum())},
         )
+    rows = {
+        "coupling": alphas, "remainder": rem, "cap": cap, "riesz_mean": riesz,
+        "budget": budget, "levels": np.array([spectrum.count for spectrum in sweep.spectra]),
+    }
     return [nonneg, capped, slope_rep], rows
 
 
@@ -561,24 +551,20 @@ def weyl_ratio_sweep(
     scale_integral = classical_constant(gamma, 1) * potentials.trace_power_integral(
         potential, "minus", gamma + 0.5
     )
-    rows = {"coupling": [], "ratio": [], "budget": []}
-    for a, spectrum in zip(sweep.couplings, sweep.spectra):
-        denom = a ** (gamma + 0.5) * scale_integral
-        rows["coupling"].append(a)
-        rows["ratio"].append(spectrum.riesz_mean(gamma) / denom)
-        rows["budget"].append(spectrum.riesz_mean_error(gamma) / denom)
-    ratios = np.array(rows["ratio"])
-    budgets = np.array(rows["budget"])
+    alphas = np.array(sweep.couplings)
+    denoms = np.array([a ** (gamma + 0.5) * scale_integral for a in sweep.couplings])
+    ratios = np.array([spectrum.riesz_mean(gamma) for spectrum in sweep.spectra]) / denoms
+    budgets = np.array([spectrum.riesz_mean_error(gamma) for spectrum in sweep.spectra]) / denoms
     i_worst = int(np.argmax(ratios - budgets))
     cap = comparison_report(
         "weyl-ratio-cap",
         "upper",
-        rows["ratio"][i_worst],
+        ratios[i_worst],
         factor,
         spec=BoundSpec(gamma, 1, "upper", factor, "bound:lifted-moment"),
         base_tolerance=base_tolerance,
-        lhs_error=rows["budget"][i_worst],
-        provenance={"coupling": rows["coupling"][i_worst], "gamma": gamma},
+        lhs_error=budgets[i_worst],
+        provenance={"coupling": alphas[i_worst], "gamma": gamma},
     )
     reports = [cap]
     if gamma >= 1.5:
@@ -586,12 +572,12 @@ def weyl_ratio_sweep(
             comparison_report(
                 "weyl-ratio-limit",
                 "identity",
-                rows["ratio"][-1],
+                ratios[-1],
                 1.0,
                 spec=BoundSpec(gamma, 1, "identity", 1.0, "asymptotic:phase-space"),
                 base_tolerance=WEYL_LIMIT_TOLERANCE,
-                lhs_error=rows["budget"][-1],
-                provenance={"coupling": rows["coupling"][-1], "gamma": gamma},
+                lhs_error=budgets[-1],
+                provenance={"coupling": alphas[-1], "gamma": gamma},
             )
         )
-    return reports, rows
+    return reports, {"coupling": alphas, "ratio": ratios, "budget": budgets}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, orth
+from scipy.linalg import eigh_tridiagonal, orth
 
 from . import spectral1d
 from .bounds import classical_constant, constant_factor
@@ -44,14 +44,11 @@ class GridOperator2D:
 
     def __post_init__(self):
         m = self.num_interior
+        _nodes(self.box_radius, m)  # raises on a count outside [8, GRID_CAP]
         v = np.asarray(self.potential_values, dtype=float)
         object.__setattr__(self, "potential_values", v)
         if v.shape != (m, m):
             raise ValueError("potential_values must be (num_interior, num_interior)")
-        if m < 8:
-            raise ValueError("need at least 8 interior points per side")
-        if m > GRID_CAP:
-            raise ValueError(f"grid cap {GRID_CAP} per side exceeded")
         if self.theta_x is not None:
             tx = np.asarray(self.theta_x, dtype=float)
             ty = np.asarray(self.theta_y, dtype=float)
@@ -62,12 +59,7 @@ class GridOperator2D:
 
     @property
     def grid_step(self) -> float:
-        return 2.0 * self.box_radius / (self.num_interior + 1)
-
-    @property
-    def interior_grid(self) -> np.ndarray:
-        m = self.num_interior
-        return -self.box_radius + self.grid_step * (1 + np.arange(m))
+        return _nodes(self.box_radius, self.num_interior)[1]
 
     @property
     def is_magnetic(self) -> bool:
@@ -78,47 +70,39 @@ class GridOperator2D:
         return self.num_interior**2
 
     def to_sparse(self) -> sp.csc_matrix:
+        """The 5-point stencil as five diagonals: offsets 0, +-1 (y hops), +-M (x hops).
+
+        The y hop out of the last node of a grid row, (i, M-1) -> (i+1, 0),
+        joins no edge, so the +-1 diagonals hold a zero there.
+        """
         m = self.num_interior
         inv_h2 = 1.0 / self.grid_step**2
-        n = m * m
-        dtype = complex if self.is_magnetic else float
-        idx = np.arange(n)
-        rows = [idx]
-        cols = [idx]
-        data = [np.full(n, 4.0 * inv_h2) + self.potential_values.reshape(n)]
-        ii, jj = np.meshgrid(np.arange(m - 1), np.arange(m), indexing="ij")
-        p = (ii * m + jj).ravel()
-        q = ((ii + 1) * m + jj).ravel()
-        hop_x = (
-            -inv_h2 * np.exp(-1j * self.theta_x.ravel())
-            if self.is_magnetic
-            else np.full(p.size, -inv_h2)
+        links = (np.ones((m - 1, m)), np.ones((m, m - 1)))
+        if self.is_magnetic:
+            links = (np.exp(-1j * self.theta_x), np.exp(-1j * self.theta_y))
+        hop_x = -inv_h2 * links[0].ravel()
+        hop_y = np.zeros((m, m), dtype=links[1].dtype)
+        hop_y[:, :-1] = -inv_h2 * links[1]
+        hop_y = hop_y.ravel()[:-1]
+        main = 4.0 * inv_h2 + self.potential_values.ravel()
+        return sp.diags(
+            [main, hop_y, np.conj(hop_y), hop_x, np.conj(hop_x)],
+            [0, 1, -1, m, -m],
+            format="csc",
         )
-        rows += [p, q]
-        cols += [q, p]
-        data += [hop_x, np.conj(hop_x)]
-        ii, jj = np.meshgrid(np.arange(m), np.arange(m - 1), indexing="ij")
-        p = (ii * m + jj).ravel()
-        q = (ii * m + jj + 1).ravel()
-        hop_y = (
-            -inv_h2 * np.exp(-1j * self.theta_y.ravel())
-            if self.is_magnetic
-            else np.full(p.size, -inv_h2)
-        )
-        rows += [p, q]
-        cols += [q, p]
-        data += [hop_y, np.conj(hop_y)]
-        mat = sp.coo_matrix(
-            (
-                np.concatenate(data).astype(dtype),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(n, n),
-        )
-        return mat.tocsc()
 
     def to_dense(self) -> np.ndarray:
         return self.to_sparse().toarray()
+
+
+def _nodes(box_radius: float, num_interior: int) -> tuple[np.ndarray, float]:
+    """Nodes -L + h*(i+1) inside (-L, L) and h = 2L/(M+1); M outside [8, GRID_CAP] raises."""
+    if num_interior < 8:
+        raise ValueError("need at least 8 interior points per side")
+    if num_interior > GRID_CAP:
+        raise ValueError(f"grid cap {GRID_CAP} per side exceeded")
+    h = 2.0 * box_radius / (num_interior + 1)
+    return -box_radius + h * (1 + np.arange(num_interior)), h
 
 
 def build_operator_2d(
@@ -133,13 +117,7 @@ def build_operator_2d(
     midpoint meshes to the pair (a_x, a_y).  An identically vanishing field
     is dropped so the assembled matrix stays real.
     """
-    op_probe = GridOperator2D(
-        box_radius=box_radius,
-        num_interior=num_interior,
-        potential_values=np.zeros((num_interior, num_interior)),
-    )
-    x = op_probe.interior_grid
-    h = op_probe.grid_step
+    x, h = _nodes(box_radius, num_interior)
     X, Y = np.meshgrid(x, x, indexing="ij")
     values = np.asarray(potential(X, Y), dtype=float)
     theta_x = theta_y = None
@@ -274,14 +252,14 @@ def gauge_invariance_check(
     landau = constant_field(field_strength, "landau")
     base_op = build_operator_2d(potential, box_radius, num_interior, landau)
     base = base_op.to_sparse()
-    X, Y = np.meshgrid(base_op.interior_grid, base_op.interior_grid, indexing="ij")
+    x, _ = _nodes(box_radius, num_interior)
+    X, Y = np.meshgrid(x, x, indexing="ij")
     rng = np.random.default_rng(seed)
     gauges = [(0.0, 0.0, 0.0, 0.5 * field_strength, 0.0)]
     gauges += [rng.uniform(-1.0, 1.0, 5) for _ in range(3)]
-    fields = [constant_field(field_strength, "symmetric")]
-    fields += [_quadratic_gauge_shift(landau, c) for c in gauges[1:]]
     worst = 0.0
-    for coefficients, field in zip(gauges, fields):
+    for coefficients in gauges:
+        field = _quadratic_gauge_shift(landau, coefficients)
         op = build_operator_2d(potential, box_radius, num_interior, field)
         g = sp.diags(np.exp(1j * _quadratic_gauge(coefficients)(X, Y)).ravel())
         gap = op.to_sparse() - g @ base @ g.conj()
@@ -358,13 +336,13 @@ def lifting_inequality_audit(
 ) -> BoundReport:
     """Planar Riesz mean against the operator-valued 1D comparison problem.
 
-    Per slice y_j the transverse operator W(y_j) = -d^2/dx^2 + V(., y_j) is
-    diagonalized.  The planar operator lies above T_y (x) I - (+)_j W_-(y_j).
-    Every W_-(y_j) vanishes off the span S of all slices' negative
-    eigenvectors, so that comparison is nonnegative on S^perp and its
-    negative spectrum is exactly that of its compression to S, which the 1D
-    solver takes as a dim S channel well.  spectrum_2d is the solved planar
-    spectrum on the same grid.
+    Per slice y_j the transverse operator W(y_j) = -d^2/dx^2 + V(., y_j)
+    gives its negative eigenpairs by tridiagonal bisection.  The planar
+    operator lies above T_y (x) I - (+)_j W_-(y_j).  Every W_-(y_j)
+    vanishes off the span S of all slices' negative eigenvectors, so that
+    comparison is nonnegative on S^perp and its negative spectrum is exactly
+    that of its compression to S, which the 1D solver takes as a dim S
+    channel well.  spectrum_2d is the solved planar spectrum on the same grid.
     """
     if gamma < 0.5:
         raise ValueError("need gamma >= 1/2")
@@ -373,16 +351,13 @@ def lifting_inequality_audit(
     h = op.grid_step
     lhs = spectrum_2d.riesz_mean(gamma)
 
-    kinetic = (
-        np.diag(np.full(m, 2.0 / h**2))
-        + np.diag(np.full(m - 1, -1.0 / h**2), 1)
-        + np.diag(np.full(m - 1, -1.0 / h**2), -1)
-    )
     slices = []
-    for j in range(m):
-        mu, vecs = eigh(kinetic + np.diag(op.potential_values[:, j]))
-        neg = mu < 0
-        slices.append((-mu[neg], vecs[:, neg]))
+    for column in op.potential_values.T:
+        mu, vecs = eigh_tridiagonal(
+            2.0 / h**2 + column, np.full(m - 1, -1.0 / h**2),
+            select="v", select_range=(-np.inf, 0.0),
+        )
+        slices.append((-mu, vecs))
     negative = np.hstack([vecs for _, vecs in slices])
     basis = orth(negative) if negative.size else negative
     levels = np.empty(0)

@@ -139,6 +139,22 @@ def comparison_report(
     )
 
 
+def limit_report(audit_tag: str, value: float, limit: float, provenance: dict) -> BoundReport:
+    """A measured deviation against its limit: passes when value <= limit.
+
+    lhs is the value, and rhs and tolerance are both the limit; the record
+    carries no spec and no residual.
+    """
+    return BoundReport(
+        audit_tag=audit_tag,
+        lhs=value,
+        rhs=limit,
+        tolerance=limit,
+        passed=value <= limit,
+        provenance=provenance,
+    )
+
+
 def _json_float(x):
     if x is None:
         return None

@@ -346,7 +346,7 @@ class ScenarioContext:
 
 def _columns_csv(columns: dict) -> str:
     def cell(value):
-        return repr(float(value)) if isinstance(value, (int, float, np.floating)) else str(value)
+        return repr(float(value)) if isinstance(value, (int, float, np.number)) else str(value)
 
     rows = [",".join(map(cell, row)) for row in zip(*columns.values())]
     return "\n".join([",".join(columns), *rows]) + "\n"

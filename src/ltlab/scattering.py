@@ -36,7 +36,7 @@ from .potentials import (
     derivative_square_integral,
     signed_trace_power_integral,
 )
-from .reports import BoundReport, BoundSpec
+from .reports import BoundReport, BoundSpec, limit_report
 from .spectral1d import NegativeSpectrum, mirror_symmetric
 
 K_MIN = 1e-3
@@ -336,9 +336,8 @@ def _spectral_integrals(k, logdet, segments, adaptive):
     for j in (0, 2, 4):
         total, err = 0.0, 0.0
         for first, last, step, _ in segments:
-            # Simpson needs an even interval count within the kept grid
+            # the kept grid ends on an even interval count of its last segment
             last = min(last, k.size - 1)
-            last -= (last - first) % 2
             if last - first < 2:
                 continue
             sl = slice(first, last + 1)
@@ -360,8 +359,10 @@ def compute_scattering(
     """Matching data over the standard segmented grid with adaptive tail stop.
 
     Without k_max the grid is cut where log|det A| stays below 1e-12 for 5
-    consecutive samples past the fine segment; a potential whose determinant
-    has not decayed by the cap raises (insufficient decay).  With k_max the
+    consecutive samples past the fine segment, less one sample when that
+    leaves its segment an odd interval count, so the tail bound starts where
+    the Simpson integral ends; a potential whose determinant has not decayed
+    by the cap raises (insufficient decay).  With k_max the
     grid is simply truncated there and no tail certificate is attached.
     """
     adaptive = k_max is None
@@ -373,16 +374,19 @@ def compute_scattering(
     keep = k_grid.size
     # every segment after the first starts on the point that ends the one before
     batches = [
-        (lo, min(lo + chunk, last + 1))
+        (first, lo, min(lo + chunk, last + 1))
         for first, last, _, chunk in segments
         for lo in range(first + (first > 0), last + 1, chunk)
     ]
-    for lo, hi in batches:
+    for first, lo, hi in batches:
         jost[:, lo:hi] = _solve_batch(potential, k_grid[lo:hi], refine)
         logdet[lo:hi] = np.linalg.slogdet(jost[0, lo:hi])[1]
         stop = _tail_stop(logdet[:hi], segments[0][1]) if adaptive else None
         if stop is not None:
-            keep = stop + 1
+            # the stop lies in this batch's segment; keep the grid to the end
+            # of its last even run of intervals, where Simpson and the tail
+            # bound meet
+            keep = stop - (stop - first) % 2 + 1
             break
     else:
         if adaptive:
@@ -420,13 +424,9 @@ def unitarity_audit(data: ScatteringData, tolerance: float = 1e-7) -> BoundRepor
     """Worst-k residual of A A* = 1 + B(-k) B(-k)*."""
     worst = float(data.unitarity_residual.max())
     at = int(np.argmax(data.unitarity_residual))
-    return BoundReport(
-        audit_tag="unitarity",
-        lhs=worst,
-        rhs=tolerance,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-        provenance={"k_at_worst": float(data.k_grid[at]), "k_count": data.k_grid.size},
+    return limit_report(
+        "unitarity", worst, tolerance,
+        {"k_at_worst": float(data.k_grid[at]), "k_count": data.k_grid.size},
     )
 
 
@@ -476,14 +476,7 @@ def conjugation_symmetry_check(
         float(np.abs(data.a_neg - np.conj(data.a_pos)).max()),
         float(np.abs(data.b_neg - np.conj(data.b_pos)).max()),
     )
-    return BoundReport(
-        audit_tag="conjugation-symmetry",
-        lhs=dev,
-        rhs=tolerance,
-        tolerance=tolerance,
-        passed=dev <= tolerance,
-        provenance={"k_count": data.k_grid.size},
-    )
+    return limit_report("conjugation-symmetry", dev, tolerance, {"k_count": data.k_grid.size})
 
 
 _IDENTITY_TERMS = (

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
@@ -56,6 +57,39 @@ def test_separable_spectrum_is_kronecker_sum():
     spec = multidim.negative_spectrum_2d(op)
     assert spec.count == expected.size
     assert_allclose(spec.energies, expected, atol=1e-10)
+
+
+def test_plain_grid_is_the_kronecker_sum_array_for_array(well):
+    m = 20
+    op = multidim.build_operator_2d(well, BOX, m)
+    h = op.grid_step
+    t = sp.diags([np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2),
+                  np.full(m - 1, -1.0 / h**2)], [0, 1, -1])
+    eye = sp.identity(m)
+    expected = (sp.kron(t, eye) + sp.kron(eye, t) + sp.diags(op.potential_values.ravel())).tocsc()
+    got = op.to_sparse()
+    assert got.dtype == np.float64 and got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+def test_magnetic_hops_sit_on_the_grid_edges(well):
+    m = 12
+    op = multidim.build_operator_2d(well, BOX, m, multidim.constant_field(0.7, "symmetric"))
+    mat = op.to_sparse().toarray()
+    inv_h2 = 1.0 / op.grid_step**2
+    hop_x = np.diagonal(mat, m).reshape(m - 1, m)
+    assert_allclose(hop_x, -inv_h2 * np.exp(-1j * op.theta_x), rtol=0, atol=1e-12 * inv_h2)
+    assert_allclose(np.diagonal(mat, -m), np.conj(np.diagonal(mat, m)), rtol=0, atol=0)
+    assert_allclose(np.diagonal(mat, -1), np.conj(np.diagonal(mat, 1)), rtol=0, atol=0)
+    # (i, j) -> (i, j+1) inside a row; nothing from a row's last node to the next row
+    full_y = np.concatenate([np.diagonal(mat, 1), [0.0]]).reshape(m, m)
+    assert_allclose(full_y[:, :-1], -inv_h2 * np.exp(-1j * op.theta_y), rtol=0,
+                    atol=1e-12 * inv_h2)
+    assert not full_y[:, -1].any()
+    # and no other entry: five diagonals at 0, +-1, +-M
+    offsets = np.subtract.outer(np.arange(m * m), np.arange(m * m))
+    assert not mat[~np.isin(offsets, (0, 1, -1, m, -m))].any()
 
 
 def test_radial_degeneracy_is_exact_on_the_grid(well_spectrum):
@@ -174,6 +208,26 @@ def test_lifting_rhs_is_the_uncompressed_comparison(well, kind):
     expected = uncompressed_comparison_mean(plane, box, 24, gamma)
     assert_allclose(rep.rhs, expected, rtol=1e-12, atol=0)
     assert rep.passed
+
+
+def test_separable_lifting_blocks_split_into_channels(monkeypatch):
+    # a separable well's comparison is a direct sum of scalar channels; the
+    # slices' eigenpairs keep its blocks' coupling below CHANNEL_SPLIT_TOL,
+    # so the 1D solve takes the tridiagonal channels, not shift-invert
+    base = potentials.build_family("gaussian", depth=3.0496, width=0.9104)
+    plane = multidim.separable_well_2d(base)
+    spectrum = solve(plane, 65, 7.0)
+    blocks = []
+    solve_1d = spectral1d.negative_spectrum
+
+    def record(op, *args, **kwargs):
+        blocks.append(op.potential_blocks)
+        return solve_1d(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectral1d, "negative_spectrum", record)
+    rep = multidim.lifting_inequality_audit(plane, 7.0, 65, 1.0, spectrum)
+    assert rep.passed and rep.provenance["channels"] == blocks[0].shape[1] > 1
+    assert spectral1d._constant_channels(blocks[0]) is not None
 
 
 def test_lifting_without_slice_levels_solves_nothing(monkeypatch):

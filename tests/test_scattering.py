@@ -89,6 +89,22 @@ def test_tail_stop():
     assert scattering._tail_stop(np.full(run - 1, small), 0) is None
 
 
+def test_adaptive_stop_keeps_an_even_final_run_inside_the_budget():
+    # this well's first stop leaves its coarse segment an odd interval count;
+    # the kept grid ends one sample earlier, where the tail bound takes over
+    g = potentials.build_family("gaussian", depth=4.0, width=0.3)
+    data = scattering.compute_scattering(g, refine=1)
+    _, segments = scattering._k_plan(scattering.K_CAP, 1)
+    last = data.k_grid.size - 1
+    first = max(f for f, *_ in segments if f <= last)
+    assert last > first and (last - first) % 2 == 0
+    finer = scattering.compute_scattering(g, refine=2)
+    values = data.integral_details["values"]
+    assert data.integral_details["errors"][4] >= abs(
+        values[4] - finer.integral_details["values"][4]
+    )
+
+
 def test_poschl_teller_is_reflectionless(pt1_scattering):
     data = pt1_scattering
     assert np.abs(data.logdet).max() < 1e-12
