@@ -42,17 +42,13 @@ class BSOperator:
     leading eigenvalues asked for, descending; trace is sum_i w_i tr V_minus(x_i).
     """
 
-    epsilon: float
-    grid: np.ndarray
-    weights: np.ndarray
     matrix: np.ndarray
-    matrix_dim: int
     eigenvalues: np.ndarray
     trace: float
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0] * self.matrix_dim
+        return self.matrix.shape[0] * self.matrix.shape[1]
 
     def partial_sums(self, n_max: int) -> np.ndarray:
         k = min(n_max, self.eigenvalues.size)
@@ -161,7 +157,6 @@ def build_L(
     if not blocks.imag.any():
         blocks = blocks.real
     a = np.sqrt(w)[:, None, None] * _psd_sqrt(blocks)
-    n = potential.matrix_dim
     if epsilon == 0:
         found = [np.linalg.eigvalsh(np.einsum("xij,xjk->ik", a, a))]
     else:
@@ -172,17 +167,9 @@ def build_L(
         )
         found = [_leading_eigenvalues(p, pts, epsilon, top) for p in parts]
     # the null directions left out above make up the count with exact zeros
-    want = min(top, pts.size * n)
+    want = min(top, pts.size * potential.matrix_dim)
     vals = np.sort(np.concatenate(found + [np.zeros(want)]))[::-1][:want]
-    return BSOperator(
-        epsilon=float(epsilon),
-        grid=pts,
-        weights=w,
-        matrix=a,
-        matrix_dim=n,
-        eigenvalues=vals,
-        trace=float(np.vdot(a, a).real),
-    )
+    return BSOperator(matrix=a, eigenvalues=vals, trace=float(np.vdot(a, a).real))
 
 
 def build_K(

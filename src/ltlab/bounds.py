@@ -94,13 +94,10 @@ def classical_constant_audit() -> list[BoundReport]:
 
 
 def product_identity_check(gamma: float, d: int) -> BoundReport:
-    """One-dimensional constant times the lifted one reproduces dimension d."""
+    """One-dimensional constant times the lifted one reproduces dimension d >= 2."""
     if gamma < 0.5:
         raise ValueError("need gamma >= 1/2")
-    if d >= 2:
-        lhs = classical_constant(gamma, 1) * classical_constant(gamma + 0.5, d - 1)
-    else:
-        lhs = classical_constant(gamma, 1)
+    lhs = classical_constant(gamma, 1) * classical_constant(gamma + 0.5, d - 1)
     rhs = classical_constant(gamma, d)
     residual = abs(lhs - rhs) / rhs
     return BoundReport(
@@ -283,18 +280,8 @@ def lifting_identity_check(
 
     if gamma <= 0.5:
         raise ValueError("the normalizing Beta constant diverges at gamma <= 1/2")
-    spec = BoundSpec(gamma, 1, "identity", 1.0, "identity:moment-lifting")
     if s >= 0:
-        return BoundReport(
-            audit_tag="lifting-identity",
-            lhs=0.0,
-            rhs=0.0,
-            tolerance=tolerance,
-            passed=True,
-            spec=spec,
-            residual=0.0,
-            provenance={"s": s, "vacuous": True},
-        )
+        raise ValueError("the identity is vacuous at s >= 0; need s < 0")
     p = gamma - 0.5
     normalizer = math.exp(math.lgamma(p + 1.5) - math.lgamma(p) - math.lgamma(1.5))
 
@@ -311,7 +298,7 @@ def lifting_identity_check(
         rhs=rhs,
         tolerance=tolerance,
         passed=residual <= tolerance,
-        spec=spec,
+        spec=BoundSpec(gamma, 1, "identity", 1.0, "identity:moment-lifting"),
         residual=residual,
         provenance={"s": s, "quad_error": quad_err},
     )
@@ -424,10 +411,8 @@ class CouplingSweep:
     states comparable between couplings.
     """
 
-    potential: SampledPotential
     couplings: tuple
     spectra: tuple
-    box_radius: float
 
 
 def coupling_sweep(
@@ -450,12 +435,7 @@ def coupling_sweep(
         spectra.append(
             spectral1d.refined_negative_spectrum(scaled, box, num_interior)
         )
-    return CouplingSweep(
-        potential=potential,
-        couplings=couplings,
-        spectra=tuple(spectra),
-        box_radius=box,
-    )
+    return CouplingSweep(couplings=couplings, spectra=tuple(spectra))
 
 
 def remainder_sweep(

@@ -75,20 +75,18 @@ def main(argv=None) -> int:
             return 2
         sys.stdout.write(runner.render_report(manifest, args.fmt))
         return 0
-    if args.command == "diff":
-        manifests = [_load_manifest(args.old), _load_manifest(args.new)]
-        if None in manifests:
-            return 2
-        try:
-            compared, lines = runner.diff_manifests(*manifests, rtol=args.rtol)
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"manifest error: {exc}", file=sys.stderr)
-            return 2
-        for line in lines:
-            print(line)
-        print(f"{compared} records compared, {len(lines)} changes beyond rtol {args.rtol:g}")
-        return 1 if lines else 0
-    return 2
+    manifests = [_load_manifest(args.old), _load_manifest(args.new)]  # the diff command
+    if None in manifests:
+        return 2
+    try:
+        compared, lines = runner.diff_manifests(*manifests, rtol=args.rtol)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"manifest error: {exc}", file=sys.stderr)
+        return 2
+    for line in lines:
+        print(line)
+    print(f"{compared} records compared, {len(lines)} changes beyond rtol {args.rtol:g}")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -89,6 +89,14 @@ def _density_value(stability_index: float, scale: float, momentum: float):
     return value / math.pi, err / math.pi
 
 
+def _check_momentum_grid(grid: np.ndarray) -> None:
+    """Raise unless grid is 1d, increasing and nonnegative, with at least 16 points."""
+    if grid.ndim != 1 or grid.size < 16:
+        raise ValueError("momentum grid must be 1d with at least 16 points")
+    if (np.diff(grid) <= 0).any() or grid[0] < 0:
+        raise ValueError("momentum grid must be increasing and nonnegative")
+
+
 @dataclass(frozen=True)
 class ComparisonDensity:
     """Symmetric stable density tabulated on a nonnegative momentum grid."""
@@ -103,10 +111,7 @@ class ComparisonDensity:
         values = np.asarray(self.density_values, dtype=float)
         object.__setattr__(self, "momentum_grid", grid)
         object.__setattr__(self, "density_values", values)
-        if grid.ndim != 1 or grid.size < 16:
-            raise ValueError("momentum grid must be 1d with at least 16 points")
-        if (np.diff(grid) <= 0).any() or grid[0] < 0:
-            raise ValueError("momentum grid must be increasing and nonnegative")
+        _check_momentum_grid(grid)
         if values.shape != grid.shape:
             raise ValueError("density values must match the grid")
         if values.min() < -POINTWISE_SLACK:
@@ -152,13 +157,7 @@ class ComparisonDensity:
         return 2.0 * (half + tail)
 
 
-def default_momentum_grid(cutoff: float = 40.0, count: int = 801) -> np.ndarray:
-    return np.linspace(0.0, cutoff, count)
-
-
-def stable_density(
-    stability_index: float, scale: float, momentum_grid=None
-) -> ComparisonDensity:
+def stable_density(stability_index: float, scale: float, momentum_grid: np.ndarray) -> ComparisonDensity:
     """Tabulate the stable density and verify it against two exact anchors.
 
     The value at zero must reproduce the Gamma-integral closed form and the
@@ -169,8 +168,6 @@ def stable_density(
         raise ValueError("stability index must lie in (0, 2)")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    if momentum_grid is None:
-        momentum_grid = default_momentum_grid()
     grid = np.asarray(momentum_grid, dtype=float)
     values = np.empty_like(grid)
     worst_err = 0.0
@@ -421,8 +418,8 @@ class PeriodicOperator:
 
         return count, solve
 
-    def negative_levels(self, threshold: float) -> np.ndarray:
-        """Binding energies |E| of the eigenvalues below -threshold, deepest first.
+    def negative_levels(self) -> np.ndarray:
+        """Binding energies |E| below -ENERGY_EDGE_THRESHOLD, deepest first.
 
         spectral1d._shift_invert_levels solves from the floor sigma =
         1.15 min V - 0.05 < min V <= A, not from spectral1d._placed_shift:
@@ -436,7 +433,7 @@ class PeriodicOperator:
             LinearOperator((self.size, self.size), matvec=self.matvec, dtype=float),
             self._factor_at,
             np.finfo(float).eps * self.norm_1(),
-            threshold,
+            spectral1d.ENERGY_EDGE_THRESHOLD,
             lambda cut: (sigma, spectral1d._certified(self._factor_at, sigma)),
         )
         return np.sort(-vals)[::-1]
@@ -463,11 +460,9 @@ def fractional_moment_audit(
         raise ValueError("audit takes scalar potentials")
     potentials.require_nonpositive(potential)
     box_radius = potential.support_radius + box_margin
-    small = PeriodicOperator.on_box(
-        potential, beta, box_radius, num_points
-    ).negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD)
+    small = PeriodicOperator.on_box(potential, beta, box_radius, num_points).negative_levels()
     operator = PeriodicOperator.on_box(potential, beta, 2.0 * box_radius, 2 * num_points)
-    levels = operator.negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD)
+    levels = operator.negative_levels()
     paired = min(small.size, levels.size)
     drift = float(np.abs(levels[:paired] - small[:paired]).max(initial=0.0))
     extra = levels[paired:]

@@ -137,13 +137,9 @@ def build_operator_2d(
     )
 
 
-def constant_field(strength: float, gauge: str = "landau"):
-    """Vector potential of a uniform field in the chosen gauge."""
-    if gauge == "landau":
-        return lambda X, Y: (-strength * Y, np.zeros_like(X))
-    if gauge == "symmetric":
-        return lambda X, Y: (-0.5 * strength * Y, 0.5 * strength * X)
-    raise ValueError(f"unknown gauge {gauge!r}")
+def constant_field(strength: float):
+    """Vector potential (-B y, 0) of a uniform field B in the Landau gauge."""
+    return lambda X, Y: (-strength * Y, np.zeros_like(X))
 
 
 def negative_spectrum_2d(op: GridOperator2D) -> NegativeSpectrum:
@@ -249,7 +245,7 @@ def gauge_invariance_check(
     and the Landau-to-symmetric change of gauge, chi = B x y / 2, are
     checked.
     """
-    landau = constant_field(field_strength, "landau")
+    landau = constant_field(field_strength)
     base_op = build_operator_2d(potential, box_radius, num_interior, landau)
     base = base_op.to_sparse()
     x, _ = _nodes(box_radius, num_interior)

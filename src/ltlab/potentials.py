@@ -15,11 +15,9 @@ POINTS_PER_FEATURE = 8
 
 
 def simpson_weights(num_points: int, step: float) -> np.ndarray:
-    """Composite-Simpson weights; trapezoid fallback for even point counts."""
+    """Composite-Simpson weights on an odd number of at least 3 points."""
     if num_points < 3 or num_points % 2 == 0:
-        w = np.full(num_points, step)
-        w[0] = w[-1] = step / 2.0
-        return w
+        raise ValueError("Simpson needs an odd number of points >= 3")
     w = np.full(num_points, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0

@@ -112,7 +112,7 @@ def _check_grid(grid: dict, where: str):
     checks = {
         "refine": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
         "k_max": (
-            lambda v: _is_number(v) and v > scattering.K_MIN,
+            lambda v: _is_number(v) and scattering.K_MIN < v < math.inf,
             f"a number above K_MIN = {scattering.K_MIN}",
         ),
         "num_interior": (
@@ -158,6 +158,31 @@ def _check_options(audits, options: dict, where: str):
         kind = OPTION_KINDS.get(name)
         if kind is not None and not kind.accept(value):
             raise ConfigError(f"{where}.{name}: expected {kind.adjective} value, found {value!r}")
+    if "stable-c0" in audits and options.get("reference") is None and not options.get("refine_grid"):
+        raise ConfigError(f"{where}.reference: audit 'stable-c0' needs a reference or refine_grid: true")
+
+
+def _check_stage_grids(scenario: Scenario, where: str):
+    """The k, planar and momentum grids the audits build pass the solvers' own checks."""
+    ctx, audits, grid = ScenarioContext(scenario), set(scenario.audits), scenario.grid
+    checks = []
+    if "k_max" in grid:
+        checks.append(("grid.k_max", lambda: scattering._k_plan(grid["k_max"], grid.get("refine", 1))))
+    if audits & {"lt-2d", "lt-2d-magnetic", "lifting-2d", "diamagnetic-trend"}:
+        checks.append(("options.num_interior", lambda: multidim._nodes(1.0, ctx.plane_points())))
+    if audits & {"lt-2d", "lt-2d-magnetic"}:  # and the Richardson fine grid
+        checks.append(("options.num_interior", lambda: multidim._nodes(1.0, 2 * ctx.plane_points() + 1)))
+    if "gauge-invariance" in audits:
+        key = "gauge_points" if "gauge_points" in scenario.options else "num_interior"
+        checks.append((f"options.{key}", lambda: multidim._nodes(1.0, ctx.gauge_points())))
+    if "density" in scenario.options:
+        key = "options.density (grid_points, grid_cutoff)"
+        checks.append((key, lambda: fractional._check_momentum_grid(ctx.momentum_grid())))
+    for key, check in checks:
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
 
 
 def validate_config(config) -> list[Scenario]:
@@ -223,6 +248,7 @@ def validate_config(config) -> list[Scenario]:
             name=name, audits=tuple(audits), potential_spec=potential_spec,
             grid=dict(grid), tolerances=dict(tolerances), options=dict(options),
         ))
+        _check_stage_grids(scenarios[-1], where)
     return scenarios
 
 
@@ -304,6 +330,11 @@ class ScenarioContext:
     def plane_points(self) -> int:
         return self.option("num_interior", 64)
 
+    def gauge_points(self) -> int:
+        """options.gauge_points, else the planar side capped at 32."""
+        given = self.option("gauge_points")
+        return min(self.plane_points(), 32) if given is None else given
+
     def vector_potential(self, magnetic: bool):
         if not magnetic:
             return None
@@ -329,19 +360,17 @@ class ScenarioContext:
             )
         ))
 
+    def momentum_grid(self, points: int | None = None) -> np.ndarray:
+        """`points` momenta (default: the density's grid_points) from 0 to its grid_cutoff."""
+        spec = self.option("density")
+        return np.linspace(0.0, spec.get("grid_cutoff", 40.0), points or spec.get("grid_points", 801))
+
     def density(self, points: int | None = None):
         """The options' density tabulated on `points` momenta (default: its grid_points)."""
-        spec = self.option("density")
-        if points is None:
-            points = int(spec.get("grid_points", 801))
-        return self._stage(f"density-{points}", lambda: fractional.stable_density(
-            float(spec["stability_index"]),
-            float(spec.get("scale", 1.0)),
-            fractional.default_momentum_grid(float(spec.get("grid_cutoff", 40.0)), points),
+        spec, grid = self.option("density"), self.momentum_grid(points)
+        return self._stage(f"density-{grid.size}", lambda: fractional.stable_density(
+            float(spec["stability_index"]), float(spec.get("scale", 1.0)), grid
         ))
-
-    def add_plot(self, name: str, content: str):
-        self.plots[name] = content
 
 
 def _columns_csv(columns: dict) -> str:
@@ -359,7 +388,7 @@ def _plotted(ctx, name: str, result) -> list:
     carries one as `columns` (the Ky Fan profile).
     """
     reports, rows = result
-    ctx.add_plot(name, _columns_csv(getattr(rows, "columns", rows)))
+    ctx.plots[name] = _columns_csv(getattr(rows, "columns", rows))
     return reports
 
 
@@ -502,8 +531,7 @@ AUDITS = {
         ("well",), {"magnetic_gamma": 1.5}, 1e-3),
     "gauge-invariance": Audit(
         lambda ctx, o, tol: multidim.gauge_invariance_check(
-            ctx.well_2d(), ctx.plane_box(),
-            min(ctx.plane_points(), 32) if o["gauge_points"] is None else o["gauge_points"],
+            ctx.well_2d(), ctx.plane_box(), ctx.gauge_points(),
             field_strength=o["field_strength"], seed=o["gauge_seed"], tolerance=tol),
         ("well",), {"gauge_points": None, "field_strength": 1.0, "gauge_seed": 5}, 1e-8),
     "lifting-2d": Audit(

@@ -35,6 +35,7 @@ from .potentials import (
     SampledPotential,
     derivative_square_integral,
     signed_trace_power_integral,
+    simpson_weights,
 )
 from .reports import BoundReport, BoundSpec, limit_report
 from .spectral1d import NegativeSpectrum, mirror_symmetric
@@ -279,20 +280,14 @@ def _tail_stop(logdet: np.ndarray, earliest: int) -> int | None:
     return int(ends[0]) if ends.size else None
 
 
-def _uniform_simpson(y: np.ndarray, step: float) -> float:
-    if y.size % 2 == 0 or y.size < 3:
-        raise ValueError("Simpson needs an odd number of points >= 3")
-    return float(step / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-2:2].sum()))
-
-
 def _segment_quadrature(y: np.ndarray, step: float):
     """Simpson value plus a stride-2 self-comparison error estimate."""
-    value = _uniform_simpson(y, step)
     count = y.size
+    value = float(simpson_weights(count, step) @ y)
     sub = count if count % 4 == 1 else count - 2
     if sub >= 5:
-        coarse = _uniform_simpson(y[:sub:2], 2.0 * step)
-        finer = _uniform_simpson(y[:sub], step)
+        coarse = float(simpson_weights(sub // 2 + 1, 2.0 * step) @ y[:sub:2])
+        finer = float(simpson_weights(sub, step) @ y[:sub])
         err = abs(finer - coarse) / 15.0 * (count / sub)
     else:
         err = 0.0

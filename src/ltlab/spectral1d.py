@@ -131,17 +131,11 @@ class NegativeSpectrum:
     def riesz_mean(self, gamma: float) -> float:
         if gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.energies.size == 0:
-            return 0.0
-        if gamma == 0:
-            return float(self.energies.size)
         return float((self.energies**gamma).sum())
 
     def riesz_mean_error(self, gamma: float) -> float:
         """First-order propagation of the per-level error estimates."""
-        if self.error_estimates is None or self.energies.size == 0:
-            return 0.0
-        if gamma == 0:
+        if self.error_estimates is None:
             return 0.0
         return float(
             gamma * (self.energies ** max(gamma - 1.0, 0.0) * self.error_estimates).sum()

@@ -22,7 +22,6 @@ def test_kernel_scaling_between_families():
     assert_allclose(direct.eigenvalues, base.eigenvalues / 3.0, rtol=1e-12)
     assert_allclose(direct.trace, base.trace / 3.0, rtol=1e-14)
     assert_allclose(direct.matrix, base.matrix / np.sqrt(3.0), atol=1e-14)
-    assert direct.epsilon == 1.5
 
 
 def test_unit_eigenvalue_at_bound_state(pt1, pt1_spectrum):
@@ -108,8 +107,10 @@ def test_real_kernel_matches_complex_kernel():
     for eps in (0.0, 1.0):
         real_op = bs.build_L(well, eps)
         complex_op = bs.build_L(turned, eps)
-        # matrix holds the diagonal factor blocks A_i, not a kernel matrix
-        blocks = (real_op.grid.size, 2, 2)
+        # matrix holds the diagonal factor blocks A_i, one per support node,
+        # not a kernel matrix
+        a, b = well.support
+        blocks = (int(((well.grid >= a - 1e-12) & (well.grid <= b + 1e-12)).sum()), 2, 2)
         assert real_op.matrix.shape == complex_op.matrix.shape == blocks
         assert real_op.matrix.dtype == np.float64
         assert complex_op.matrix.dtype == np.complex128
@@ -202,7 +203,7 @@ def test_repeated_eigenvalues_take_the_channel_path(coarse_pt2, lanczos_shapes):
     # keep one copy, so each channel is solved on its own scalar operator
     doubled = potentials.direct_sum(coarse_pt2, coarse_pt2)
     op = _assert_matches_dense(doubled, 0.5, top=8)
-    m = op.grid.size
+    m = op.matrix.shape[0]
     assert lanczos_shapes == [(m, 1, 1), (m, 1, 1)]
     assert np.abs(op.eigenvalues[0::2] - op.eigenvalues[1::2]).max() <= 1e-12 * op.trace
     single = bs.build_L(coarse_pt2, 0.5, top=4)

@@ -7,10 +7,13 @@ from scipy.linalg import circulant
 
 from ltlab import fractional, potentials, spectral1d
 
+# the momenta a density entry of a config tabulates by default
+GRID = np.linspace(0.0, 40.0, 801)
+
 
 @pytest.fixture(scope="module")
 def cauchy():
-    return fractional.stable_density(1.0, 1.0)
+    return fractional.stable_density(1.0, 1.0, GRID)
 
 
 def zero_potential():
@@ -36,11 +39,11 @@ def test_cauchy_density_closed_form(cauchy):
 
 def test_stable_density_validation():
     with pytest.raises(ValueError):
-        fractional.stable_density(2.0, 1.0)
+        fractional.stable_density(2.0, 1.0, GRID)
     with pytest.raises(ValueError):
-        fractional.stable_density(0.0, 1.0)
+        fractional.stable_density(0.0, 1.0, GRID)
     with pytest.raises(ValueError):
-        fractional.stable_density(1.0, -1.0)
+        fractional.stable_density(1.0, -1.0, GRID)
 
 
 def test_density_grid_validation():
@@ -113,7 +116,7 @@ def test_negative_levels_match_the_full_spectrum(pt1):
     for scale in (1, 2):
         op = fractional.PeriodicOperator.on_box(pt1, 2.0, scale * radius, scale * 1024)
         expected = dense_levels(op)
-        got = op.negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD)
+        got = op.negative_levels()
         assert got.size == expected.size > 0
         assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -121,7 +124,7 @@ def test_negative_levels_match_the_full_spectrum(pt1):
 def test_beta4_levels_match_the_full_spectrum_within_roundoff(gaussian_beta4):
     op = gaussian_beta4
     expected = dense_levels(op)
-    got = op.negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD)
+    got = op.negative_levels()
     assert got.size == expected.size == 3
     assert_allclose(got, expected, rtol=0, atol=np.finfo(float).eps * op.norm_1())
 
@@ -166,7 +169,7 @@ def test_positive_samples_enter_the_count_through_their_sign(gaussian_beta4):
     for cut in (spectral1d.ENERGY_EDGE_THRESHOLD, 0.5, 2.0):
         assert periodic_count(mixed, cut) == (int((full < -cut).sum()), cut)
     assert_allclose(
-        mixed.negative_levels(spectral1d.ENERGY_EDGE_THRESHOLD),
+        mixed.negative_levels(),
         dense_levels(mixed),
         rtol=0,
         atol=np.finfo(float).eps * mixed.norm_1(),
@@ -177,9 +180,9 @@ def test_refined_density_repeats_no_shared_quadrature():
     # the fractional-beta4 pair: the 1601-point grid's even points are the
     # 801-point grid to the bit, and both mass checks read the same points
     fractional._density_value.cache_clear()
-    coarse = fractional.stable_density(1.5, 1.0)
+    coarse = fractional.stable_density(1.5, 1.0, GRID)
     before = fractional._density_value.cache_info().misses
-    fine = fractional.stable_density(1.5, 1.0, fractional.default_momentum_grid(40.0, 1601))
+    fine = fractional.stable_density(1.5, 1.0, np.linspace(0.0, 40.0, 1601))
     new_quadratures = fractional._density_value.cache_info().misses - before
     assert (fine.momentum_grid[::2] == coarse.momentum_grid).all()
     assert (fine.density_values[::2] == coarse.density_values).all()
@@ -230,7 +233,7 @@ def test_fractional_moment_vacuous_case(monkeypatch):
     monkeypatch.setattr(spectral1d.spla, "eigsh", refuse)
     monkeypatch.setattr(fractional.PeriodicOperator, "_factor_at", refuse)
     op = fractional.PeriodicOperator.on_box(zero_potential(), 2.0, 5.0, 128)
-    assert op.negative_levels(1e-8).size == 0
+    assert op.negative_levels().size == 0
     rep = fractional.fractional_moment_audit(
         zero_potential(), 2.0, math.pi, num_points=128
     )

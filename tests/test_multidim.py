@@ -75,7 +75,8 @@ def test_plain_grid_is_the_kronecker_sum_array_for_array(well):
 
 def test_magnetic_hops_sit_on_the_grid_edges(well):
     m = 12
-    op = multidim.build_operator_2d(well, BOX, m, multidim.constant_field(0.7, "symmetric"))
+    symmetric = multidim._quadratic_gauge_shift(multidim.constant_field(0.7), (0, 0, 0, 0.35, 0))
+    op = multidim.build_operator_2d(well, BOX, m, symmetric)
     mat = op.to_sparse().toarray()
     inv_h2 = 1.0 / op.grid_step**2
     hop_x = np.diagonal(mat, m).reshape(m - 1, m)
@@ -90,6 +91,16 @@ def test_magnetic_hops_sit_on_the_grid_edges(well):
     # and no other entry: five diagonals at 0, +-1, +-M
     offsets = np.subtract.outer(np.arange(m * m), np.arange(m * m))
     assert not mat[~np.isin(offsets, (0, 1, -1, m, -m))].any()
+
+
+def test_shifted_landau_field_is_the_symmetric_gauge():
+    # the symmetric gauge is the Landau field plus grad(B x y / 2)
+    b = 0.7
+    x, _ = multidim._nodes(BOX, 12)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    shift = multidim._quadratic_gauge_shift(multidim.constant_field(b), (0, 0, 0, b / 2, 0))
+    ax, ay = shift(X, Y)
+    assert np.array_equal(ax, -b / 2 * Y) and np.array_equal(ay, b / 2 * X)
 
 
 def test_radial_degeneracy_is_exact_on_the_grid(well_spectrum):
@@ -268,8 +279,6 @@ def test_grid_operator_validation(well):
             theta_x=np.zeros((10, 10)),
             theta_y=None,
         )
-    with pytest.raises(ValueError, match="gauge"):
-        multidim.constant_field(1.0, gauge="coulomb")
 
 
 def test_separable_well_requires_scalar_base():

@@ -14,12 +14,10 @@ def test_simpson_weights_exact_for_cubic():
     assert_allclose(w @ x**3, 0.25, rtol=1e-13)
 
 
-def test_simpson_weights_even_count_falls_back_to_trapezoid():
-    w = potentials.simpson_weights(4, 0.5)
-    assert_allclose(w, [0.25, 0.5, 0.5, 0.25])
-    # trapezoid is still exact on linear integrands
-    x = 0.5 * np.arange(4)
-    assert_allclose(w @ x, 1.5**2 / 2.0, rtol=1e-14)
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_simpson_weights_refuse_even_or_short_counts(count):
+    with pytest.raises(ValueError, match="odd number of points >= 3"):
+        potentials.simpson_weights(count, 0.5)
 
 
 def test_poschl_teller_moment_integrals(pt1):

@@ -476,6 +476,50 @@ def test_grid_values_are_validated(tmp_path, capsys, grid, message):
     assert not (tmp_path / "o").exists()
 
 
+GAUSSIAN_PLANE = {"kind": "gaussian", "depth": 8.0, "width": 1.0}
+CAUCHY = {"stability_index": 1.0}
+
+
+@pytest.mark.parametrize("scenario, message", [
+    # the Richardson fine grid of 2M + 1 = 201 points per side
+    ({"audits": ["lt-2d"], "options": {"well": GAUSSIAN_PLANE, "num_interior": 100}},
+     r"options.num_interior: grid cap 160 per side exceeded"),
+    ({"audits": ["gauge-invariance"], "options": {"well": GAUSSIAN_PLANE, "gauge_points": 4}},
+     r"options.gauge_points: need at least 8 interior points per side"),
+    ({"audits": ["unitarity"], "potential": POSCHL_TELLER_1, "grid": {"k_max": 0.002}},
+     r"grid.k_max: empty wavenumber grid"),
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {**CAUCHY, "grid_points": 8}}},
+     r"options.density \(grid_points, grid_cutoff\): momentum grid must be 1d with at least 16"),
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {**CAUCHY, "grid_cutoff": 0.0}}},
+     r"options.density \(grid_points, grid_cutoff\): momentum grid must be increasing"),
+    ({"audits": ["stable-c0"], "options": {"density": CAUCHY, "operator_exponent": 2.0}},
+     r"options.reference: audit 'stable-c0' needs a reference or refine_grid: true"),
+])
+def test_grids_the_solvers_refuse_exit_two(tmp_path, capsys, scenario, message):
+    cfg = write_config(tmp_path, [{"name": "s", **scenario}])
+    with pytest.raises(runner.ConfigError, match=rf"scenarios\[0\].{message}"):
+        runner.validate_config(json.loads(cfg.read_text()))
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bundled_suite_and_benchmark_workloads_validate():
+    sys.path.insert(0, str(Path(__file__).parents[1] / "ltbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    configs = [json.loads((Path(ltlab.__file__).parent / "configs" / "full_suite.json").read_text())]
+    configs += [workloads.generate(name, seed)[0]
+                for name in workloads.WORKLOADS for seed in (0, 1, 2, 3, 4, 55)]
+    for config in configs:
+        assert runner.validate_config(config)
+
+
 def test_cli_diff_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path, [CLOSED_FORMS])
     out = tmp_path / "base"

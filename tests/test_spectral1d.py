@@ -52,11 +52,17 @@ def test_negative_spectrum_validation_and_moments():
         num_interior=100,
         error_estimates=np.array([1e-3, 1e-4]),
     )
-    assert spec.riesz_mean(0.0) == 2.0
+    assert spec.riesz_mean(0.0) == spec.riesz_mean(0) == spec.count == 2
     assert_allclose(spec.riesz_mean(1.5), 8.0 + 1.0)
     assert_allclose(spec.riesz_mean_error(1.0), 1.1e-3)
     with pytest.raises(ValueError):
         spec.riesz_mean(-0.5)
+    empty = spectral1d.NegativeSpectrum(
+        energies=np.empty(0), num_interior=100, error_estimates=np.empty(0)
+    )
+    for gamma in (0, 0.5, 1.5):
+        assert empty.riesz_mean(gamma) == 0.0 and empty.riesz_mean_error(gamma) == 0.0
+        assert type(empty.riesz_mean(gamma)) is float
 
 
 def _count_solver_calls(monkeypatch):
