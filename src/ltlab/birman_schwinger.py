@@ -13,7 +13,7 @@ partial eigenvalue sum nonincreasing in e on any fixed grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -25,10 +25,6 @@ from .spectral1d import NegativeSpectrum, _constant_channels
 
 CAUCHY_EPSILONS = (0.5, 2.0, 10.0)
 CAUCHY_OFFSETS = (0.0, 0.3, 1.7, 5.0)
-
-
-def _default_epsilons() -> np.ndarray:
-    return np.concatenate([[0.0], np.logspace(-3.0, 2.0, 11)])
 
 
 @dataclass(frozen=True)
@@ -172,102 +168,62 @@ def build_L(
     return BSOperator(matrix=a, eigenvalues=vals, trace=float(np.vdot(a, a).real))
 
 
-def build_K(
-    potential: SampledPotential, energy: float, stride: int = 1, top: int = 10
-) -> BSOperator:
-    """Kernel at spectral parameter -energy: K_E = L_sqrt(E) / (2 sqrt(E))."""
-    if energy <= 0:
-        raise ValueError("energy must be positive")
-    kappa = math.sqrt(energy)
-    op = build_L(potential, kappa, stride, top)
-    scale = 1.0 / (2.0 * kappa)
-    return replace(
-        op,
-        matrix=math.sqrt(scale) * op.matrix,
-        eigenvalues=scale * op.eigenvalues,
-        trace=scale * op.trace,
-    )
-
-
-@dataclass(frozen=True)
-class KyFanProfile:
-    """Partial eigenvalue sums of L_e over a range of decay rates."""
-
-    epsilons: np.ndarray
-    partial_sums: np.ndarray
-    traces: np.ndarray
-
-    @property
-    def columns(self) -> dict:
-        """The plot columns: epsilon, the partial sums s1..sN, and the trace."""
-        sums = {f"s{k + 1}": column for k, column in enumerate(self.partial_sums.T)}
-        return {"epsilon": self.epsilons, **sums, "trace": self.traces}
-
-
-def kyfan_profile(
+def monotonicity_audit(
     potential: SampledPotential,
-    epsilons: np.ndarray | None = None,
+    epsilons: np.ndarray | tuple | None = None,
     n_max: int = 10,
-) -> KyFanProfile:
-    eps = _default_epsilons() if epsilons is None else np.asarray(epsilons, float)
+) -> tuple[list[BoundReport], dict]:
+    """Partial sums must not increase in e and the trace must not move at all.
+
+    Both statements hold exactly for the discretized family, so the tolerance
+    only absorbs floating-point noise scaled by the trace.  Returns the
+    reports and the plot columns: epsilon, partial sums s1..sN and trace.
+    """
+    if epsilons is None:
+        epsilons = np.concatenate([[0.0], np.logspace(-3.0, 2.0, 11)])
+    eps = np.asarray(epsilons, float)
     sums = np.empty((eps.size, n_max))
     traces = np.empty(eps.size)
     for i, e in enumerate(eps):
         op = build_L(potential, e, top=n_max)
         sums[i] = op.partial_sums(n_max)
         traces[i] = op.trace
-    return KyFanProfile(epsilons=eps, partial_sums=sums, traces=traces)
-
-
-def monotonicity_audit(
-    potential: SampledPotential,
-    epsilons: np.ndarray | None = None,
-    n_max: int = 10,
-) -> tuple[list[BoundReport], KyFanProfile]:
-    """Partial sums must not increase in e and the trace must not move at all.
-
-    Both statements hold exactly for the discretized family, so the tolerance
-    only absorbs floating-point noise scaled by the trace.
-    """
-    profile = kyfan_profile(potential, epsilons, n_max)
-    scale = abs(profile.traces[0])
+    scale = abs(traces[0])
     tol = 1e-9 * max(scale, 1.0)
-    increments = np.diff(profile.partial_sums, axis=0)
+    increments = np.diff(sums, axis=0)
     if increments.size:
         worst = float(increments.max())
         step_idx, col = np.unravel_index(np.argmax(increments), increments.shape)
         violation = {
             "n": int(col) + 1,
-            "epsilon_pair": [
-                float(profile.epsilons[step_idx]),
-                float(profile.epsilons[step_idx + 1]),
-            ],
+            "epsilon_pair": [float(eps[step_idx]), float(eps[step_idx + 1])],
             "gap": worst,
         }
     else:
         worst, violation = 0.0, None
     trace_tol = 1e-12 * max(scale, 1.0)
-    trace_drift = float(np.abs(profile.traces - profile.traces[0]).max())
+    trace_drift = float(np.abs(traces - traces[0]).max())
     reports = [
         limit_report("kyfan-monotonicity", worst, tol, {
-            "epsilons": profile.epsilons,
+            "epsilons": eps,
             "n_max": n_max,
             "worst_increment": violation,
         }),
-        limit_report("kyfan-trace-constancy", trace_drift, trace_tol,
-                     {"trace": profile.traces[0]}),
+        limit_report("kyfan-trace-constancy", trace_drift, trace_tol, {"trace": traces[0]}),
     ]
-    return reports, profile
+    return reports, {"epsilon": eps, **{f"s{k + 1}": c for k, c in enumerate(sums.T)}, "trace": traces}
 
 
 def eigenvalue_at_energy(
     potential: SampledPotential, energy: float, rank: int
 ) -> float:
-    """Grid-extrapolated rank-th descending eigenvalue of K at one energy."""
-    fine = build_K(potential, energy, stride=1, top=rank + 1)
-    coarse = build_K(potential, energy, stride=2, top=rank + 1)
-    lam_f = fine.eigenvalues[rank]
-    lam_c = coarse.eigenvalues[rank]
+    """Grid-extrapolated rank-th descending eigenvalue of K_E = L_sqrt(E) / (2 sqrt(E))."""
+    if energy <= 0:
+        raise ValueError("energy must be positive")
+    kappa = math.sqrt(energy)
+    scale = 1.0 / (2.0 * kappa)
+    lam_f = scale * build_L(potential, kappa, 1, rank + 1).eigenvalues[rank]
+    lam_c = scale * build_L(potential, kappa, 2, rank + 1).eigenvalues[rank]
     return float(lam_f + (lam_f - lam_c) / 3.0)
 
 

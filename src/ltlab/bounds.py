@@ -415,15 +415,20 @@ class CouplingSweep:
     spectra: tuple
 
 
+def _check_couplings(couplings) -> None:
+    """Raise unless there are at least 6 couplings, all positive."""
+    if len(couplings) < 6:
+        raise ValueError("need at least 6 couplings for the sweep")
+    if any(float(a) <= 0 for a in couplings):
+        raise ValueError("couplings must be positive")
+
+
 def coupling_sweep(
     potential: SampledPotential, couplings=ALPHA_DEFAULTS
 ) -> CouplingSweep:
     potentials.require_nonpositive(potential)
-    if len(couplings) < 6:
-        raise ValueError("need at least 6 couplings for the sweep")
+    _check_couplings(couplings)
     couplings = tuple(float(a) for a in couplings)
-    if any(a <= 0 for a in couplings):
-        raise ValueError("couplings must be positive")
     box = potential.support_radius + spectral1d.BOX_MARGIN / math.sqrt(
         spectral1d.BOX_ENERGY_FLOOR
     )

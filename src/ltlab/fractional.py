@@ -97,6 +97,14 @@ def _check_momentum_grid(grid: np.ndarray) -> None:
         raise ValueError("momentum grid must be increasing and nonnegative")
 
 
+def _check_stable_parameters(stability_index: float, scale: float) -> None:
+    """Raise unless 0 < stability_index < 2 and scale > 0."""
+    if not 0.0 < stability_index < 2.0:
+        raise ValueError("stability index must lie in (0, 2)")
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+
+
 @dataclass(frozen=True)
 class ComparisonDensity:
     """Symmetric stable density tabulated on a nonnegative momentum grid."""
@@ -164,10 +172,7 @@ def stable_density(stability_index: float, scale: float, momentum_grid: np.ndarr
     total mass must come out as 1; both are rejected outside tight margins
     because every later certificate leans on these tabulated values.
     """
-    if not 0.0 < stability_index < 2.0:
-        raise ValueError("stability index must lie in (0, 2)")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    _check_stable_parameters(stability_index, scale)
     grid = np.asarray(momentum_grid, dtype=float)
     values = np.empty_like(grid)
     worst_err = 0.0

@@ -34,7 +34,6 @@ from . import (
 from .reports import CSV_COLUMNS, sanitize_json
 
 SCHEMA_VERSION = 1
-GRID_KEYS = {"box_radius", "num_interior", "k_max", "refine"}
 DEFAULT_INTERIOR = 1200
 
 
@@ -90,13 +89,22 @@ def _check_well(spec, where: str):
         missing = sorted({"depth", "width"} - set(spec))
         if missing:
             raise ConfigError(f"{where}: a gaussian well needs {missing[0]!r}")
-        for key in ("depth", "width"):
-            if not NUMBER.accept(spec[key]):
-                raise ConfigError(f"{where}.{key}: expected numeric value, found {spec[key]!r}")
+        _check_fields(spec, {"kind": None, "depth": NUMBER, "width": NUMBER}, where)
     elif kind == "separable":
+        _check_fields(spec, dict.fromkeys(("kind", "family", "parameters")), where)
         _check_potential(spec, where)
     else:
         raise ConfigError(f"{where}: expected an object with kind 'gaussian' or 'separable'")
+
+
+def _check_fields(spec: dict, fields: dict, where: str):
+    """Refuse a key not in fields, then a value not of its field's Kind (None takes any)."""
+    unknown = set(spec) - set(fields)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+    for key, kind in fields.items():
+        if kind is not None and key in spec and not kind.accept(spec[key]):
+            raise ConfigError(f"{where}.{key}: expected {kind.adjective} value, found {spec[key]!r}")
 
 
 def _is_int(value) -> bool:
@@ -108,7 +116,7 @@ def _is_number(value) -> bool:
 
 
 def _check_grid(grid: dict, where: str):
-    """Each grid value lies where the solvers accept it."""
+    """Each grid key is known and its value lies where the solvers accept it."""
     checks = {
         "refine": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
         "k_max": (
@@ -121,6 +129,7 @@ def _check_grid(grid: dict, where: str):
         ),
         "box_radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
     }
+    _check_fields(grid, dict.fromkeys(checks), where)
     for key, value in grid.items():
         accept, expected = checks[key]
         if not accept(value):
@@ -128,14 +137,11 @@ def _check_grid(grid: dict, where: str):
 
 
 def _check_density(spec, where: str):
-    """A stability_index, and scale, grid_cutoff and grid_points of their types when given."""
+    """A numeric stability_index; scale, grid_cutoff and grid_points of their types; no other key."""
     if not isinstance(spec, dict) or not _is_number(spec.get("stability_index")):
         raise ConfigError(f"{where}: expected an object with a numeric stability_index")
-    for key, kind in (("scale", NUMBER), ("grid_cutoff", NUMBER), ("grid_points", INTEGER)):
-        if key in spec and not kind.accept(spec[key]):
-            raise ConfigError(
-                f"{where}.{key}: expected {kind.adjective} value, found {spec[key]!r}"
-            )
+    fields = {"stability_index": NUMBER, "scale": NUMBER, "grid_cutoff": NUMBER, "grid_points": INTEGER}
+    _check_fields(spec, fields, where)
 
 
 def _check_options(audits, options: dict, where: str):
@@ -163,7 +169,7 @@ def _check_options(audits, options: dict, where: str):
 
 
 def _check_stage_grids(scenario: Scenario, where: str):
-    """The k, planar and momentum grids the audits build pass the solvers' own checks."""
+    """The grids, couplings and density parameters the audits build pass the solvers' own checks."""
     ctx, audits, grid = ScenarioContext(scenario), set(scenario.audits), scenario.grid
     checks = []
     if "k_max" in grid:
@@ -175,7 +181,13 @@ def _check_stage_grids(scenario: Scenario, where: str):
     if "gauge-invariance" in audits:
         key = "gauge_points" if "gauge_points" in scenario.options else "num_interior"
         checks.append((f"options.{key}", lambda: multidim._nodes(1.0, ctx.gauge_points())))
+    if audits & {"remainder-sweep", "weyl-ratios"}:
+        checks.append(("options.couplings", lambda: bounds._check_couplings(ctx.couplings())))
     if "density" in scenario.options:
+        spec = scenario.options["density"]
+        parameters = float(spec["stability_index"]), float(spec.get("scale", 1.0))
+        checks.append(("options.density (stability_index, scale)",
+                       lambda: fractional._check_stable_parameters(*parameters)))
         key = "options.density (grid_points, grid_cutoff)"
         checks.append((key, lambda: fractional._check_momentum_grid(ctx.momentum_grid())))
     for key, check in checks:
@@ -225,9 +237,6 @@ def validate_config(config) -> list[Scenario]:
         grid = item.get("grid", {})
         if not isinstance(grid, dict):
             raise ConfigError(f"{where}.grid: expected an object")
-        unknown = set(grid) - GRID_KEYS
-        if unknown:
-            raise ConfigError(f"{where}.grid: unknown key {sorted(unknown)[0]!r}")
         _check_grid(grid, f"{where}.grid")
         tolerances = item.get("tolerances", {})
         if not isinstance(tolerances, dict):
@@ -255,9 +264,9 @@ def validate_config(config) -> list[Scenario]:
 class ScenarioContext:
     """Lazy, cached access to the expensive per-scenario objects.
 
-    Each stage is built once per scenario, and `timings` holds the seconds
-    its build took under its key.  Those seconds include the stages it reads
-    that were not built yet.
+    Each stage is built once per scenario, and a build that raises raises
+    its exception again to each later reader.  `timings` holds the seconds
+    each build took under its key, the stages it first built included.
     """
 
     def __init__(self, scenario: Scenario):
@@ -269,8 +278,13 @@ class ScenarioContext:
     def _stage(self, key: str, build):
         if key not in self._cache:
             started = time.perf_counter()
-            self._cache[key] = build()
+            try:
+                self._cache[key] = build()
+            except Exception as exc:
+                self._cache[key] = exc
             self.timings[key] = time.perf_counter() - started
+        if isinstance(self._cache[key], Exception):
+            raise self._cache[key]
         return self._cache[key]
 
     def option(self, key, default=None):
@@ -382,13 +396,9 @@ def _columns_csv(columns: dict) -> str:
 
 
 def _plotted(ctx, name: str, result) -> list:
-    """Keep a sweep's columns as the plot `name` and return its reports.
-
-    result is the reports and either the column mapping or an object that
-    carries one as `columns` (the Ky Fan profile).
-    """
-    reports, rows = result
-    ctx.plots[name] = _columns_csv(getattr(rows, "columns", rows))
+    """Keep the columns of a sweep's (reports, columns) as the plot `name`; return the reports."""
+    reports, columns = result
+    ctx.plots[name] = _columns_csv(columns)
     return reports
 
 
@@ -484,9 +494,7 @@ AUDITS = {
         ("potential",), tolerance=1e-3),
     "kyfan-monotonicity": Audit(
         lambda ctx, o, tol: _plotted(ctx, "kyfan", birman_schwinger.monotonicity_audit(
-            ctx.potential(),
-            None if o["epsilons"] is None else np.asarray(o["epsilons"], dtype=float),
-            n_max=o["n_max"])),
+            ctx.potential(), o["epsilons"], n_max=o["n_max"])),
         ("potential",), {"epsilons": None, "n_max": 10}),
     "cauchy-kernel": Audit(
         lambda ctx, o, tol: [birman_schwinger.cauchy_kernel_identity_check(tolerance=tol)],

@@ -78,31 +78,22 @@ class DiscretizedOperator1D:
         return 1.15 * tight - 0.05
 
     def to_sparse(self) -> sp.csc_matrix:
-        """The operator as a canonical CSC matrix, built column by column in one step.
+        """The operator as 2n + 1 diagonals, offsets n down to -n, in canonical CSC.
 
-        Column (i, b) holds the hop from node i-1, the b-th column of the
-        block V(x_i) + 2/h^2 I, and the hop from node i+1, in that row order;
-        zero entries are dropped.
+        Offset d, |d| < n, holds V(x_i)[a, a + d] + 2/h^2 [d = 0] in row
+        i*n + a, and zero where a + d leaves the block; offsets +-n hold the
+        hops.  The conversion drops zero entries.
         """
-        m, n = self.num_interior, self.matrix_dim
-        inv_h2 = 1.0 / self.grid_step**2
+        n, inv_h2 = self.matrix_dim, 1.0 / self.grid_step**2
         shifted = self.potential_blocks + 2.0 * inv_h2 * np.eye(n)
-        values = np.zeros((m, n, n + 2), dtype=shifted.dtype)
-        values[1:, :, 0] = -inv_h2
-        values[:, :, 1:-1] = np.swapaxes(shifted, 1, 2)
-        values[:-1, :, -1] = -inv_h2
-        node = n * np.arange(m)[:, None, None]
-        channel = np.arange(n)[None, :, None]
-        rows = np.concatenate(
-            [node - n + channel, np.broadcast_to(node + np.arange(n), (m, n, n)),
-             node + n + channel],
-            axis=2,
-        )
-        kept = values != 0
-        indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=2).ravel())])
-        return sp.csc_matrix(
-            (values[kept], rows[kept], indptr), shape=(self.size, self.size)
-        )
+        offsets = np.arange(n, -n - 1, -1)
+        a = np.arange(n)[:, None]
+        padded = np.pad(shifted, ((0, 0), (0, 0), (n, n)))
+        bands = padded[:, a, a + n + offsets].reshape(self.size, offsets.size)
+        bands[:, [0, -1]] = -inv_h2
+        # diagonal d >= 0 starts in row 0, diagonal d < 0 in row -d
+        diagonals = [bands[max(-d, 0): self.size - max(d, 0), k] for k, d in enumerate(offsets)]
+        return sp.diags(diagonals, offsets, format="csc")
 
 
 @dataclass(frozen=True)

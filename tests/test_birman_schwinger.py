@@ -17,11 +17,12 @@ def test_rank_at_zero_decay(pt1):
 
 def test_kernel_scaling_between_families():
     well = potentials.build_family("square-well", depth=3.0, half_width=1.5)
-    direct = bs.build_K(well, 2.25)
-    base = bs.build_L(well, 1.5)
-    assert_allclose(direct.eigenvalues, base.eigenvalues / 3.0, rtol=1e-12)
-    assert_allclose(direct.trace, base.trace / 3.0, rtol=1e-14)
-    assert_allclose(direct.matrix, base.matrix / np.sqrt(3.0), atol=1e-14)
+    # K at E = 2.25 is L at sqrt(E) = 1.5 divided by 2 sqrt(E) = 3, on both grids
+    fine = bs.build_L(well, 1.5).eigenvalues / 3.0
+    coarse = bs.build_L(well, 1.5, stride=2).eigenvalues / 3.0
+    for rank in range(3):
+        expected = fine[rank] + (fine[rank] - coarse[rank]) / 3.0
+        assert_allclose(bs.eigenvalue_at_energy(well, 2.25, rank), expected, rtol=1e-12)
 
 
 def test_unit_eigenvalue_at_bound_state(pt1, pt1_spectrum):
@@ -38,24 +39,27 @@ def test_audit_rejects_bad_inputs(random_2x2, pt1, pt1_spectrum):
         bs.birman_schwinger_audit(pt1, empty)
     with pytest.raises(ValueError):
         bs.build_L(pt1, -0.5)
-    with pytest.raises(ValueError):
-        bs.build_K(pt1, 0.0)
+    with pytest.raises(ValueError, match="energy must be positive"):
+        bs.eigenvalue_at_energy(pt1, 0.0, 0)
 
 
 def test_partial_sums_decrease_and_trace_stays(random_2x2):
     eps = np.array([0.0, 0.1, 1.0, 10.0])
-    reports, profile = bs.monotonicity_audit(random_2x2, epsilons=eps, n_max=6)
+    reports, columns = bs.monotonicity_audit(random_2x2, epsilons=eps, n_max=6)
     assert [r.audit_tag for r in reports] == [
         "kyfan-monotonicity",
         "kyfan-trace-constancy",
     ]
     assert all(r.passed for r in reports)
-    scale = abs(profile.traces[0])
-    assert np.all(np.diff(profile.partial_sums, axis=0) <= 1e-9 * scale)
-    assert np.abs(profile.traces - profile.traces[0]).max() <= 1e-12 * scale
+    assert_allclose(columns["epsilon"], eps)
+    sums = np.column_stack([columns[f"s{k}"] for k in range(1, 7)])
+    traces = columns["trace"]
+    scale = abs(traces[0])
+    assert np.all(np.diff(sums, axis=0) <= 1e-9 * scale)
+    assert np.abs(traces - traces[0]).max() <= 1e-12 * scale
     # trapezoid trace tracks the Simpson integral of tr V_minus
     mass = potentials.trace_power_integral(random_2x2, "minus", 1.0)
-    assert_allclose(profile.traces[0], mass, rtol=1e-4)
+    assert_allclose(traces[0], mass, rtol=1e-4)
 
 
 def test_kernel_is_positive_semidefinite():
@@ -71,8 +75,8 @@ def test_kernel_is_positive_semidefinite():
 
 def test_profile_csv_shape():
     well = potentials.build_family("square-well", depth=3.0, half_width=1.5)
-    profile = bs.kyfan_profile(well, epsilons=np.array([0.0, 1.0]), n_max=3)
-    lines = runner._columns_csv(profile.columns).strip().split("\n")
+    _, columns = bs.monotonicity_audit(well, epsilons=np.array([0.0, 1.0]), n_max=3)
+    lines = runner._columns_csv(columns).strip().split("\n")
     assert lines[0] == "epsilon,s1,s2,s3,trace"
     assert len(lines) == 3
 
@@ -250,6 +254,6 @@ def test_kyfan_on_a_direct_sum_of_unlike_wells():
         potentials.build_family("poschl-teller", nu=2.0),
     )
     assert both.grid_step == 0.02
-    reports, profile = bs.monotonicity_audit(both)
-    assert profile.epsilons.size == 12
+    reports, columns = bs.monotonicity_audit(both)
+    assert columns["epsilon"].size == 12
     assert all(r.passed for r in reports)

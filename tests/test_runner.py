@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ltlab
-from ltlab import cli, runner
+from ltlab import cli, runner, scattering
 
 
 def write_config(tmp_path, scenarios, name="config.json"):
@@ -314,6 +314,9 @@ def test_planar_well_validation():
     check([8.0, 1.2], "kind 'gaussian' or 'separable'")
     check({"kind": "separable", "family": "gaussian", "parameters": {"depth": 6.0}},
           r"options.well.parameters: gaussian: .*missing")
+    check({"kind": "separable", "family": "gaussian",
+           "parameters": {"depth": 6.0, "width": 1.0}, "depth": 6.0},
+          r"options.well: unknown key 'depth'")
 
 
 @pytest.mark.parametrize("scenario, message", [
@@ -353,8 +356,16 @@ def test_planar_well_validation():
      "options.well.depth: expected numeric value, found '8'"),
     ({"audits": ["lt-2d"], "options": {"well": {"kind": "gaussian", "depth": 8.0, "width": None}}},
      "options.well.width: expected numeric value, found None"),
+    # and a misspelt field is refused by name, not run with its default
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {"stability_index": 1.0, "grid_point": 100}}},
+     "options.density: unknown key 'grid_point'"),
+    ({"audits": ["lt-2d"],
+      "options": {"well": {"kind": "gaussian", "depth": 8.0, "width": 1.2, "dpeth": 3}}},
+     "options.well: unknown key 'dpeth'"),
 ], ids=["reference", "gammas", "count", "unread", "planar-grid", "flag", "couplings", "bool",
-        "density-scale", "density-cutoff", "density-points", "well-depth", "well-width"])
+        "density-scale", "density-cutoff", "density-points", "well-depth", "well-width",
+        "density-key", "well-key"])
 def test_ill_typed_options_exit_two(tmp_path, capsys, scenario, message):
     cfg = write_config(tmp_path, [{"name": "a", **scenario}])
     with pytest.raises(runner.ConfigError, match=re.escape(f"scenarios[0].{message}")):
@@ -496,6 +507,14 @@ CAUCHY = {"stability_index": 1.0}
      r"options.density \(grid_points, grid_cutoff\): momentum grid must be increasing"),
     ({"audits": ["stable-c0"], "options": {"density": CAUCHY, "operator_exponent": 2.0}},
      r"options.reference: audit 'stable-c0' needs a reference or refine_grid: true"),
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {"stability_index": 2.5}}},
+     r"options.density \(stability_index, scale\): stability index must lie in \(0, 2\)"),
+    ({"audits": ["characteristic-roundtrip"],
+      "options": {"density": {**CAUCHY, "scale": -1.0}}},
+     r"options.density \(stability_index, scale\): scale must be positive"),
+    ({"audits": ["weyl-ratios"], "potential": POSCHL_TELLER_1, "options": {"couplings": [1, 2, 3]}},
+     r"options.couplings: need at least 6 couplings for the sweep"),
 ])
 def test_grids_the_solvers_refuse_exit_two(tmp_path, capsys, scenario, message):
     cfg = write_config(tmp_path, [{"name": "s", **scenario}])
@@ -505,6 +524,36 @@ def test_grids_the_solvers_refuse_exit_two(tmp_path, capsys, scenario, message):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_stage_that_raises_is_built_once(monkeypatch):
+    # 2 / 0.5 = 4 deep over half a unit: log|det A| has not decayed by the
+    # k cap, so the scattering stage raises "insufficient decay"
+    builds = []
+    compute = scattering.compute_scattering
+
+    def counted(*args, **kwargs):
+        builds.append("called")
+        try:
+            return compute(*args, **kwargs)
+        except ValueError as exc:
+            builds[-1] = f"{type(exc).__name__}: {exc}"
+            raise
+
+    monkeypatch.setattr(scattering, "compute_scattering", counted)
+    audits = ["unitarity", "spectral-positivity", "conjugation-symmetry", "holder-chain"]
+    [scenario] = runner.validate_config({"schema_version": 1, "scenarios": [{
+        "name": "narrow", "audits": audits,
+        "potential": {"family": "rank-one-narrow",
+                      "parameters": {"integral": 2.0, "width": 0.5, "matrix_dim": 1}},
+    }]})
+    result = runner.run_scenario(scenario)
+    assert len(builds) == 1
+    assert builds[0].startswith("ValueError: insufficient decay")
+    # each audit that reads the stage records the same error line
+    assert result["error"] == "; ".join(f"{tag}: {builds[0]}" for tag in audits)
+    assert result["reports"] == []
+    assert "scattering" in result["timings"]
 
 
 def test_bundled_suite_and_benchmark_workloads_validate():
