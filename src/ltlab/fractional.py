@@ -1,7 +1,10 @@
 """Fractional-dispersion operators |p|^beta + V and comparison densities.
 
 The comparison density is the symmetric stable law with characteristic
-function exp(-scale*|x|^alpha), evaluated by oscillatory quadrature.  Its
+function exp(-scale*|x|^alpha).  A whole momentum grid is tabulated in one
+vectorized pass of the Ooura-Mori double-exponential cosine rule
+(potentials.fourier_integral, exp-sinh at p = 0), and each value carries the
+rule's error estimate, |I_h - I_{h/2}| plus the rounding of its sum.  Its
 certified majorization constant turns the density into an upper bound for
 the resolvent weight (|p|^beta + 1)^{-1}, which in turn caps the spectral
 sum Sum E_j^{(beta-1)/beta} of the periodic operator by a multiple of the
@@ -27,7 +30,6 @@ the shift differs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +41,9 @@ from . import potentials, spectral1d
 from .potentials import SampledPotential, simpson_weights
 from .reports import BoundReport, BoundSpec, comparison_report
 
-DENSITY_QUAD_LIMIT = 400
 DENSITY_ERROR_CAP = 1e-9
+# absolute error target of each quadrature before the 1/pi of the density
+DENSITY_TARGET = 1e-12
 MASS_TOLERANCE = 1e-6
 POINTWISE_SLACK = 1e-9
 DRIFT_BUDGET = 1e-6
@@ -48,45 +51,23 @@ REFINEMENT_TOLERANCE = 1e-4
 MASS_SEGMENTS = ((0.0, 2.0, 401), (2.0, 10.0, 161), (10.0, 60.0, 201))
 # characteristic_function_check inverts the tabulation rule at these x
 CHARACTERISTIC_POINTS = (0.5, 1.0, 2.0)
-# a tabulation with its refinement and checks evaluates about 3,000 points;
-# the bound keeps ten of those, a few MB, for the life of the process
-DENSITY_CACHE_POINTS = 1 << 15
+# c0_search narrows the argmax of the ratio to this width, Brent's default xatol
+ARGMAX_WIDTH = 1e-5
 
 
-@functools.lru_cache(maxsize=DENSITY_CACHE_POINTS)
-def _density_value(stability_index: float, scale: float, momentum: float):
-    """One point of the stable density, with the quadrature error estimate.
+def _density(stability_index: float, scale: float, momenta) -> tuple[np.ndarray, np.ndarray]:
+    """The stable density at |momenta| and the quadrature error estimates.
 
-    Cached for the process: a refined grid whose even points are the coarse
-    grid, and the mass check of a second tabulation, repeat no quadrature.
+    Each value is (1/pi) int_0^inf exp(-scale x^alpha) cos(p x) dx by the
+    double-exponential rule of potentials.fourier_integral; a value depends
+    on its own momentum only, so a refined grid repeats the coarse values
+    to the bit.
     """
-    from scipy.integrate import quad
-
-    p = abs(momentum)
-
-    def envelope(x):
-        return math.exp(-scale * x**stability_index)
-
-    if p == 0.0:
-        value, err = quad(
-            envelope,
-            0.0,
-            np.inf,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=DENSITY_QUAD_LIMIT,
-        )
-    else:
-        value, err = quad(
-            envelope,
-            0.0,
-            np.inf,
-            weight="cos",
-            wvar=p,
-            epsabs=1e-12,
-            limit=DENSITY_QUAD_LIMIT,
-        )
-    return value / math.pi, err / math.pi
+    p = np.abs(np.asarray(momenta, dtype=float))
+    values, errors = potentials.fourier_integral(
+        lambda x: np.exp(-scale * x**stability_index), p.ravel(), "cos", DENSITY_TARGET
+    )
+    return (values / math.pi).reshape(p.shape), (errors / math.pi).reshape(p.shape)
 
 
 def _check_momentum_grid(grid: np.ndarray) -> None:
@@ -125,44 +106,27 @@ class ComparisonDensity:
         if values.min() < -POINTWISE_SLACK:
             raise ValueError("density must be nonnegative up to quadrature slack")
 
-    def evaluate(self, momentum: float) -> float:
-        return _density_value(self.stability_index, self.scale, momentum)[0]
+    def evaluate(self, momenta) -> np.ndarray:
+        """The density at an array of momenta, by the tabulation rule."""
+        return _density(self.stability_index, self.scale, momenta)[0]
 
     def total_mass(self) -> float:
         """Integral over the whole line: segment Simpson sums plus the exact
-        remainder, which Fubini turns into one oscillatory integral of
-        (exp(-scale*x^alpha) - 1)/x against sin(Px)."""
-        from scipy.integrate import quad
-
+        remainder, which Fubini turns into one integral of
+        (exp(-scale*x^alpha) - 1)/x against sin(Px) over [0, inf), taken by
+        the Ooura-Mori sine rule."""
         half = 0.0
         for lo, hi, count in MASS_SEGMENTS:
             x = np.linspace(lo, hi, count)
-            y = np.array([self.evaluate(p) for p in x])
-            half += float(simpson_weights(count, x[1] - x[0]) @ y)
+            half += float(simpson_weights(count, x[1] - x[0]) @ self.evaluate(x))
         edge = MASS_SEGMENTS[-1][1]
-
-        def centered(x):
-            return (math.exp(-self.scale * x**self.stability_index) - 1.0) / x
-
-        def near_origin(x):
-            if x == 0.0:
-                return 0.0
-            return centered(x) * math.sin(edge * x)
-
-        inner, _ = quad(
-            near_origin, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=DENSITY_QUAD_LIMIT
+        remainder, _ = potentials.fourier_integral(
+            lambda x: np.expm1(-self.scale * x**self.stability_index) / x,
+            [edge],
+            "sin",
+            DENSITY_TARGET,
         )
-        outer, _ = quad(
-            centered,
-            1.0,
-            np.inf,
-            weight="sin",
-            wvar=edge,
-            epsabs=1e-12,
-            limit=DENSITY_QUAD_LIMIT,
-        )
-        tail = -(inner + outer) / math.pi
-        return 2.0 * (half + tail)
+        return 2.0 * (half - float(remainder[0]) / math.pi)
 
 
 def stable_density(stability_index: float, scale: float, momentum_grid: np.ndarray) -> ComparisonDensity:
@@ -174,11 +138,8 @@ def stable_density(stability_index: float, scale: float, momentum_grid: np.ndarr
     """
     _check_stable_parameters(stability_index, scale)
     grid = np.asarray(momentum_grid, dtype=float)
-    values = np.empty_like(grid)
-    worst_err = 0.0
-    for i, p in enumerate(grid):
-        values[i], err = _density_value(stability_index, scale, p)
-        worst_err = max(worst_err, err)
+    values, errors = _density(stability_index, scale, grid)
+    worst_err = float(errors.max())
     if worst_err > DENSITY_ERROR_CAP:
         raise ValueError(
             f"density quadrature error {worst_err:.2e} exceeds {DENSITY_ERROR_CAP}"
@@ -189,7 +150,7 @@ def stable_density(stability_index: float, scale: float, momentum_grid: np.ndarr
         momentum_grid=grid,
         density_values=values,
     )
-    at_zero = density.evaluate(0.0)
+    at_zero = float(density.evaluate(0.0))
     closed_form = (
         math.gamma(1.0 + 1.0 / stability_index)
         * scale ** (-1.0 / stability_index)
@@ -207,14 +168,13 @@ def c0_search(operator_exponent: float, density: ComparisonDensity) -> float:
     """Smallest constant making c0 * density majorize (|p|^beta + 1)^{-1}.
 
     The supremum of the ratio is taken over the tabulated grid, polished by
-    a bounded scalar search, and certified beyond the grid by sampling the
-    ratio at geometrically spaced points past the cutoff: the density tail
-    decays like |p|^{-(1+alpha)} while the weight decays like |p|^{-beta},
-    so once beta >= alpha + 1 and the samples decrease, the grid cutoff
-    dominates everything beyond it.
+    a zoomed search around the grid's argmax (33 points across the bracket,
+    then the bracket of the best of them, down to ARGMAX_WIDTH), and
+    certified beyond the grid by sampling the ratio at geometrically spaced
+    points past the cutoff: the density tail decays like |p|^{-(1+alpha)}
+    while the weight decays like |p|^{-beta}, so once beta >= alpha + 1 and
+    the samples decrease, the grid cutoff dominates everything beyond it.
     """
-    from scipy.optimize import minimize_scalar
-
     beta = operator_exponent
     alpha = density.stability_index
     if beta < alpha + 1.0:
@@ -230,19 +190,21 @@ def c0_search(operator_exponent: float, density: ComparisonDensity) -> float:
     peak = int(np.argmax(ratio))
     best = float(ratio[peak])
 
-    def negated(p):
-        phi = density.evaluate(p)
-        return -1.0 / ((p**beta + 1.0) * phi)
+    def searched(p):
+        return 1.0 / ((p**beta + 1.0) * density.evaluate(p))
 
     lo = grid[max(peak - 1, 0)]
     hi = grid[min(peak + 1, grid.size - 1)]
-    if hi > lo:
-        polished = minimize_scalar(negated, bounds=(lo, hi), method="bounded")
-        best = max(best, float(-polished.fun))
+    while hi - lo > ARGMAX_WIDTH:
+        p = np.linspace(lo, hi, 33)
+        sampled = searched(p)
+        top = int(np.argmax(sampled))
+        best = max(best, float(sampled[top]))
+        lo, hi = p[max(top - 1, 0)], p[min(top + 1, p.size - 1)]
     cutoff = float(grid[-1])
-    samples = [-negated(cutoff * f) for f in (1.0, 1.5, 2.0, 3.0, 4.0)]
+    samples = searched(cutoff * np.array([1.0, 1.5, 2.0, 3.0, 4.0]))
     slack = 1e-9
-    if any(b > a * (1.0 + slack) for a, b in zip(samples, samples[1:])):
+    if (samples[1:] > samples[:-1] * (1.0 + slack)).any():
         raise ValueError("ratio grows past the grid cutoff; enlarge grid")
     if samples[0] > best * (1.0 + slack):
         raise ValueError("ratio peaks beyond the grid cutoff; enlarge grid")
@@ -298,21 +260,15 @@ def c0_reference_audit(
 def characteristic_function_check(
     density: ComparisonDensity, tolerance: float = 1e-8
 ) -> BoundReport:
-    """Fourier-invert the tabulation rule back to exp(-scale*|x|^alpha)."""
-    from scipy.integrate import quad
+    """Fourier-invert the tabulation rule back to exp(-scale*|x|^alpha).
 
-    worst = 0.0
-    for x in CHARACTERISTIC_POINTS:
-        value, _ = quad(
-            density.evaluate,
-            0.0,
-            np.inf,
-            weight="cos",
-            wvar=float(x),
-            limit=DENSITY_QUAD_LIMIT,
-        )
-        target = math.exp(-density.scale * abs(x) ** density.stability_index)
-        worst = max(worst, abs(2.0 * value - target))
+    The outer cosine integral of the density runs through the same
+    Ooura-Mori rule, with the density evaluated at its nodes by that rule.
+    """
+    x = np.array(CHARACTERISTIC_POINTS)
+    values, _ = potentials.fourier_integral(density.evaluate, x, "cos", DENSITY_TARGET)
+    target = np.exp(-density.scale * x**density.stability_index)
+    worst = float(np.abs(2.0 * values - target).max())
     return BoundReport(
         audit_tag="characteristic-roundtrip",
         lhs=worst,

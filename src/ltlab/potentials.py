@@ -24,6 +24,176 @@ def simpson_weights(num_points: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
+# Double-exponential quadrature.  Each rule is a trapezoid sum whose step
+# halves from one level to the next; a value is taken at the finer of two
+# levels, with |I_h - I_{h/2}| plus the rounding bound of its sum as its error.
+DE_LEVELS = 4
+# the block of integrands evaluated at once keeps every temporary near 2 MB
+DE_BLOCK_BYTES = 1 << 21
+# first-order rounding of a pairwise sum of a few thousand terms, each good
+# to a few ulps, relative to the sum of their magnitudes
+DE_ROUNDOFF = 16.0 * np.finfo(float).eps
+
+
+def _ooura_mori(kind: str, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_k and weights w_k with int_0^inf f(x) trig(w x) dx ~ (pi/w) sum_k w_k f(x_k/w).
+
+    Ooura and Mori (1999): x = M phi(t) / w with phi(t) = t / (1 - e^{-u(t)}),
+    u(t) = 2t + a (1 - e^{-t}) + b (e^t - 1), b = 1/4 and a = b / sqrt(1 +
+    M log(1 + M) / 4 pi), on the trapezoid t = k h (sine) or (k - 1/2) h
+    (cosine) of step h = pi / M, M = 40 * 2^level.  M phi(t) approaches the
+    zeros of the factor double-exponentially as t grows, and phi(t) -> 0 as t
+    falls.  For t > 0 the factor is +-sin(M (t - phi)), so no large argument
+    is reduced.  Nodes whose weight or phi underflows are dropped.
+    """
+    m = 40 * 2**level
+    h = math.pi / m
+    b = 0.25
+    a = b / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    k = np.arange(-int(12.0 / h), int(9.0 / h) + 1)
+    t = (k - 0.5) * h if kind == "cos" else k * h
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = 2.0 * t - a * np.expm1(-t) + b * np.expm1(t)
+        du = 2.0 + a * np.exp(-t) + b * np.exp(t)
+        d = -np.expm1(-u)
+        phi = t / d
+        dphi = (1.0 - t * du / np.expm1(u)) / d
+        # M phi = M t - M (t - phi), and M t is an odd multiple of pi/2 (cosine) or a multiple of pi
+        near_zero = np.where(k % 2 == 0, 1.0, -1.0) * np.sin(m * t * np.exp(-u) / d)
+        if kind == "cos":
+            trig = np.where(t <= 0, np.cos(m * phi), near_zero)
+        else:
+            trig = np.where(t <= 0, np.sin(m * phi), near_zero)
+            # t = 0: phi and phi' by their limits, from u = u1 t + u2 t^2 + ...
+            u1, u2 = 2.0 + a + b, 0.5 * (b - a)
+            phi[k == 0], dphi[k == 0] = 1.0 / u1, 0.5 - u2 / u1**2
+            trig[k == 0] = math.sin(m / u1)
+        weights = trig * dphi
+    keep = (phi > 1e-300) & (np.abs(weights) > 1e-300)
+    return m * phi[keep], weights[keep]
+
+
+def _exp_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on (0, inf): x = exp(pi/2 sinh t), t = k h, h = 2^-(level+1)."""
+    h = 0.5**(level + 1)
+    t = h * np.arange(-int(6.0 / h), int(6.0 / h) + 1)
+    x = np.exp(0.5 * math.pi * np.sinh(t))
+    return x, h * 0.5 * math.pi * np.cosh(t) * x
+
+
+def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on (-1, 1): x = tanh(pi/2 sinh t), t = k h, h = 2^-(level+1).
+
+    Nodes that round to an endpoint are dropped.
+    """
+    h = 0.5**(level + 1)
+    t = h * np.arange(-int(3.5 / h), int(3.5 / h) + 1)
+    s = 0.5 * math.pi * np.sinh(t)
+    x = np.tanh(s)
+    weights = h * 0.5 * math.pi * np.cosh(t) / np.cosh(s) ** 2
+    keep = np.abs(x) < 1.0
+    return x[keep], weights[keep]
+
+
+def _rule_sums(nodes, weights, integrand, rows):
+    """sum_k w_k g_i(x_k) and sum_k |w_k g_i(x_k)| for the integrands i in rows.
+
+    integrand(rows, x) is g_i(x) for those rows at the nodes, one row each;
+    rows go a block at a time, and a row's sum does not depend on its block.
+    """
+    block = max(1, DE_BLOCK_BYTES // (8 * nodes.size))
+    total = np.empty(rows.size)
+    size = np.empty(rows.size)
+    for lo in range(0, rows.size, block):
+        # far nodes overflow some integrands to their limit, as exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            terms = integrand(rows[lo : lo + block], nodes) * weights
+        total[lo : lo + block] = terms.sum(axis=1)
+        size[lo : lo + block] = np.abs(terms).sum(axis=1)
+    return total, size
+
+
+def _doubled(rule, integrand, scale, target, first=0, last=DE_LEVELS):
+    """scale_i times the rule's sum for each integrand i, at the first level meeting target.
+
+    Each integrand doubles its level, from `first` to at most `last`, until
+    its error estimate meets target.  Returns the values, their
+    error estimates and the magnitude scale_i * sum |terms| at the last level
+    each reached.
+    """
+    rows = np.arange(scale.size)
+    value = _rule_sums(*rule(first), integrand, rows)[0] * scale
+    error = np.empty(scale.size)
+    size = np.empty(scale.size)
+    for level in range(first + 1, last + 1):
+        fine, magnitude = _rule_sums(*rule(level), integrand, rows)
+        fine *= scale[rows]
+        size[rows] = magnitude * np.abs(scale[rows])
+        error[rows] = np.abs(fine - value[rows]) + DE_ROUNDOFF * size[rows]
+        value[rows] = fine
+        rows = rows[error[rows] > target]
+        if not rows.size:
+            break
+    return value, error, size
+
+
+def fourier_integral(f, omegas, kind: str, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^inf f(x) cos(w x) dx (kind "cos") or sin(w x) ("sin") for each w >= 0.
+
+    f maps an array of x > 0 to f(x) elementwise.  Every w > 0 starts on the
+    Ooura-Mori rule at levels 0 and 1.  w = 0, and any w whose estimate
+    misses target or whose terms all vanish (w so small that every node lies
+    beyond where f lives), goes through exp-sinh on f(x) trig(w x), which
+    resolves a slow factor at any scale.  A w > 0 that still misses target
+    then doubles the Ooura-Mori level from 1 on.  Each w keeps its smallest
+    estimate.  Returns values and error estimates.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    trig = {"cos": np.cos, "sin": np.sin}[kind]
+    value = np.zeros(omegas.size)
+    error = np.full(omegas.size, np.inf)
+
+    def keep_better(rows, again, again_error):
+        better = again_error < error[rows]
+        value[rows[better]] = again[better]
+        error[rows[better]] = again_error[better]
+
+    def ooura_mori(rows, first, last):
+        w = omegas[rows]
+        again, again_error, size = _doubled(
+            lambda level: _ooura_mori(kind, level),
+            lambda block, x: f(x / w[block, None]),
+            math.pi / w,
+            target,
+            first,
+            last,
+        )
+        again_error[size == 0.0] = np.inf
+        keep_better(rows, again, again_error)
+
+    ooura_mori(np.flatnonzero(omegas > 0.0), 0, 1)
+    retry = np.flatnonzero(error > target)
+    if retry.size:
+        w = omegas[retry]
+        again, again_error, _ = _doubled(
+            _exp_sinh, lambda block, x: f(x) * trig(w[block, None] * x), np.ones(retry.size), target
+        )
+        keep_better(retry, again, again_error)
+    retry = np.flatnonzero((error > target) & (omegas > 0.0))
+    if retry.size:
+        ooura_mori(retry, 1, DE_LEVELS)
+    return value, error
+
+
+def finite_integral(f, lo: float, hi: float, target: float) -> tuple[float, float]:
+    """int_lo^hi f(x) dx by tanh-sinh, with its error estimate; f is elementwise."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    value, error, _ = _doubled(
+        _tanh_sinh, lambda rows, x: f(mid + half * x[None, :]), np.array([half]), target
+    )
+    return float(value[0]), float(error[0])
+
+
 @dataclass(frozen=True)
 class SampledPotential:
     """Hermitian n x n potential sampled at grid_start + i*grid_step.

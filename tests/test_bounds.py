@@ -116,6 +116,17 @@ def test_lifting_identity_quadrature():
     assert all(r.passed for r in sweep)
 
 
+def test_lifting_identity_error_estimate_bounds_the_true_error():
+    # lhs / rhs is the quadrature value over its closed form p B(p, 3/2)
+    for gamma in (0.51, 1.0, 2.9):
+        rep = bounds.lifting_identity_check(gamma, -1.0)
+        p = gamma - 0.5
+        exact = math.exp(math.lgamma(p + 1.0) + math.lgamma(1.5) - math.lgamma(p + 1.5))
+        value = rep.lhs / rep.rhs * exact
+        assert abs(value - exact) <= rep.provenance["quad_error"]
+        assert rep.provenance["quad_error"] <= 1e-13
+
+
 def test_sharp_half_poschl_teller(pt1, pt1_spectrum):
     # single level at -1 against half of int 2 sech^2 * 2 = 2
     rep = bounds.sharp_half_audit(pt1, pt1_spectrum)

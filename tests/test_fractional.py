@@ -176,23 +176,39 @@ def test_positive_samples_enter_the_count_through_their_sign(gaussian_beta4):
     )
 
 
-def test_refined_density_repeats_no_shared_quadrature():
-    # the fractional-beta4 pair: the 1601-point grid's even points are the
-    # 801-point grid to the bit, and both mass checks read the same points
-    fractional._density_value.cache_clear()
+def test_refined_density_repeats_the_coarse_values():
+    # the fractional-beta4 pair: each value depends on its own momentum only,
+    # so the 1601-point grid's even points are the 801-point values to the bit
     coarse = fractional.stable_density(1.5, 1.0, GRID)
-    before = fractional._density_value.cache_info().misses
     fine = fractional.stable_density(1.5, 1.0, np.linspace(0.0, 40.0, 1601))
-    new_quadratures = fractional._density_value.cache_info().misses - before
     assert (fine.momentum_grid[::2] == coarse.momentum_grid).all()
     assert (fine.density_values[::2] == coarse.density_values).all()
-    seen = set(coarse.momentum_grid.tolist())
-    for lo, hi, count in fractional.MASS_SEGMENTS:
-        seen.update(np.linspace(lo, hi, count).tolist())
-    assert new_quadratures == len(set(fine.momentum_grid.tolist()) - seen) <= 800
-    uncached = fractional._density_value.__wrapped__
-    direct = [uncached(1.5, 1.0, p)[0] for p in fine.momentum_grid]
-    assert (fine.density_values == np.array(direct)).all()
+    assert (fine.evaluate(GRID[::50]) == coarse.density_values[::50]).all()
+
+
+def test_cauchy_density_error_estimates_bound_the_true_error():
+    fine = np.linspace(0.0, 40.0, 1601)
+    values, errors = fractional._density(1.0, 1.0, fine)
+    true = np.abs(values - 1.0 / (math.pi * (1.0 + fine**2)))
+    assert true.max() <= 1e-14
+    assert (errors >= true).all()
+    assert errors.max() <= fractional.DENSITY_ERROR_CAP
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, 1.9])
+def test_density_matches_adaptive_quadrature(alpha):
+    from scipy.integrate import quad
+
+    momenta = GRID[::8]
+    values, errors = fractional._density(alpha, 1.0, momenta)
+    for p, value, error in zip(momenta, values, errors):
+        if p == 0.0:
+            ref, ref_error = quad(lambda x: math.exp(-(x**alpha)), 0.0, np.inf,
+                                  epsabs=1e-12, epsrel=1e-12, limit=400)
+        else:
+            ref, ref_error = quad(lambda x: math.exp(-(x**alpha)), 0.0, np.inf,
+                                  weight="cos", wvar=p, epsabs=1e-12, limit=400)
+        assert abs(value - ref / math.pi) <= error + ref_error / math.pi
 
 
 def test_fractional_moment_poschl_teller(pt1):

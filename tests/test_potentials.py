@@ -20,6 +20,17 @@ def test_simpson_weights_refuse_even_or_short_counts(count):
         potentials.simpson_weights(count, 0.5)
 
 
+def test_fourier_integral_of_the_exponential_at_every_scale():
+    # int_0^inf e^{-x} cos(wx) dx = 1/(1+w^2) and the sine one w/(1+w^2):
+    # w = 0 and w = 1e-300 (no Ooura-Mori node reaches where e^{-x} lives)
+    # take exp-sinh; the rest take Ooura-Mori
+    omegas = np.array([0.0, 1e-300, 1e-8, 0.05, 1.0, 40.0, 1e4])
+    for kind, exact in (("cos", 1.0 / (1.0 + omegas**2)), ("sin", omegas / (1.0 + omegas**2))):
+        values, errors = potentials.fourier_integral(lambda x: np.exp(-x), omegas, kind, 1e-12)
+        assert (np.abs(values - exact) <= errors).all()
+        assert errors.max() <= 1e-12
+
+
 def test_poschl_teller_moment_integrals(pt1):
     # closed forms: int sech^2 = 2, int sech^4 = 4/3, int sech^6 = 16/15
     assert_allclose(potentials.signed_trace_power_integral(pt1, 1), -4.0, atol=1e-10)

@@ -636,15 +636,28 @@ def test_density_is_cached_by_point_count():
     assert fine.momentum_grid[2] == coarse.momentum_grid[1]
 
 
-def test_kernel_and_jost_run_loads_no_quadrature(tmp_path):
-    # scipy.integrate and scipy.optimize are imported by the audits that call
-    # them, and the Gamma functions come from math, so a process that runs
-    # only kernel and Jost audits never loads any of the three
+def test_audits_load_no_quadrature_library(tmp_path):
+    # every integral in ltlab runs through the double-exponential rules of
+    # potentials.fourier_integral and finite_integral, and the Gamma functions
+    # come from math, so a process that runs the kernel, Jost, closed-form and
+    # fractional audits loads none of scipy.integrate, scipy.optimize and
+    # scipy.special
     cfg = write_config(tmp_path, [{
         "name": "poschl-teller-1",
         "potential": {"family": "poschl-teller", "parameters": {"nu": 1.0}},
         "audits": ["birman-schwinger", "lifted-moment", "trace-identities",
                    "unitarity", "spectral-positivity", "conjugation-symmetry"],
+    }, {
+        "name": "closed-forms",
+        "audits": ["lifting-identity", "cauchy-kernel"],
+    }, {
+        "name": "fractional-cauchy",
+        "potential": {"family": "poschl-teller", "parameters": {"nu": 1.0}},
+        "audits": ["stable-c0", "characteristic-roundtrip", "fractional-moment"],
+        "options": {
+            "density": {"stability_index": 1.0, "scale": 1.0},
+            "operator_exponent": 2.0, "reference": "pi", "refine_grid": True,
+        },
     }])
     script = (
         "import sys\n"
@@ -666,5 +679,7 @@ def test_kernel_and_jost_run_loads_no_quadrature(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[]"
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    tags = {rec["audit_tag"] for rec in manifest["scenarios"][0]["reports"]}
-    assert {"birman-schwinger", "unitarity", "conjugation-symmetry"} <= tags
+    tags = {rec["audit_tag"] for scenario in manifest["scenarios"] for rec in scenario["reports"]}
+    assert {"birman-schwinger", "unitarity", "conjugation-symmetry", "lifting-identity",
+            "cauchy-kernel", "stable-c0", "stable-c0-refined", "characteristic-roundtrip",
+            "fractional-moment"} <= tags
