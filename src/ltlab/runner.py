@@ -172,8 +172,6 @@ def _check_stage_grids(scenario: Scenario, where: str):
     """The grids, couplings and density parameters the audits build pass the solvers' own checks."""
     ctx, audits, grid = ScenarioContext(scenario), set(scenario.audits), scenario.grid
     checks = []
-    if "k_max" in grid:
-        checks.append(("grid.k_max", lambda: scattering._k_plan(grid["k_max"], grid.get("refine", 1))))
     if audits & {"lt-2d", "lt-2d-magnetic", "lifting-2d", "diamagnetic-trend"}:
         checks.append(("options.num_interior", lambda: multidim._nodes(1.0, ctx.plane_points())))
     if audits & {"lt-2d", "lt-2d-magnetic"}:  # and the Richardson fine grid

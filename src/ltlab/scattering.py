@@ -22,6 +22,13 @@ under x -> -x and the scheme is symmetric, so the mirror image of the
 discrete +k solution is again a discrete solution; A and B then follow from
 two Wronskians at the middle, which the scheme preserves.  This is exact up
 to roundoff and halves the cost of the even wells.
+
+The k-integrals I_0, I_2, I_4 of log|det A| that enter the trace identities
+run by tanh-sinh on [0, K_SPLIT] and [K_SPLIT, end], each doubling its level
+until the change between levels meets QUADRATURE_TARGET.  Near k = 0 a
+generic n x n well has log|det A| ~ -n log k + c; the rule's nodes crowd
+towards both ends double-exponentially, which integrates that singularity
+with no model of it.
 """
 
 from __future__ import annotations
@@ -32,20 +39,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import (
+    DE_ROUNDOFF,
     SampledPotential,
+    _tanh_sinh,
     derivative_square_integral,
     signed_trace_power_integral,
-    simpson_weights,
 )
 from .reports import BoundReport, BoundSpec, limit_report
 from .spectral1d import NegativeSpectrum, mirror_symmetric
 
 K_MIN = 1e-3
+K_SPLIT = 3.0
 K_CAP = 60.0
-COARSE_CHUNK = 61
-FINE_END, FINE_STEP = 3.0, 5e-3
-MID_END, MID_STEP = 8.0, 2e-2
-COARSE_STEP = 0.1
+FIRST_LEVEL, LAST_LEVEL = 3, 8
+QUADRATURE_TARGET = 1e-9
+PROBES_PER_DOUBLING = 8
 TAIL_THRESHOLD = 1e-12
 TAIL_RUN = 5
 OSCILLATION_FRACTION = 8.0
@@ -228,7 +236,15 @@ def _solve_batch(potential: SampledPotential, k: np.ndarray, refine: int):
 
 @dataclass
 class ScatteringData:
-    """Matching data on an ascending k grid plus the moment integrals."""
+    """Matching data at every solved k >= K_MIN, ascending, plus the moment integrals.
+
+    k_grid holds K_MIN itself, the quadrature nodes at or above it and,
+    without k_max, the end probes; the pointwise audits read these.  The
+    nodes below K_MIN, down to about 1e-15, enter only i0, i2 and i4: there
+    |A|^2 grows like k^-2, so an absolute unitarity residual means nothing.
+    integral_details holds the values and error estimates of I_0, I_2, I_4
+    keyed by j, and the end of the k-integrals.
+    """
 
     k_grid: np.ndarray
     a_pos: np.ndarray
@@ -243,67 +259,12 @@ class ScatteringData:
     integral_details: dict
 
 
-def _k_plan(cap: float, refine: int):
-    """The k grid from K_MIN to about cap and its (first, last, step, chunk) segments.
-
-    The fine, mid and coarse segments each span an even number of intervals
-    of their step divided by refine, and each starts on the last point of the
-    one before.  chunk is the number of points solved per batch: a whole fine
-    or mid segment, COARSE_CHUNK points of the coarse one.  A batch's step is
-    set by its largest k, so the batches are part of the grid's definition.
-    """
-    parts, segments = [np.array([K_MIN])], []
-    start, first = K_MIN, 0
-    for nominal_end, nominal_step in (
-        (FINE_END, FINE_STEP), (MID_END, MID_STEP), (cap, COARSE_STEP)
-    ):
-        step = nominal_step / refine
-        end = min(nominal_end, cap)
-        if end <= start + step / 2.0:
-            continue
-        intervals = int(math.ceil((end - start) / step))
-        intervals += intervals % 2
-        parts.append(start + step * np.arange(1, intervals + 1))
-        chunk = COARSE_CHUNK if nominal_step == COARSE_STEP else intervals + 1
-        segments.append((first, first + intervals, step, chunk))
-        start, first = start + intervals * step, first + intervals
-    if not segments:
-        raise ValueError("empty wavenumber grid; raise the cap above k_min")
-    return np.concatenate(parts), segments
-
-
 def _tail_stop(logdet: np.ndarray, earliest: int) -> int | None:
     """First index >= earliest that ends TAIL_RUN samples below TAIL_THRESHOLD."""
     below = np.concatenate([[0], np.cumsum(logdet < TAIL_THRESHOLD)])
     ends = np.flatnonzero(below[TAIL_RUN:] - below[:-TAIL_RUN] == TAIL_RUN) + TAIL_RUN - 1
     ends = ends[ends >= earliest]
     return int(ends[0]) if ends.size else None
-
-
-def _segment_quadrature(y: np.ndarray, step: float):
-    """Simpson value plus a stride-2 self-comparison error estimate."""
-    count = y.size
-    value = float(simpson_weights(count, step) @ y)
-    sub = count if count % 4 == 1 else count - 2
-    if sub >= 5:
-        coarse = float(simpson_weights(sub // 2 + 1, 2.0 * step) @ y[:sub:2])
-        finer = float(simpson_weights(sub, step) @ y[:sub])
-        err = abs(finer - coarse) / 15.0 * (count / sub)
-    else:
-        err = 0.0
-    return value, err
-
-
-def _gap_fit(k: np.ndarray, logdet: np.ndarray):
-    """Even quadratic c0 + c2 k^2 through the smallest-k samples, c0 clamped at 0."""
-    m = min(8, k.size)
-    basis = np.stack([np.ones(m), k[:m] ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, logdet[:m], rcond=None)
-    return max(float(coef[0]), 0.0), float(coef[1])
-
-
-def _gap_moment(c0: float, c2: float, km: float, j: int) -> float:
-    return c0 * km ** (j + 1) / (j + 1) + c2 * km ** (j + 3) / (j + 3)
 
 
 def _tail_bound(k: np.ndarray, logdet: np.ndarray, j: int) -> float:
@@ -324,94 +285,125 @@ def _tail_bound(k: np.ndarray, logdet: np.ndarray, j: int) -> float:
     return amp * total
 
 
-def _spectral_integrals(k, logdet, segments, adaptive):
-    values, errors, gaps, tails = {}, {}, {}, {}
-    c0, c2 = _gap_fit(k, logdet)
-    km = float(k[0])
-    for j in (0, 2, 4):
-        total, err = 0.0, 0.0
-        for first, last, step, _ in segments:
-            # the kept grid ends on an even interval count of its last segment
-            last = min(last, k.size - 1)
-            if last - first < 2:
-                continue
-            sl = slice(first, last + 1)
-            v, e = _segment_quadrature((k[sl] ** j) * logdet[sl], step)
-            total += v
-            err += e
-        gap = _gap_moment(c0, c2, km, j)
-        tail = _tail_bound(k, logdet, j) if adaptive else 0.0
-        values[j] = (total + gap) / math.pi
-        errors[j] = (err + gap + tail) / math.pi
-        gaps[j] = gap / math.pi
-        tails[j] = tail / math.pi
-    return {"values": values, "errors": errors, "gap": gaps, "tail": tails}
+def _moments(solve, lo: float, hi: float, extra=()):
+    """(1/pi) int_lo^hi k^j log|det A| dk for j = 0, 2, 4 by tanh-sinh, with estimates.
+
+    The level doubles from FIRST_LEVEL until |I_{l-1} - I_l| plus the
+    rounding of the sum meets QUADRATURE_TARGET for all three moments, or
+    LAST_LEVEL is reached.  solve(k) returns log|det A| at k and solves only
+    the k it has not seen: level l - 1 nodes are level l nodes, so each level
+    costs one batch of new nodes, and level FIRST_LEVEL - 1 none.  The
+    wavenumbers in extra ride along in the first batch.
+    """
+    scale = 0.5 * (hi - lo) / math.pi
+    powers = np.array([0, 2, 4])[:, None]
+
+    def rule(level):
+        x, w = _tanh_sinh(level)
+        k = lo + 0.5 * (hi - lo) * (1.0 + x)
+        y = solve(np.append(k, extra))[: k.size] * k**powers
+        return scale * (y @ w), DE_ROUNDOFF * scale * (np.abs(y) @ w)
+
+    level = FIRST_LEVEL
+    value, rounding = rule(level)
+    coarse = rule(level - 1)[0]
+    while True:
+        error = np.abs(value - coarse) + rounding
+        if error.max() <= QUADRATURE_TARGET or level == LAST_LEVEL:
+            return value, error
+        level += 1
+        coarse, (value, rounding) = value, rule(level)
+
+
+def _find_end(solve):
+    """The end of the k-integrals and the tail bound beyond it, one per moment j = 0, 2, 4.
+
+    The probes K_SPLIT * 2^(i / PROBES_PER_DOUBLING), and K_CAP last, are
+    solved one doubling of k per batch: [3, 6], (6, 12], ...  The end is the
+    first probe from which TAIL_RUN probes in a row have log|det A| below
+    TAIL_THRESHOLD, so one sample at an isolated zero of the reflection
+    cannot stop the search.  An exponential fit to the probes up to the end
+    bounds the integrals beyond it.
+    """
+    count = int(math.ceil(PROBES_PER_DOUBLING * math.log2(K_CAP / K_SPLIT)))
+    probes = np.append(K_SPLIT * 2.0 ** (np.arange(count) / PROBES_PER_DOUBLING), K_CAP)
+    logdet = np.empty(probes.size)
+    edges = [0, *range(PROBES_PER_DOUBLING + 1, probes.size, PROBES_PER_DOUBLING), probes.size]
+    for lo, hi in zip(edges, edges[1:]):
+        logdet[lo:hi] = solve(probes[lo:hi])
+        stop = _tail_stop(logdet[:hi], TAIL_RUN - 1)
+        if stop is not None:
+            start = stop - TAIL_RUN + 1
+            tail = [_tail_bound(probes[: start + 1], logdet[: start + 1], j) for j in (0, 2, 4)]
+            return float(probes[start]), np.array(tail) / math.pi
+    raise ValueError(
+        "insufficient decay: log|det A| stayed above "
+        f"{TAIL_THRESHOLD} up to k = {K_CAP:.3f}; "
+        "pass an explicit k_max to integrate a truncated range"
+    )
 
 
 def compute_scattering(
     potential: SampledPotential, k_max: float | None = None, refine: int = 1
 ) -> ScatteringData:
-    """Matching data over the standard segmented grid with adaptive tail stop.
+    """Matching data and the moment integrals I_j = (1/pi) int_0^end k^j log|det A| dk.
 
-    Without k_max the grid is cut where log|det A| stays below 1e-12 for 5
-    consecutive samples past the fine segment, less one sample when that
-    leaves its segment an odd interval count, so the tail bound starts where
-    the Simpson integral ends; a potential whose determinant has not decayed
-    by the cap raises (insufficient decay).  With k_max the
-    grid is simply truncated there and no tail certificate is attached.
+    I_0, I_2 and I_4 come from tanh-sinh on [0, K_SPLIT] and [K_SPLIT, end]
+    (_moments), which takes the log singularity of log|det A| at k = 0 with
+    no model.  With k_max the end is k_max and no tail term is added;
+    without it _find_end places the end and bounds the tail, or raises
+    (insufficient decay).  Each integral's error adds the estimates of both
+    intervals and the tail bound.  Every wavenumber is solved once, in
+    batches whose Jost step is set by their largest k and divided by refine.
     """
-    adaptive = k_max is None
-    k_grid, segments = _k_plan(K_CAP if adaptive else float(k_max), refine)
-    n = potential.matrix_dim
-    # A(k), B(k), A(-k), B(-k)
-    jost = np.empty((4, k_grid.size, n, n), dtype=complex)
-    logdet = np.empty(k_grid.size)
-    keep = k_grid.size
-    # every segment after the first starts on the point that ends the one before
-    batches = [
-        (first, lo, min(lo + chunk, last + 1))
-        for first, last, _, chunk in segments
-        for lo in range(first + (first > 0), last + 1, chunk)
-    ]
-    for first, lo, hi in batches:
-        jost[:, lo:hi] = _solve_batch(potential, k_grid[lo:hi], refine)
-        logdet[lo:hi] = np.linalg.slogdet(jost[0, lo:hi])[1]
-        stop = _tail_stop(logdet[:hi], segments[0][1]) if adaptive else None
-        if stop is not None:
-            # the stop lies in this batch's segment; keep the grid to the end
-            # of its last even run of intervals, where Simpson and the tail
-            # bound meet
-            keep = stop - (stop - first) % 2 + 1
-            break
-    else:
-        if adaptive:
-            raise ValueError(
-                "insufficient decay: log|det A| stayed above "
-                f"{TAIL_THRESHOLD} up to k = {k_grid[-1]:.3f}; "
-                "pass an explicit k_max to integrate a truncated range"
-            )
+    solved_k, solved_logdet, batches = np.empty(0), np.empty(0), []
 
-    k_grid, logdet = k_grid[:keep], logdet[:keep]
-    a_pos, b_pos, a_neg, b_neg = jost[:, :keep]
+    def solve(k):
+        nonlocal solved_k, solved_logdet
+        fresh = np.setdiff1d(k, solved_k)
+        if fresh.size:
+            batches.append(_solve_batch(potential, fresh, refine))
+            solved_k = np.concatenate([solved_k, fresh])
+            solved_logdet = np.concatenate([solved_logdet, np.linalg.slogdet(batches[-1][0])[1]])
+        order = np.argsort(solved_k)
+        return solved_logdet[order[np.searchsorted(solved_k, k, sorter=order)]]
+
+    end = K_CAP if k_max is None else float(k_max)
+    value, error = _moments(solve, 0.0, min(K_SPLIT, end), extra=K_MIN)
+    if k_max is None:
+        end, tail = _find_end(solve)
+        error = error + tail
+    if end > K_SPLIT:
+        upper, upper_error = _moments(solve, K_SPLIT, end)
+        value, error = value + upper, error + upper_error
+
+    pointwise = np.flatnonzero(solved_k >= K_MIN)
+    pointwise = pointwise[np.argsort(solved_k[pointwise])]
+    a_pos, b_pos, a_neg, b_neg = np.concatenate([np.stack(b) for b in batches], axis=1)[:, pointwise]
+    n = potential.matrix_dim
     residual = a_pos @ np.conj(np.swapaxes(a_pos, 1, 2)) - np.eye(n)
     residual -= b_neg @ np.conj(np.swapaxes(b_neg, 1, 2))
     unitarity = np.abs(np.linalg.eigvalsh(
         0.5 * (residual + np.conj(np.swapaxes(residual, 1, 2)))
     )).max(axis=1)
 
-    details = _spectral_integrals(k_grid, logdet, segments, adaptive)
+    moments = (0, 2, 4)
     return ScatteringData(
-        k_grid=k_grid,
+        k_grid=solved_k[pointwise],
         a_pos=a_pos,
         b_pos=b_pos,
         a_neg=a_neg,
         b_neg=b_neg,
-        logdet=logdet,
+        logdet=solved_logdet[pointwise],
         unitarity_residual=unitarity,
-        i0=details["values"][0],
-        i2=details["values"][2],
-        i4=details["values"][4],
-        integral_details=details,
+        i0=float(value[0]),
+        i2=float(value[1]),
+        i4=float(value[2]),
+        integral_details={
+            "values": dict(zip(moments, value.tolist())),
+            "errors": dict(zip(moments, error.tolist())),
+            "end": end,
+        },
     )
 
 
@@ -536,7 +528,7 @@ def trace_identity_audit(
                     "budget": float(budget),
                     "certified": bool(residual <= budget),
                     "spectrum_levels": spectrum.count,
-                    "k_stop": float(data.k_grid[-1]),
+                    "k_stop": data.integral_details["end"],
                 },
             )
         )

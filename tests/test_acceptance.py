@@ -108,7 +108,7 @@ def test_criterion_05_trace_identities(suite):
     )
     ok = (
         max(pt_res) <= 1e-3
-        and all(r["residual"] <= 5e-3 for r in rand)
+        and all(r["residual"] <= 1e-3 for r in rand)
         and all(r["provenance"]["certified"] for r in rand)
         and wall < 300.0
     )

@@ -497,8 +497,9 @@ CAUCHY = {"stability_index": 1.0}
      r"options.num_interior: grid cap 160 per side exceeded"),
     ({"audits": ["gauge-invariance"], "options": {"well": GAUSSIAN_PLANE, "gauge_points": 4}},
      r"options.gauge_points: need at least 8 interior points per side"),
-    ({"audits": ["unitarity"], "potential": POSCHL_TELLER_1, "grid": {"k_max": 0.002}},
-     r"grid.k_max: empty wavenumber grid"),
+    ({"audits": ["remainder-sweep"], "potential": POSCHL_TELLER_1,
+      "options": {"couplings": [1, 2, 3, 4, 5, -6]}},
+     r"options.couplings: couplings must be positive"),
     ({"audits": ["characteristic-roundtrip"],
       "options": {"density": {**CAUCHY, "grid_points": 8}}},
      r"options.density \(grid_points, grid_cutoff\): momentum grid must be 1d with at least 16"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltlab import potentials, scattering
+from ltlab import potentials, scattering, spectral1d
 
 
 @pytest.fixture(scope="module")
@@ -41,35 +41,6 @@ def test_propagator_is_fourth_order():
     assert e1 / e2 >= 8.0
 
 
-@pytest.mark.parametrize("cap, refine", [(scattering.K_CAP, 1), (scattering.K_CAP, 2),
-                                         (scattering.K_CAP, 3), (12.05, 1)])
-def test_k_plan_segments(cap, refine):
-    nominal = (scattering.FINE_STEP, scattering.MID_STEP, scattering.COARSE_STEP)
-    k, segments = scattering._k_plan(cap, refine)
-    assert k[0] == scattering.K_MIN and np.all(np.diff(k) > 0)
-    assert [s[2] for s in segments] == [step / refine for step in nominal]
-    assert segments[0][0] == 0 and segments[-1][1] == k.size - 1
-    for (_, last, _, _), (first, _, _, _) in zip(segments, segments[1:]):
-        assert first == last
-    for first, last, step, chunk in segments:
-        assert (last - first) % 2 == 0
-        assert_allclose(np.diff(k[first : last + 1]), step, rtol=1e-9)
-    # the fine and mid segments go as one batch, the coarse one in chunks
-    assert [s[3] for s in segments[:2]] == [s[1] - s[0] + 1 for s in segments[:2]]
-    assert segments[2][3] == scattering.COARSE_CHUNK
-    assert k[segments[0][1]] >= scattering.FINE_END
-    assert k[segments[1][1]] >= scattering.MID_END
-    assert k[-1] >= cap
-
-
-def test_k_plan_below_the_fine_end_is_one_segment():
-    k, segments = scattering._k_plan(2.004, 1)
-    assert segments == [(0, k.size - 1, scattering.FINE_STEP, k.size)]
-    assert k.size % 2 == 1 and k[-1] >= 2.004
-    with pytest.raises(ValueError, match="empty wavenumber grid"):
-        scattering._k_plan(scattering.K_MIN, 1)
-
-
 def test_tail_stop():
     small, big = 0.0, 1.0
     run = scattering.TAIL_RUN
@@ -89,20 +60,76 @@ def test_tail_stop():
     assert scattering._tail_stop(np.full(run - 1, small), 0) is None
 
 
-def test_adaptive_stop_keeps_an_even_final_run_inside_the_budget():
-    # this well's first stop leaves its coarse segment an odd interval count;
-    # the kept grid ends one sample earlier, where the tail bound takes over
-    g = potentials.build_family("gaussian", depth=4.0, width=0.3)
-    data = scattering.compute_scattering(g, refine=1)
-    _, segments = scattering._k_plan(scattering.K_CAP, 1)
-    last = data.k_grid.size - 1
-    first = max(f for f, *_ in segments if f <= last)
-    assert last > first and (last - first) % 2 == 0
-    finer = scattering.compute_scattering(g, refine=2)
-    values = data.integral_details["values"]
-    assert data.integral_details["errors"][4] >= abs(
-        values[4] - finer.integral_details["values"][4]
+@pytest.fixture(scope="module")
+def random_2x2_data(random_2x2):
+    return scattering.compute_scattering(random_2x2)
+
+
+def test_trace_identity_of_a_generic_well_needs_no_low_k_model(random_2x2, random_2x2_data):
+    # log|det A| ~ -2 log k + c near k = 0 on this well; a model of [0, K_MIN]
+    # that misses the singularity left I_0 1.4e-3 short
+    spectrum = spectral1d.refined_negative_spectrum(
+        random_2x2, spectral1d.default_box(random_2x2), 1200
     )
+    first = scattering.trace_identity_audit(random_2x2, spectrum, random_2x2_data)[0]
+    assert first.audit_tag == "trace-identity-1"
+    assert first.residual <= 1e-6
+
+
+@pytest.mark.parametrize("well_name, data_name, k_max, refine", [
+    ("random_2x2", "random_2x2_data", None, 1),
+    ("square_well", "square_well_data", 30.0, 2),
+])
+def test_integral_errors_cover_a_tighter_target(monkeypatch, request, well_name, data_name,
+                                                k_max, refine):
+    data = request.getfixturevalue(data_name)
+    monkeypatch.setattr(scattering, "QUADRATURE_TARGET", scattering.QUADRATURE_TARGET / 100)
+    reference = scattering.compute_scattering(
+        request.getfixturevalue(well_name), k_max=k_max, refine=refine
+    )
+    assert reference.integral_details["end"] == data.integral_details["end"]
+    for j in (0, 2, 4):
+        moved = abs(data.integral_details["values"][j] - reference.integral_details["values"][j])
+        assert data.integral_details["errors"][j] >= moved
+
+
+def _counting_solves(monkeypatch):
+    """Patch _solve_batch to add the wavenumbers of each call to the returned list."""
+    calls = []
+    solve = scattering._solve_batch
+
+    def counting(potential, k, refine):
+        calls.append(np.array(k))
+        return solve(potential, k, refine)
+
+    monkeypatch.setattr(scattering, "_solve_batch", counting)
+    return calls
+
+
+def test_every_wavenumber_is_solved_once(monkeypatch, square_well):
+    lopsided = potentials.build_family(
+        "random-smooth", matrix_dim=1, seed=3, real_valued=True,
+        support_radius=2.0, modes=3, grid_step=0.05,
+    )
+    for well, k_max in ((lopsided, None), (square_well, 30.0)):
+        with monkeypatch.context() as patch:
+            calls = _counting_solves(patch)
+            data = scattering.compute_scattering(well, k_max=k_max)
+        solved = np.concatenate(calls)
+        assert np.unique(solved).size == solved.size
+        assert data.k_grid.size == np.count_nonzero(solved >= scattering.K_MIN)
+    for nu in (1.0, 3.0):
+        with monkeypatch.context() as patch:
+            calls = _counting_solves(patch)
+            scattering.compute_scattering(potentials.build_family("poschl-teller", nu=nu), refine=2)
+        assert len(calls) <= 3
+
+
+def test_pointwise_samples_start_at_k_min(random_2x2_data, square_well_data, pt1_scattering):
+    for data in (random_2x2_data, square_well_data, pt1_scattering):
+        assert data.k_grid[0] == scattering.K_MIN
+        assert np.all(data.k_grid >= scattering.K_MIN)
+        assert np.all(np.diff(data.k_grid) > 0)
 
 
 def test_poschl_teller_is_reflectionless(pt1_scattering):
