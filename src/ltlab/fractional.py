@@ -38,17 +38,18 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 from scipy.sparse.linalg import LinearOperator
 
 from . import potentials, spectral1d
-from .potentials import SampledPotential, simpson_weights
+from .potentials import SampledPotential
 from .reports import BoundReport, BoundSpec, comparison_report
 
 DENSITY_ERROR_CAP = 1e-9
 # absolute error target of each quadrature before the 1/pi of the density
 DENSITY_TARGET = 1e-12
-MASS_TOLERANCE = 1e-6
+MASS_TOLERANCE = 1e-10
 POINTWISE_SLACK = 1e-9
 DRIFT_BUDGET = 1e-6
 REFINEMENT_TOLERANCE = 1e-4
-MASS_SEGMENTS = ((0.0, 2.0, 401), (2.0, 10.0, 161), (10.0, 60.0, 201))
+# total_mass integrates the density by tanh-sinh on [0, MASS_EDGE], by Fubini beyond
+MASS_EDGE = 60.0
 # characteristic_function_check inverts the tabulation rule at these x
 CHARACTERISTIC_POINTS = (0.5, 1.0, 2.0)
 # c0_search narrows the argmax of the ratio to this width, Brent's default xatol
@@ -111,18 +112,15 @@ class ComparisonDensity:
         return _density(self.stability_index, self.scale, momenta)[0]
 
     def total_mass(self) -> float:
-        """Integral over the whole line: segment Simpson sums plus the exact
-        remainder, which Fubini turns into one integral of
-        (exp(-scale*x^alpha) - 1)/x against sin(Px) over [0, inf), taken by
-        the Ooura-Mori sine rule."""
-        half = 0.0
-        for lo, hi, count in MASS_SEGMENTS:
-            x = np.linspace(lo, hi, count)
-            half += float(simpson_weights(count, x[1] - x[0]) @ self.evaluate(x))
-        edge = MASS_SEGMENTS[-1][1]
+        """Integral over the whole line: tanh-sinh on [0, P] of the density
+        evaluated by the tabulation rule (potentials.finite_integral), plus
+        the exact remainder beyond P = MASS_EDGE, which Fubini turns into one
+        integral of (exp(-scale*x^alpha) - 1)/x against sin(Px) over
+        [0, inf), taken by the Ooura-Mori sine rule."""
+        half, _ = potentials.finite_integral(self.evaluate, 0.0, MASS_EDGE, DENSITY_TARGET)
         remainder, _ = potentials.fourier_integral(
             lambda x: np.expm1(-self.scale * x**self.stability_index) / x,
-            [edge],
+            [MASS_EDGE],
             "sin",
             DENSITY_TARGET,
         )

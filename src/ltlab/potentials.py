@@ -116,8 +116,10 @@ def _rule_sums(nodes, weights, integrand, rows):
 def _doubled(rule, integrand, scale, target, first=0, last=DE_LEVELS):
     """scale_i times the rule's sum for each integrand i, at the first level meeting target.
 
-    Each integrand doubles its level, from `first` to at most `last`, until
-    its error estimate meets target.  Returns the values, their
+    The driver of fourier_integral, finite_integral and the scattering
+    k-moments.  Each integrand doubles its level, from `first` to at most
+    `last`, until its error estimate meets target; integrand(rows, x) is
+    asked only for the rows still doubling.  Returns the values, their
     error estimates and the magnitude scale_i * sum |terms| at the last level
     each reached.
     """

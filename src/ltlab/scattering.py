@@ -24,11 +24,12 @@ two Wronskians at the middle, which the scheme preserves.  This is exact up
 to roundoff and halves the cost of the even wells.
 
 The k-integrals I_0, I_2, I_4 of log|det A| that enter the trace identities
-run by tanh-sinh on [0, K_SPLIT] and [K_SPLIT, end], each doubling its level
-until the change between levels meets QUADRATURE_TARGET.  Near k = 0 a
-generic n x n well has log|det A| ~ -n log k + c; the rule's nodes crowd
-towards both ends double-exponentially, which integrates that singularity
-with no model of it.
+run by tanh-sinh on [0, K_SPLIT] and [K_SPLIT, end] through the level-doubling
+driver every adaptive integral shares (potentials._doubled): each moment
+doubles its level until its own change between levels, plus the rounding of
+its sum, meets QUADRATURE_TARGET.  Near k = 0 a generic n x n well has
+log|det A| ~ -n log k + c; the rule's nodes crowd towards both ends
+double-exponentially, which integrates that singularity with no model of it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import (
-    DE_ROUNDOFF,
     SampledPotential,
+    _doubled,
     _tanh_sinh,
     derivative_square_integral,
     signed_trace_power_integral,
@@ -242,8 +243,8 @@ class ScatteringData:
     without k_max, the end probes; the pointwise audits read these.  The
     nodes below K_MIN, down to about 1e-15, enter only i0, i2 and i4: there
     |A|^2 grows like k^-2, so an absolute unitarity residual means nothing.
-    integral_details holds the values and error estimates of I_0, I_2, I_4
-    keyed by j, and the end of the k-integrals.
+    integral_details holds the error estimates of I_0, I_2, I_4 keyed by j,
+    and the end of the k-integrals.
     """
 
     k_grid: np.ndarray
@@ -288,31 +289,25 @@ def _tail_bound(k: np.ndarray, logdet: np.ndarray, j: int) -> float:
 def _moments(solve, lo: float, hi: float, extra=()):
     """(1/pi) int_lo^hi k^j log|det A| dk for j = 0, 2, 4 by tanh-sinh, with estimates.
 
-    The level doubles from FIRST_LEVEL until |I_{l-1} - I_l| plus the
-    rounding of the sum meets QUADRATURE_TARGET for all three moments, or
-    LAST_LEVEL is reached.  solve(k) returns log|det A| at k and solves only
-    the k it has not seen: level l - 1 nodes are level l nodes, so each level
-    costs one batch of new nodes, and level FIRST_LEVEL - 1 none.  The
-    wavenumbers in extra ride along in the first batch.
+    potentials._doubled doubles each moment's level from FIRST_LEVEL - 1 until
+    its own estimate meets QUADRATURE_TARGET, or to LAST_LEVEL.  solve(k)
+    returns log|det A| at k and solves only the k it has not seen: level l - 1
+    nodes are level l nodes, so the FIRST_LEVEL nodes, with the wavenumbers in
+    extra, are solved up front in one batch and each later level costs one
+    batch of new nodes.
     """
-    scale = 0.5 * (hi - lo) / math.pi
-    powers = np.array([0, 2, 4])[:, None]
+    half = 0.5 * (hi - lo)
+    powers = np.array([0, 2, 4])
 
-    def rule(level):
-        x, w = _tanh_sinh(level)
-        k = lo + 0.5 * (hi - lo) * (1.0 + x)
-        y = solve(np.append(k, extra))[: k.size] * k**powers
-        return scale * (y @ w), DE_ROUNDOFF * scale * (np.abs(y) @ w)
+    def integrand(rows, x):
+        k = lo + half * (1.0 + x)
+        return solve(k) * k ** powers[rows, None]
 
-    level = FIRST_LEVEL
-    value, rounding = rule(level)
-    coarse = rule(level - 1)[0]
-    while True:
-        error = np.abs(value - coarse) + rounding
-        if error.max() <= QUADRATURE_TARGET or level == LAST_LEVEL:
-            return value, error
-        level += 1
-        coarse, (value, rounding) = value, rule(level)
+    solve(np.append(lo + half * (1.0 + _tanh_sinh(FIRST_LEVEL)[0]), extra))
+    return _doubled(
+        _tanh_sinh, integrand, np.full(3, half / math.pi), QUADRATURE_TARGET,
+        FIRST_LEVEL - 1, LAST_LEVEL,
+    )[:2]
 
 
 def _find_end(solve):
@@ -350,11 +345,13 @@ def compute_scattering(
 
     I_0, I_2 and I_4 come from tanh-sinh on [0, K_SPLIT] and [K_SPLIT, end]
     (_moments), which takes the log singularity of log|det A| at k = 0 with
-    no model.  With k_max the end is k_max and no tail term is added;
-    without it _find_end places the end and bounds the tail, or raises
-    (insufficient decay).  Each integral's error adds the estimates of both
-    intervals and the tail bound.  Every wavenumber is solved once, in
-    batches whose Jost step is set by their largest k and divided by refine.
+    no model; on each interval every moment doubles its level until its own
+    estimate meets QUADRATURE_TARGET.  With k_max the end is k_max and no
+    tail term is added; without it _find_end places the end and bounds the
+    tail, or raises (insufficient decay).  Each integral's error adds the
+    estimates of both intervals and the tail bound.  Every wavenumber is
+    solved once, in batches whose Jost step is set by their largest k and
+    divided by refine.
     """
     solved_k, solved_logdet, batches = np.empty(0), np.empty(0), []
 
@@ -387,7 +384,6 @@ def compute_scattering(
         0.5 * (residual + np.conj(np.swapaxes(residual, 1, 2)))
     )).max(axis=1)
 
-    moments = (0, 2, 4)
     return ScatteringData(
         k_grid=solved_k[pointwise],
         a_pos=a_pos,
@@ -400,8 +396,7 @@ def compute_scattering(
         i2=float(value[1]),
         i4=float(value[2]),
         integral_details={
-            "values": dict(zip(moments, value.tolist())),
-            "errors": dict(zip(moments, error.tolist())),
+            "errors": dict(zip((0, 2, 4), error.tolist())),
             "end": end,
         },
     )
@@ -451,10 +446,9 @@ def conjugation_symmetry_check(
     Conjugating the differential equation transposes the potential, so for a
     Hermitian V with complex entries the +-k data are genuinely independent
     and this check is skipped (returns None).  For scalar wells the -k data
-    are the conjugate of the propagated +k data, so lhs is 0 by construction
-    (as it was bit for bit when both signs were propagated); the check
-    measures something only on coupled wells, whose two signs are solved
-    independently.
+    are the conjugate of the propagated +k data, so lhs is 0 by construction;
+    the check measures something only on coupled wells, whose two signs are
+    solved independently.
     """
     asym = np.abs(potential.values - np.swapaxes(potential.values, 1, 2)).max()
     if asym > 1e-12:

@@ -34,7 +34,17 @@ def test_cauchy_density_closed_form(cauchy):
     # alpha = 1 is the one stable law with an elementary density
     p = cauchy.momentum_grid
     assert_allclose(cauchy.density_values, 1.0 / (math.pi * (1.0 + p**2)), atol=1e-12)
-    assert abs(cauchy.total_mass() - 1.0) < 1e-6
+    assert abs(cauchy.total_mass() - 1.0) <= fractional.MASS_TOLERANCE
+
+
+@pytest.mark.parametrize("alpha, scale", [
+    (0.2, 1.0), (0.3, 0.3), (0.3, 0.5), (0.3, 1.0), (0.4, 0.5), (0.5, 0.5), (0.7, 0.1),
+])
+def test_heavy_tailed_densities_have_unit_mass(alpha, scale):
+    # values within the error cap whose density peaks so sharply at p = 0
+    # that a fixed-step rule on [0, 60] misses the mass by up to 0.34
+    density = fractional.stable_density(alpha, scale, GRID)
+    assert abs(density.total_mass() - 1.0) <= fractional.MASS_TOLERANCE
 
 
 def test_stable_density_validation():

@@ -31,6 +31,24 @@ def test_fourier_integral_of_the_exponential_at_every_scale():
         assert errors.max() <= 1e-12
 
 
+def test_fourier_integral_retries_ooura_mori_from_level_one(monkeypatch):
+    # a slow exponential e^{-cx}: for w up to about 0.3 the Ooura-Mori levels 0
+    # and 1 and exp-sinh all miss 1e-12, so those w double Ooura-Mori from level 1
+    starts = []
+    doubled = potentials._doubled
+
+    def recording(rule, integrand, scale, target, first=0, last=potentials.DE_LEVELS):
+        starts.append((rule, first))
+        return doubled(rule, integrand, scale, target, first, last)
+
+    monkeypatch.setattr(potentials, "_doubled", recording)
+    c = 1e-3
+    omegas = np.geomspace(1e-4, 1e2, 121)
+    values, errors = potentials.fourier_integral(lambda x: np.exp(-c * x), omegas, "cos", 1e-12)
+    assert [first for rule, first in starts if rule is not potentials._exp_sinh] == [0, 1]
+    assert (np.abs(values - c / (c**2 + omegas**2)) <= errors).all()
+
+
 def test_poschl_teller_moment_integrals(pt1):
     # closed forms: int sech^2 = 2, int sech^4 = 4/3, int sech^6 = 16/15
     assert_allclose(potentials.signed_trace_power_integral(pt1, 1), -4.0, atol=1e-10)

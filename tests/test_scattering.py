@@ -89,7 +89,7 @@ def test_integral_errors_cover_a_tighter_target(monkeypatch, request, well_name,
     )
     assert reference.integral_details["end"] == data.integral_details["end"]
     for j in (0, 2, 4):
-        moved = abs(data.integral_details["values"][j] - reference.integral_details["values"][j])
+        moved = abs(getattr(data, f"i{j}") - getattr(reference, f"i{j}"))
         assert data.integral_details["errors"][j] >= moved
 
 
