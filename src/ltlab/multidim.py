@@ -157,12 +157,16 @@ def negative_spectrum_2d(op: GridOperator2D) -> NegativeSpectrum:
 
 
 def plane_moment_integral(potential, box_radius: float, gamma: float) -> float:
-    """Tensor Simpson quadrature of max(-V, 0)^(gamma+1) over the box."""
+    """Tensor Simpson quadrature of max(-V, 0)^(gamma+1) over the box.
+
+    An einsum: w @ F @ w wakes numpy's OpenBLAS threads, which then spin
+    against scipy's ARPACK (README, "BLAS threads").
+    """
     x = np.linspace(-box_radius, box_radius, PLANE_QUAD_POINTS)
     w = simpson_weights(PLANE_QUAD_POINTS, x[1] - x[0])
     X, Y = np.meshgrid(x, x, indexing="ij")
     neg = np.maximum(-np.asarray(potential(X, Y), dtype=float), 0.0)
-    return float(w @ (neg ** (gamma + 1.0)) @ w)
+    return float(np.einsum("i,ij,j->", w, neg ** (gamma + 1.0), w))
 
 
 def lt_audit_2d(

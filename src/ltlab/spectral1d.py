@@ -156,10 +156,12 @@ def _constant_channels(blocks: np.ndarray) -> np.ndarray | None:
     an off-diagonal part above CHANNEL_SPLIT_TOL * max|V|; dropping that part
     moves no eigenvalue of an operator built blockwise from the samples by
     more than its norm (Weyl).  Returns None for a coupled well.
+    The weighted sum is an einsum: tensordot's gemv wakes numpy's OpenBLAS
+    threads, which then spin against scipy's ARPACK (README, "BLAS threads").
     """
     m, n, _ = blocks.shape
     weights = 1.0 + np.arange(m) / m
-    _, u = np.linalg.eigh(np.tensordot(weights, blocks, axes=1))
+    _, u = np.linalg.eigh(np.einsum("i,ijk->jk", weights, blocks))
     rotated = np.conj(u.T) @ blocks @ u
     channels = np.diagonal(rotated, axis1=1, axis2=2)
     coupling = rotated - channels[:, :, None] * np.eye(n)
