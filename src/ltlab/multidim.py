@@ -277,15 +277,15 @@ def gauge_invariance_check(
             "grid": num_interior,
         },
     )
-    plain = build_operator_2d(potential, box_radius, num_interior)
+    plain = build_operator_2d(potential, box_radius, num_interior).to_sparse()
     zero_field = build_operator_2d(
         potential,
         box_radius,
         num_interior,
         lambda X, Y: (np.zeros_like(X), np.zeros_like(Y)),
-    )
-    gap = (plain.to_sparse() - zero_field.to_sparse()).count_nonzero()
-    same_dtype = plain.to_sparse().dtype == zero_field.to_sparse().dtype
+    ).to_sparse()
+    gap = (plain - zero_field).count_nonzero()
+    same_dtype = plain.dtype == zero_field.dtype
     reduction = BoundReport(
         audit_tag="gauge-zero-field",
         lhs=float(gap),

@@ -8,12 +8,19 @@ instead of drifting with the step size.  For coupled channels (n > 1) both
 wavenumber signs ride along as column blocks of one fundamental solution, so
 A and B at +k and -k come out of a single pass.
 
-Each step solves a 2n x 2n linear system for the stage values; for n > 1 this
-is one batched LAPACK solve per step.  For scalar wells (n = 1) it is solved
-in closed form by Cramer's rule, elementwise over the wavenumber batch and in
-real arithmetic, and only the +k solution is carried: the sample is real, so
-every step applies the same real algebra to the -k solution, which starts as
-the complex conjugate of the +k one and so stays its exact conjugate.
+GL2 on this linear system maps each step's [F; F'] = y linearly: y becomes
+y + D_j y, with s F' added to F apart from D_j.  The increments D_j are formed
+a block of steps at a time, for n > 1 by one batched LAPACK solve of the
+2n x 2n stage matrices against a constant right-hand side, for scalar wells
+(n = 1) by Cramer's rule on the real 2 x 2 stage matrix, elementwise over the
+wavenumber batch; one loop then applies them in order on every path.  Neither
+the identity nor s F' goes into a stored D_j: D_j is O(s (V - k^2)) and keeps
+its relative precision, whereas a stored 1 + delta rounds the same way at
+every step of a flat stretch of V, and those errors add up coherently.  A
+scalar well carries only the +k solution, as two real columns (Re, Im): the
+sample is real, so every step applies the same real algebra to the -k
+solution, which starts as the complex conjugate of the +k one and so stays
+its exact conjugate.
 
 A scalar well whose support is centred on the origin and whose node samples
 are mirror-symmetric (spectral1d.mirror_symmetric) is propagated over the
@@ -65,7 +72,7 @@ _C1, _C2 = 0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0
 # stage solve (unknowns are the stage positions, not the stage slopes)
 _CC = ((1.0 / 24.0, 0.125 - _SQRT3 / 12.0), (0.125 + _SQRT3 / 12.0, 1.0 / 24.0))
 _D1, _D2 = 0.25 + _SQRT3 / 12.0, 0.25 - _SQRT3 / 12.0
-# size of each per-block coefficient array of the scalar steps (steps x k)
+# steps x wavenumbers in each block of increments D_j formed at once
 _BLOCK_VALUES = 1 << 13
 # |a + b| / (b - a) below which the support [a, b] counts as centred
 _CENTRE_TOL = 1e-14
@@ -85,101 +92,97 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
     vn = potential.sample_at(nodes)
 
     k = np.asarray(k_values, dtype=float)
-    nk = k.size
     phase = np.exp(1j * k * b)
+    # e^{ikx} and its slope at the right edge
+    start = np.stack([phase, 1j * k * phase])
     if n == 1:
         # a Hermitian 1 x 1 sample is real, so the -k solution, which starts
-        # as the conjugate of the +k one, stays its conjugate bit for bit
+        # as the conjugate of the +k one, stays its conjugate bit for bit;
+        # the +k solution rides as two real columns, Re and Im
         vr = vn[:, 0, 0].real
+        y = np.stack([start.real, start.imag], axis=1)
         if abs(a + b) <= _CENTRE_TOL * span and mirror_symmetric(vr):
             vr = 0.5 * (vr + vr[::-1])
-            f, fp = _mirror_scalar(vr[0::2], vr[1::2], k, s, phase, a)
+            f, fp = _mirror_scalar(vr[0::2], vr[1::2], k, s, y, a)
         else:
-            f, fp = _steps_scalar(vr[0::2], vr[1::2], k * k, s, phase, 1j * k * phase)
+            y = _steps(vr[0::2], vr[1::2], k, s, y)
+            f, fp = y[:, 0] + 1j * y[:, 1]
         y_top = np.stack([f, np.conj(f)], axis=-1)[:, None, :]
         y_bot = np.stack([fp, np.conj(fp)], axis=-1)[:, None, :]
         return y_top, y_bot
 
-    v1, v2 = vn[0::2], vn[1::2]
-    eye = np.eye(n)
-    y_top = np.zeros((nk, n, 2 * n), dtype=complex)
-    y_bot = np.zeros((nk, n, 2 * n), dtype=complex)
-    y_top[:, :, :n] = phase[:, None, None] * eye
-    y_top[:, :, n:] = np.conj(phase)[:, None, None] * eye
-    y_bot[:, :, :n] = (1j * k * phase)[:, None, None] * eye
-    y_bot[:, :, n:] = (-1j * k * np.conj(phase))[:, None, None] * eye
-    k2 = (k * k)[:, None, None] * eye
-    s2 = s * s
-    g = np.empty((nk, 2 * n, 2 * n), dtype=complex)
-    rhs = np.empty((nk, 2 * n, 2 * n), dtype=complex)
-    for j in range(ns):
-        w1 = v1[j][None, :, :] - k2
-        w2 = v2[j][None, :, :] - k2
-        g[:, :n, :n] = eye - s2 * _CC[0][0] * w1
-        g[:, :n, n:] = -s2 * _CC[0][1] * w2
-        g[:, n:, :n] = -s2 * _CC[1][0] * w1
-        g[:, n:, n:] = eye - s2 * _CC[1][1] * w2
-        rhs[:, :n, :] = y_top + (s * _C1) * y_bot
-        rhs[:, n:, :] = y_top + (s * _C2) * y_bot
-        z = np.linalg.solve(g, rhs)
-        p1 = w1 @ z[:, :n, :]
-        p2 = w2 @ z[:, n:, :]
-        y_top = y_top + s * y_bot + s2 * (_D1 * p1 + _D2 * p2)
-        y_bot = y_bot + (0.5 * s) * (p1 + p2)
-    return y_top, y_bot
+    # rows F, F' of each channel; columns e^{ikx}, then e^{-ikx}, per channel
+    y = np.zeros((2 * n, 2 * n, k.size), dtype=complex)
+    for i in range(n):
+        y[i::n, i::n] = np.stack([start, np.conj(start)], axis=1)
+    y = _steps(vn[0::2], vn[1::2], k, s, y)
+    return np.moveaxis(y[:n], -1, 0), np.moveaxis(y[n:], -1, 0)
 
 
-def _steps_scalar(v1, v2, k2, s, f, fp):
-    """The steps of _propagate for n = 1 on the +k solution alone.
+def _steps(v1, v2, k, s, y):
+    """The state y = [F; F'] (k on the last axis) after the steps with stage samples v1, v2.
 
-    Each step's 2 x 2 stage matrix G is real, so the stage solve (Cramer's
-    rule) and the update run in real arithmetic on the real and imaginary
-    parts of F and F', with one column per wavenumber.  The coefficients that
-    depend only on the step and k are formed a block of steps at a time, and
-    the state is updated in place.  Returns F and F' at the left edge.
+    Step j applies y <- y + D_j y and adds s F' to F from the same y, with
+    D_j = [s^2 (d1 q1 + d2 q2); (s/2)(q1 + q2)] from the stage slopes per
+    unit state q_i = W_i (G^-1 R)_i of _scalar_slopes or _coupled_slopes.
+    s F' joins D_j y before F does, so F takes one rounding at its own scale
+    per step.  Updates y in place and returns it.
     """
-    nk = k2.size
-    y = np.stack([[f.real, f.imag], [fp.real, fp.imag]])
-    top, bot = y
+    n = y.shape[0] // 2
+    slopes = _scalar_slopes if v1.ndim == 1 else _coupled_slopes
+    block = max(1, _BLOCK_VALUES // k.size)
+    for j0 in range(0, len(v1), block):
+        q1, q2 = slopes(v1[j0 : j0 + block], v2[j0 : j0 + block], k * k, s)
+        increments = np.concatenate([(s * s) * (_D1 * q1 + _D2 * q2), (0.5 * s) * (q1 + q2)], axis=1)
+        for d in increments:
+            change = d[:, 0, None] * y[0]
+            for i in range(1, 2 * n):
+                change += d[:, i, None] * y[i]
+            change[:n] += s * y[n:]
+            y += change
+    return y
+
+
+def _scalar_slopes(v1, v2, k2, s):
+    """q_1, q_2 of a block of scalar steps, shape (steps, 1, 2, k), by Cramer's rule.
+
+    The stage matrix G = 1 - s^2 (c_ij w_j) is real and 2 x 2, so G^-1 R,
+    R = [[1, c1 s], [1, c2 s]], is formed elementwise over steps and k.
+    """
     s2 = s * s
-    coef = np.array([s * _C1, s * _C2, s])[:, None, None]
-    weight = np.array([_D1, _D2])[:, None, None]
-    # [r1; r2 | s F'; (s/2)(p1 + p2)], with r overwritten by p = w G^-1 r
-    x = np.empty((4, 2, nk))
-    r, increment = x[:2], x[2:]
-    t = np.empty((2, 2, nk))
-    u = np.empty((2, nk))
-    block = max(1, _BLOCK_VALUES // nk)
-    for j0 in range(0, v1.size, block):
-        w1 = v1[j0 : j0 + block, None] - k2
-        w2 = v2[j0 : j0 + block, None] - k2
-        g11 = 1.0 - (s2 * _CC[0][0]) * w1
-        g12 = (-s2 * _CC[0][1]) * w2
-        g21 = (-s2 * _CC[1][0]) * w1
-        g22 = 1.0 - (s2 * _CC[1][1]) * w2
-        det = g11 * g22 - g12 * g21
-        # p1 = (w1 / det)(g22 r1 - g12 r2) and p2 = (w2 / det)(g11 r2 - g21 r1)
-        diag = np.stack([g22, g11], axis=1)[:, :, None, :]
-        off = np.stack([g12, g21], axis=1)[:, :, None, :]
-        scale = np.stack([w1 / det, w2 / det], axis=1)[:, :, None, :]
-        for j in range(diag.shape[0]):
-            np.multiply(coef, bot, out=x[:3])
-            r += top
-            np.multiply(off[j], r[::-1], out=t)
-            r *= diag[j]
-            r -= t
-            r *= scale[j]
-            np.add(r[0], r[1], out=x[3])
-            x[3] *= 0.5 * s
-            np.multiply(weight, r, out=t)
-            y += increment
-            np.add(t[0], t[1], out=u)
-            u *= s2
-            top += u
-    return _complex_row(top), _complex_row(bot)
+    w1 = v1[:, None] - k2
+    w2 = v2[:, None] - k2
+    g11 = 1.0 - (s2 * _CC[0][0]) * w1
+    g12 = (-s2 * _CC[0][1]) * w2
+    g21 = (-s2 * _CC[1][0]) * w1
+    g22 = 1.0 - (s2 * _CC[1][1]) * w2
+    det = g11 * g22 - g12 * g21
+    q1 = (w1 / det)[:, None] * np.stack([g22 - g12, (s * _C1) * g22 - (s * _C2) * g12], axis=1)
+    q2 = (w2 / det)[:, None] * np.stack([g11 - g21, (s * _C2) * g11 - (s * _C1) * g21], axis=1)
+    return q1[:, None], q2[:, None]
 
 
-def _mirror_scalar(v1, v2, k, s, phase, x_left):
+def _coupled_slopes(v1, v2, k2, s):
+    """q_1, q_2 of a block of n x n steps, shape (steps, n, 2n, k), by one batched solve."""
+    n = v1.shape[-1]
+    eye = np.eye(n)[..., None]
+    s2 = s * s
+    w1 = v1[..., None] - k2 * eye
+    w2 = v2[..., None] - k2 * eye
+    g = np.empty((len(v1), 2 * n, 2 * n, k2.size), dtype=complex)
+    g[:, :n, :n] = eye - (s2 * _CC[0][0]) * w1
+    g[:, :n, n:] = (-s2 * _CC[0][1]) * w2
+    g[:, n:, :n] = (-s2 * _CC[1][0]) * w1
+    g[:, n:, n:] = eye - (s2 * _CC[1][1]) * w2
+    r = np.kron([[1.0, s * _C1], [1.0, s * _C2]], np.eye(n))
+    # LAPACK takes k ahead of the matrix axes; the copy makes k contiguous
+    # again, as the steps read it
+    z = np.moveaxis(np.linalg.solve(np.moveaxis(g, -1, 1), r), 1, -1).copy()
+    return (np.einsum("bimk,bmck->bick", w1, z[:, :n]),
+            np.einsum("bimk,bmck->bick", w2, z[:, n:]))
+
+
+def _mirror_scalar(v1, v2, k, s, y, x_left):
     """F and F' at the left edge of a centred mirror-symmetric scalar well.
 
     The +k solution f is carried from the right edge over the first half of
@@ -193,24 +196,19 @@ def _mirror_scalar(v1, v2, k, s, phase, x_left):
     h' = -f'(x_{ns-m}).
     """
     half = v1.size // 2
-    k2 = k * k
-    f, fp = _steps_scalar(v1[:half], v2[:half], k2, s, phase, 1j * k * phase)
-    # f and f' at x_{ns-m}
+    y = _steps(v1[:half], v2[:half], k, s, y)
+    # f and f' at x_m, then at x_{ns-m}
+    f, fp = y[:, 0] + 1j * y[:, 1]
     g, gp = f, fp
     if v1.size % 2:
-        g, gp = _steps_scalar(v1[half:half + 1], v2[half:half + 1], k2, s, f, fp)
+        y = _steps(v1[half:half + 1], v2[half:half + 1], k, s, y)
+        g, gp = y[:, 0] + 1j * y[:, 1]
     two_ik = 2j * k
     a_coef = (g * fp + gp * f) / two_ik
     b_coef = -(np.conj(g) * fp + np.conj(gp) * f) / two_ik
     e_left = np.exp(1j * k * x_left)
     incoming, outgoing = a_coef * e_left, b_coef * np.conj(e_left)
     return incoming + outgoing, 1j * k * (incoming - outgoing)
-
-
-def _complex_row(parts):
-    out = np.empty(parts.shape[1], dtype=complex)
-    out.real, out.imag = parts
-    return out
 
 
 def _match(y_top, y_bot, k: np.ndarray, x_left: float, n: int):

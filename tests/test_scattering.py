@@ -181,8 +181,9 @@ def test_trace_identities_reflectionless(pt1, pt1_spectrum, pt1_scattering):
 
 def test_scalar_closed_form_matches_coupled_path():
     # V + V has the scalar well's grid and support, so it takes the same
-    # steps through the n = 2 LAPACK stage solve, which propagates the -k
-    # columns on their own; the scalar path fills them in by conjugation.
+    # steps through the n = 2 path, whose increments come from a LAPACK
+    # solve and which propagates the -k columns on their own; the scalar
+    # path fills them in by conjugation.
     # The even Gaussian takes the scalar mirror path (half the steps and two
     # Wronskians), so it is checked against the full n = 2 propagation
     even = potentials.build_family("gaussian", depth=4.0, width=1.5)
@@ -207,15 +208,28 @@ def test_scalar_closed_form_matches_coupled_path():
             assert np.all(coupled[:, 1, 0] == 0)
 
 
-def _two_sign_reference(potential, k, step_target):
-    """Both signs of k carried as four real rows, a fresh array per operation."""
+def _step_samples(potential, step_target):
+    """The step s of _propagate over a scalar well and its samples at both stage nodes."""
     a, b = potential.support
     ns = max(1, int(math.ceil((b - a) / step_target)))
     s = -(b - a) / ns
     x_steps = b + s * np.arange(ns)
     v1 = potential.sample_at(x_steps + scattering._C1 * s)[:, 0, 0].real
     v2 = potential.sample_at(x_steps + scattering._C2 * s)[:, 0, 0].real
-    cc, d1, d2 = scattering._CC, scattering._D1, scattering._D2
+    return s, v1, v2
+
+
+def _two_sign_reference(potential, k, step_target):
+    """Both signs of k carried as four real rows, one step and a fresh array per operation.
+
+    Each step forms its increment D = [s^2 (d1 q1 + d2 q2); (s/2)(q1 + q2)]
+    from the stage slopes per unit state q_i = w_i (G^-1 R)_i and applies
+    F <- F + ((D_11 F + D_12 F') + s F'), F' <- F' + (D_21 F + D_22 F').
+    """
+    b = potential.support[1]
+    s, v1, v2 = _step_samples(potential, step_target)
+    cc, c1, c2 = scattering._CC, scattering._C1, scattering._C2
+    d1, d2 = scattering._D1, scattering._D2
     phase = np.exp(1j * k * b)
     f = np.stack([phase, np.conj(phase)])
     fp = np.stack([1j * k * phase, -1j * k * np.conj(phase)])
@@ -223,28 +237,31 @@ def _two_sign_reference(potential, k, step_target):
     bot = np.concatenate([fp.real, fp.imag])[[0, 2, 1, 3]]
     k2 = k * k
     s2 = s * s
-    for j in range(ns):
+    for j in range(v1.size):
         w1 = v1[j] - k2
         w2 = v2[j] - k2
-        g11 = 1.0 - s2 * cc[0][0] * w1
-        g12 = -s2 * cc[0][1] * w2
-        g21 = -s2 * cc[1][0] * w1
-        g22 = 1.0 - s2 * cc[1][1] * w2
+        g11 = 1.0 - (s2 * cc[0][0]) * w1
+        g12 = (-s2 * cc[0][1]) * w2
+        g21 = (-s2 * cc[1][0]) * w1
+        g22 = 1.0 - (s2 * cc[1][1]) * w2
         det = g11 * g22 - g12 * g21
-        r1 = top + (s * scattering._C1) * bot
-        r2 = top + (s * scattering._C2) * bot
-        p1 = (w1 / det) * (g22 * r1 - g12 * r2)
-        p2 = (w2 / det) * (g11 * r2 - g21 * r1)
-        top = top + s * bot
-        top = top + s2 * (d1 * p1 + d2 * p2)
-        bot = bot + (0.5 * s) * (p1 + p2)
+        # columns: per unit F, per unit F'
+        q1 = [(w1 / det) * (g22 - g12), (w1 / det) * ((s * c1) * g22 - (s * c2) * g12)]
+        q2 = [(w2 / det) * (g11 - g21), (w2 / det) * ((s * c2) * g11 - (s * c1) * g21)]
+        d_top = [s2 * (d1 * q1[c] + d2 * q2[c]) for c in range(2)]
+        d_bot = [(0.5 * s) * (q1[c] + q2[c]) for c in range(2)]
+        change_top = d_top[0] * top + d_top[1] * bot
+        change_bot = d_bot[0] * top + d_bot[1] * bot
+        change_top = change_top + s * bot
+        top = top + change_top
+        bot = bot + change_bot
     # rows: Re F(+k), Im F(+k), Re F(-k), Im F(-k)
     return top[0::2] + 1j * top[1::2], bot[0::2] + 1j * bot[1::2]
 
 
 def test_scalar_steps_equal_the_two_sign_reference():
-    # one +k solution, conjugated for -k and updated in place, gives the
-    # same bits as propagating both signs with the same stage algebra
+    # one +k solution, conjugated for -k, gives the same bits as
+    # propagating both signs with the same increment algebra
     well = potentials.build_family(
         "random-smooth", matrix_dim=1, seed=3, real_valued=True,
         support_radius=2.0, modes=3, grid_step=0.05,
@@ -269,16 +286,16 @@ MIRROR_WELLS = {
 }
 
 
-def _count_scalar_steps(monkeypatch):
-    """Patch _steps_scalar to add the steps of each call to the returned list."""
+def _count_steps(monkeypatch):
+    """Patch _steps to add the steps of each call to the returned list."""
     counted = []
-    steps = scattering._steps_scalar
+    steps = scattering._steps
 
     def counting(v1, *args):
-        counted.append(v1.size)
+        counted.append(len(v1))
         return steps(v1, *args)
 
-    monkeypatch.setattr(scattering, "_steps_scalar", counting)
+    monkeypatch.setattr(scattering, "_steps", counting)
     return counted
 
 
@@ -316,12 +333,12 @@ def test_mirror_path_takes_half_the_steps(monkeypatch, name):
         # a target just above span / ns gives exactly ns steps
         step = (b - a) / (ns - 0.5)
         with monkeypatch.context() as patch:
-            counted = _count_scalar_steps(patch)
+            counted = _count_steps(patch)
             y_top, y_bot = scattering._propagate(well, k, step)
         assert sum(counted) == (ns + 1) // 2
         with monkeypatch.context() as patch:
             _full_path(patch)
-            counted = _count_scalar_steps(patch)
+            counted = _count_steps(patch)
             full_top, full_bot = scattering._propagate(well, k, step)
         assert sum(counted) == ns
         parities.add(ns % 2)
@@ -354,7 +371,119 @@ def test_lopsided_and_off_centre_wells_take_the_full_path(monkeypatch):
     for well in (lopsided, shifted):
         a, b = well.support
         step = well.grid_step / 2.0
-        counted = _count_scalar_steps(monkeypatch)
+        counted = _count_steps(monkeypatch)
         scattering._propagate(well, k, step)
         assert sum(counted) == int(math.ceil((b - a) / step))
         monkeypatch.undo()
+
+
+def _longdouble_matching(potential, k, step_target):
+    """A(k) and B(k) of a scalar well from the steps of _propagate, run in np.longdouble.
+
+    Nodes, samples, Butcher coefficients and initial data are the float64
+    ones, so only the arithmetic differs.  Each step solves its stage system
+    by Cramer's rule and updates F and F' from the stage values directly.
+    """
+    ld = np.longdouble
+    a, b = potential.support
+    s, v1, v2 = _step_samples(potential, step_target)
+    v1, v2 = v1.astype(ld), v2.astype(ld)
+    cc = np.array(scattering._CC, dtype=ld)
+    c1, c2, d1, d2 = (ld(c) for c in (scattering._C1, scattering._C2,
+                                      scattering._D1, scattering._D2))
+    phase = np.exp(1j * k * b)
+    f = phase.astype(np.clongdouble)
+    fp = (1j * k * phase).astype(np.clongdouble)
+    s = ld(s)
+    k2 = k.astype(ld) ** 2
+    for j in range(v1.size):
+        w1 = v1[j] - k2
+        w2 = v2[j] - k2
+        g11 = 1 - s * s * cc[0, 0] * w1
+        g12 = -s * s * cc[0, 1] * w2
+        g21 = -s * s * cc[1, 0] * w1
+        g22 = 1 - s * s * cc[1, 1] * w2
+        det = g11 * g22 - g12 * g21
+        r1 = f + c1 * s * fp
+        r2 = f + c2 * s * fp
+        p1 = w1 * (g22 * r1 - g12 * r2) / det
+        p2 = w2 * (g11 * r2 - g21 * r1) / det
+        f, fp = f + s * fp + s * s * (d1 * p1 + d2 * p2), fp + s / 2 * (p1 + p2)
+    ik = 1j * k.astype(ld)
+    e_minus = np.exp(-1j * k * a).astype(np.clongdouble)
+    return e_minus * (ik * f + fp) / (2 * ik), np.conj(e_minus) * (ik * f - fp) / (2 * ik)
+
+
+# well, wavenumbers, refine, bound on the error of A and B relative to |A|;
+# each bound is three times what the direct stage-solve algebra of the same
+# steps reads in float64 on x86-64 (1.4e-14 and 4.5e-14), and a step matrix
+# stored as I + D, with s F' in it, reads 8.0e-14 on the square well
+LONGDOUBLE_CASES = {
+    "square-well": (
+        lambda: potentials.build_family("square-well", depth=3.0, half_width=1.5),
+        np.linspace(12.0, 30.0, 19), 2, 4.1e-14,
+    ),
+    # 8,500 steps
+    "poschl-teller-2": (
+        lambda: potentials.build_family("poschl-teller", nu=2.0, grid_step=0.0625),
+        np.linspace(15.0, 30.0, 16), 1, 1.35e-13,
+    ),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("name", LONGDOUBLE_CASES)
+def test_scalar_steps_track_a_longdouble_run(monkeypatch, name):
+    build, k, refine, bound = LONGDOUBLE_CASES[name]
+    well = build()
+    step = min(well.grid_step / 2.0, 1.0 / (scattering.OSCILLATION_FRACTION * k.max())) / refine
+    a_ref, b_ref = _longdouble_matching(well, k, step)
+    scale = np.abs(a_ref)
+    for mirror in (True, False):
+        with monkeypatch.context() as patch:
+            if not mirror:
+                _full_path(patch)
+            a_pos, b_pos = scattering._solve_batch(well, k, refine)[:2]
+        assert np.all(np.abs(a_pos[:, 0, 0] - a_ref) / scale <= bound)
+        assert np.all(np.abs(b_pos[:, 0, 0] - b_ref) / scale <= bound)
+
+
+def test_coupled_steps_match_the_rotated_scalar_wells():
+    # U (V_1 + V_2) U* has off-diagonal samples, so it takes the n = 2 path;
+    # its A and B are U diag(A_1, A_2) U* with A_i from the scalar path on
+    # the same grid and support (V_1 even: mirror path; V_2 lopsided).  The
+    # bound is three times what the per-step stage solve of the same steps
+    # reads (7.0e-15); a step matrix stored as I + D reads 5.1e-14
+    pair = potentials.direct_sum(
+        potentials.build_family("square-well", depth=3.0, half_width=1.5),
+        potentials.build_family(
+            "random-smooth", matrix_dim=1, seed=3, real_valued=True,
+            support_radius=2.0, modes=3, grid_step=0.05,
+        ),
+    )
+    theta, phi = 0.7, 0.3
+    u = np.array([
+        [np.cos(theta), -np.exp(1j * phi) * np.sin(theta)],
+        [np.exp(-1j * phi) * np.sin(theta), np.cos(theta)],
+    ])
+
+    def part(transform):
+        return dataclasses.replace(
+            pair,
+            values=transform(pair.values),
+            evaluator=lambda x: transform(pair.evaluator(x)),
+            derivative_evaluator=lambda x: transform(pair.derivative_evaluator(x)),
+        )
+
+    rotated = part(lambda m: u @ m @ np.conj(u.T))
+    assert np.abs(rotated.values[:, 0, 1]).max() > 1.0
+    k = np.linspace(12.0, 30.0, 19)
+    coupled = scattering._solve_batch(rotated, k, 2)
+    channels = [scattering._solve_batch(part(lambda m: m[:, i:i + 1, i:i + 1]), k, 2)
+                for i in range(2)]
+    scale = np.abs(coupled[0]).max()
+    for got, first, second in zip(coupled, *channels):
+        diagonal = np.zeros((k.size, 2, 2), dtype=complex)
+        diagonal[:, 0, 0], diagonal[:, 1, 1] = first[:, 0, 0], second[:, 0, 0]
+        assert_allclose(got, u @ diagonal @ np.conj(u.T), rtol=0, atol=2.1e-14 * scale)
