@@ -21,7 +21,7 @@ from .spectral1d import NegativeSpectrum
 GAMMA_DEFAULTS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5)
 ALPHA_DEFAULTS = tuple(np.geomspace(1.0, 400.0, 13))
 INTEGRAL_SLACK = 1e-9
-SWEEP_BASE_STEP = 0.025
+SWEEP_BASE_STEP = 0.1
 SHARPNESS_POINTS_PER_WIDTH = 8
 SHARPNESS_BOX_RADIUS = 8.0
 PRODUCT_DIMS = (2, 3, 4, 5, 6, 7, 8)
@@ -405,7 +405,10 @@ class CouplingSweep:
 
     The grid step shrinks like 1/sqrt(coupling) so the certified eigenvalue
     budgets stay uniform across the sweep; one shared box keeps near-edge
-    states comparable between couplings.
+    states comparable between couplings.  Each spectrum pairs three nested
+    grids of (M - 1)/2, M and 2M + 1 interior points, M odd, whose steps
+    halve from one to the next, so its levels carry richardson_pair's
+    three-grid budget; SWEEP_BASE_STEP is the M grid's step at coupling <= 1.
     """
 
     couplings: tuple
@@ -432,11 +435,14 @@ def coupling_sweep(
     spectra = []
     for a in couplings:
         step = SWEEP_BASE_STEP / math.sqrt(max(a, 1.0))
-        num_interior = max(int(math.ceil(2.0 * box / step)) - 1, 32)
+        # odd, so the (M - 1)/2 grid nests with step 2h under the M grid
+        num_interior = max(int(math.ceil(2.0 * box / step)) - 1, 33) | 1
         scaled = potentials.scale(potential, a)
-        spectra.append(
-            spectral1d.refined_negative_spectrum(scaled, box, num_interior)
+        coarsest, coarse, fine = (
+            spectral1d.negative_spectrum(spectral1d.discretize(scaled, box, m))
+            for m in (num_interior // 2, num_interior, 2 * num_interior + 1)
         )
+        spectra.append(spectral1d.richardson_pair(coarse, fine, coarsest))
     return CouplingSweep(couplings=couplings, spectra=tuple(spectra))
 
 

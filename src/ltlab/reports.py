@@ -104,27 +104,29 @@ def comparison_report(
     Upper side passes when lhs <= rhs*(1 + tolerance), lower side when
     lhs >= rhs*(1 - tolerance), identity when |lhs - rhs| <= tolerance
     relative to max(|rhs|, 1).  The reported tolerance is base_tolerance
-    plus the error budget expressed relative to rhs; a vanishing rhs falls
-    back to an absolute comparison, lhs against -+(base_tolerance + budget),
-    and that absolute sum is the reported tolerance.
+    plus the error budget expressed relative to rhs.  An rhs within the
+    budget of 0, whose sign the budget cannot tell, counts as vanishing:
+    the comparison is then absolute, lhs - rhs against -+(base_tolerance +
+    budget), and that absolute sum is the reported tolerance.
     """
     lhs, rhs = float(lhs), float(rhs)
     budget = float(lhs_error) + float(rhs_error)
     prov = dict(provenance or {})
     prov.setdefault("budget", budget)
+    vanishing = abs(rhs) <= budget
     if side == "identity":
         scale_ref = max(abs(rhs), 1.0)
         tol = base_tolerance + budget / scale_ref
         residual = abs(lhs - rhs) / scale_ref
         passed = residual <= tol
     elif side == "upper":
-        tol = base_tolerance + (budget / abs(rhs) if rhs != 0.0 else budget)
+        tol = base_tolerance + (budget if vanishing else budget / abs(rhs))
         residual = rhs - lhs
-        passed = lhs <= rhs * (1.0 + tol) if rhs != 0.0 else lhs <= tol
+        passed = lhs <= rhs + tol if vanishing else lhs <= rhs * (1.0 + tol)
     elif side == "lower":
-        tol = base_tolerance + (budget / abs(rhs) if rhs != 0.0 else budget)
+        tol = base_tolerance + (budget if vanishing else budget / abs(rhs))
         residual = lhs - rhs
-        passed = lhs >= rhs * (1.0 - tol) if rhs != 0.0 else lhs >= -tol
+        passed = lhs >= rhs - tol if vanishing else lhs >= rhs * (1.0 - tol)
     else:
         raise ValueError(f"unknown side {side!r}")
     return BoundReport(

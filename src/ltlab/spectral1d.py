@@ -24,6 +24,11 @@ MIN_INTERIOR_POINTS = 16
 BOX_ENERGY_FLOOR = 0.04
 BOX_MARGIN = 8.0
 BOX_PROBE_INTERIOR = 600
+# richardson_pair's three-grid budget: a level whose observed order lies
+# within ORDER_WINDOW of 2 is budgeted at RICHARDSON_SAFETY times the
+# fourth-order estimate |R(h) - R(2h)|/15
+ORDER_WINDOW = 0.25
+RICHARDSON_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,12 @@ class DiscretizedOperator1D:
     @property
     def size(self) -> int:
         return self.num_interior * self.matrix_dim
+
+    def solver_error(self) -> float:
+        """eps times a bound on ||A||_1: the largest column sum of a block, plus both hops."""
+        inv_h2 = 1.0 / self.grid_step**2
+        shifted = self.potential_blocks + 2.0 * inv_h2 * np.eye(self.matrix_dim)
+        return float(np.finfo(float).eps * (np.abs(shifted).sum(axis=1).max() + 2.0 * inv_h2))
 
     def spectrum_shift(self) -> float:
         """A point strictly below the lowest eigenvalue but near its scale.
@@ -98,12 +109,17 @@ class DiscretizedOperator1D:
 
 @dataclass(frozen=True)
 class NegativeSpectrum:
-    """Magnitudes E_j > 0 of the negative eigenvalues, sorted descending."""
+    """Magnitudes E_j > 0 of the negative eigenvalues, sorted descending.
+
+    solver_error is how far the eigensolver may move a level, eps ||A||_1
+    for a 1D operator (DiscretizedOperator1D.solver_error), 0 where unset.
+    """
 
     energies: np.ndarray
     num_interior: int
     threshold: float = ENERGY_EDGE_THRESHOLD
     error_estimates: np.ndarray | None = None
+    solver_error: float = 0.0
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -125,12 +141,19 @@ class NegativeSpectrum:
         return float((self.energies**gamma).sum())
 
     def riesz_mean_error(self, gamma: float) -> float:
-        """First-order propagation of the per-level error estimates."""
+        """The per-level error estimates d_j propagated exactly into the Riesz mean.
+
+        Each level contributes max((E + d)^gamma - E^gamma, E^gamma - (E - d)_+^gamma),
+        the larger move of E^gamma over [E - d, E + d].  A first-order
+        gamma E^(gamma - 1) d undercounts the lower side for gamma < 1 and
+        the upper side for gamma > 1.
+        """
         if self.error_estimates is None:
             return 0.0
-        return float(
-            gamma * (self.energies ** max(gamma - 1.0, 0.0) * self.error_estimates).sum()
-        )
+        e, d = self.energies, self.error_estimates
+        up = (e + d) ** gamma - e**gamma
+        down = e**gamma - np.maximum(e - d, 0.0) ** gamma
+        return float(np.maximum(up, down).sum())
 
 
 def discretize(
@@ -403,18 +426,32 @@ def negative_spectrum(
     vals = _negative_eigenvalues(op, threshold)
     energies = np.sort(-vals)[::-1]
     return NegativeSpectrum(
-        energies=energies, num_interior=op.num_interior, threshold=threshold
+        energies=energies, num_interior=op.num_interior, threshold=threshold,
+        solver_error=op.solver_error(),
     )
 
 
 def richardson_pair(
-    coarse: NegativeSpectrum, fine: NegativeSpectrum
+    coarse: NegativeSpectrum,
+    fine: NegativeSpectrum,
+    coarsest: NegativeSpectrum | None = None,
 ) -> NegativeSpectrum:
-    """Extrapolate two spectra whose grid steps differ by exactly a factor 2.
+    """Extrapolate spectra whose grid steps differ by exactly a factor 2.
 
-    The second-order scheme extrapolates as E + (E_fine - E_coarse)/3.
-    Levels are paired in descending order; fine-grid levels without a coarse
-    partner are kept as-is with their own magnitude as the error bar.
+    The second-order scheme extrapolates as R(h) = E_f + (E_f - E_c)/3,
+    budgeted at |E_f - E_c|/3, the error of E_f itself.  Levels are paired
+    in descending order; fine-grid levels without a coarse partner are kept
+    as-is with their own magnitude as the error bar.
+
+    coarsest, the spectrum on the grid of step 4h (levels E_q), sharpens
+    the budget.  When all three grids count the same levels, each level
+    whose observed order p = log2(|E_c - E_q| / |E_f - E_c|) lies within
+    ORDER_WINDOW of 2 is budgeted at RICHARDSON_SAFETY |R(h) - R(2h)|/15,
+    the size of the h^4 term R(h) leaves, plus (4 s_f + s_c)/3 for the
+    solver errors s of the two grids R(h) combines.  Every other level
+    keeps |E_f - E_c|/3.
+    This covers discretization and the solver only: a level the box loses
+    or shifts is outside it.
     """
     threshold = fine.threshold
     paired = min(coarse.count, fine.count)
@@ -422,6 +459,16 @@ def richardson_pair(
     e_f = fine.energies[:paired]
     extrap = e_f + (e_f - e_c) / 3.0
     err = np.abs(e_f - e_c) / 3.0
+    if coarsest is not None:
+        agree = coarsest.count == coarse.count == fine.count
+        e_q = coarsest.energies if agree else np.full(paired, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            order = np.log2(np.abs(e_c - e_q) / np.abs(e_f - e_c))
+        estimate = np.abs(extrap - (e_c + (e_c - e_q) / 3.0)) / 15.0
+        solver = (4.0 * fine.solver_error + coarse.solver_error) / 3.0
+        err = np.where(
+            np.abs(order - 2.0) <= ORDER_WINDOW, RICHARDSON_SAFETY * estimate + solver, err
+        )
     extra = fine.energies[paired:]
     energies = np.concatenate([extrap, extra])
     errors = np.concatenate([err, extra.copy()])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltlab import bounds, potentials
+from ltlab import bounds, potentials, spectral1d
 
 
 def test_classical_constant_closed_forms():
@@ -190,6 +190,52 @@ def gaussian_sweep():
     return g, bounds.coupling_sweep(g, couplings=np.geomspace(1.0, 100.0, 7))
 
 
+# the coupling-sweep scenario of `ltbench/workloads.py spectra 0` and the
+# bundled suite's remainder-gaussian: (depth, width, couplings)
+BUDGETED_SWEEPS = {
+    "spectra-seed-0": (1.1154, 1.8466, tuple(np.geomspace(1.0, 50.0, 6))),
+    "remainder-gaussian": (1.0, 2.0, bounds.ALPHA_DEFAULTS),
+}
+
+
+def sweep_budget_coverage(depth, width, couplings):
+    """Per coupling: (coupling, budget, error, three_grid), one entry per level.
+
+    The error is each reported level's distance to the two-grid Richardson
+    level at a quarter of the sweep's step (interior counts 4M + 3 and
+    8M + 7), whose own h^4 error is 256 times smaller.  three_grid marks
+    the levels whose budget differs from the two-grid |E_f - E_c|/3.
+    """
+    well = potentials.build_family("gaussian", depth=depth, width=width)
+    sweep = bounds.coupling_sweep(well, couplings)
+    box = well.support_radius + spectral1d.BOX_MARGIN / math.sqrt(spectral1d.BOX_ENERGY_FLOOR)
+    rows = []
+    for a, spectrum in zip(sweep.couplings, sweep.spectra):
+        m = (spectrum.num_interior - 1) // 2
+        scaled = potentials.scale(well, a)
+        coarse, fine = (
+            spectral1d.negative_spectrum(spectral1d.discretize(scaled, box, k))
+            for k in (m, 2 * m + 1)
+        )
+        two_grid = spectral1d.richardson_pair(coarse, fine).error_estimates
+        reference = spectral1d.refined_negative_spectrum(scaled, box, 4 * m + 3)
+        assert m % 2 == 1 and reference.count == spectrum.count
+        rows.append((
+            a, spectrum.error_estimates, np.abs(spectrum.energies - reference.energies),
+            spectrum.error_estimates != two_grid,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_SWEEPS))
+def test_sweep_budgets_cover_the_error_with_bounded_surplus(name):
+    for a, budget, error, three_grid in sweep_budget_coverage(*BUDGETED_SWEEPS[name]):
+        # every level of these smooth wells shows order 2 on all three grids
+        assert three_grid.all(), a
+        assert (budget >= error).all(), (a, budget / error)
+        assert (budget <= 100.0 * error).all(), (a, budget / error)
+
+
 def test_remainder_sweep(gaussian_sweep):
     g, sweep = gaussian_sweep
     reports, rows = bounds.remainder_sweep(g, sweep=sweep)
@@ -202,7 +248,7 @@ def test_remainder_sweep(gaussian_sweep):
 
 def _verdict_from_fields(rep):
     """The pass rule of a comparison record, read off its own fields."""
-    if rep.rhs == 0.0:
+    if abs(rep.rhs) <= rep.provenance["budget"]:
         return rep.residual >= -rep.tolerance
     return rep.residual >= -rep.tolerance * abs(rep.rhs)
 

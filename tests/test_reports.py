@@ -54,6 +54,33 @@ def test_error_budget_folds_into_tolerance():
     assert math.isnan(zero.ratio)
 
 
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_rhs_within_the_budget_of_zero_keeps_one_tolerance(side):
+    # a geometric mean of two integrals that round to either side of 0 (the
+    # Holder-chain middle on a reflectionless well) is 0 or about 1e-12:
+    # the record's tolerance and verdict must not depend on which
+    runs = {
+        rhs: reports.comparison_report(
+            "t", side, 2e-12, rhs, base_tolerance=1e-9, lhs_error=5e-11, rhs_error=1e-12
+        )
+        for rhs in (-1e-12, 0.0, 1e-12)
+    }
+    assert {rep.tolerance for rep in runs.values()} == {runs[0.0].tolerance}
+    assert runs[0.0].tolerance == pytest.approx(1e-9 + 5.1e-11)
+    assert all(rep.passed for rep in runs.values())
+    # beyond the absolute tolerance the verdict flips on all three alike
+    sign = 1.0 if side == "upper" else -1.0
+    for rhs in runs:
+        rep = reports.comparison_report(
+            "t", side, rhs + sign * 1.1e-9, rhs,
+            base_tolerance=1e-9, lhs_error=5e-11, rhs_error=1e-12,
+        )
+        assert not rep.passed and rep.tolerance == runs[0.0].tolerance
+    # an rhs beyond the budget stays relative
+    far = reports.comparison_report("t", side, 1e-9, 1e-9, lhs_error=1e-12)
+    assert far.tolerance == pytest.approx(1e-3)
+
+
 def test_report_record_and_ratio():
     spec = reports.BoundSpec(1.5, 2, "upper", 1.0, "bound:plane-moment")
     rep = reports.BoundReport(

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -42,6 +45,69 @@ def test_richardson_pair_formula():
     # levels extrapolating below the threshold are dropped
     trimmed = spectral1d.richardson_pair(mk([1.0], 400), mk([1.0, 5e-9], 801))
     assert trimmed.count == 1
+
+
+def _grid_levels(exact, c2, c4, step, count=None, solver_error=0.0):
+    """Levels exact + c2 h^2 + c4 h^4, the first count of them."""
+    levels = np.asarray(exact) + np.asarray(c2) * step**2 + np.asarray(c4) * step**4
+    return spectral1d.NegativeSpectrum(
+        energies=levels[:count], num_interior=100, solver_error=solver_error
+    )
+
+
+def test_three_grid_budget_and_its_fallbacks():
+    exact, c2, c4 = [9.0, 4.0, 1.0], [-0.5, -0.3, -0.2], [0.4, -0.2, 0.1]
+    h = 0.1
+    grids = [_grid_levels(exact, c2, c4, s, solver_error=e)
+             for s, e in ((4 * h, 1e-14), (2 * h, 4e-14), (h, 1.6e-13))]
+    coarsest, coarse, fine = grids
+    two_grid = spectral1d.richardson_pair(coarse, fine)
+    three = spectral1d.richardson_pair(coarse, fine, coarsest)
+    assert_allclose(three.energies, two_grid.energies, rtol=0)
+    # R(h) = E - 4 c4 h^4 and R(2h) = E - 64 c4 h^4, so |R(h) - R(2h)|/15
+    # is the reported level's own error; the budget is SAFETY times it plus
+    # the solver errors (4 * 1.6e-13 + 4e-14)/3
+    error = 4.0 * np.abs(c4) * h**4
+    assert_allclose(np.abs(three.energies - exact), error, rtol=1e-9)
+    expected = spectral1d.RICHARDSON_SAFETY * error + 2.2666666666666667e-13
+    assert_allclose(three.error_estimates, expected, rtol=1e-9)
+
+    def fallback(coarsest):
+        out = spectral1d.richardson_pair(coarse, fine, coarsest)
+        return out.error_estimates
+
+    # an observed order outside the window: the middle level's difference
+    # grows eightfold from the fine pair to the coarse pair, p = 3
+    off = coarsest.energies.copy()
+    off[1] = coarse.energies[1] + 8.0 * (coarse.energies[1] - fine.energies[1])
+    kept = fallback(dataclasses.replace(coarsest, energies=off))
+    assert_allclose(kept[[0, 2]], three.error_estimates[[0, 2]], rtol=0)
+    assert kept[1] == two_grid.error_estimates[1]
+    # a level count that differs between grids: every level keeps |E_f - E_c|/3
+    short = _grid_levels(exact, c2, c4, 4 * h, count=2)
+    assert (fallback(short) == two_grid.error_estimates).all()
+    # a fine-only level (unpaired) keeps its own magnitude, the rest /3
+    deep = _grid_levels(exact + [0.25], c2 + [0.0], c4 + [0.0], h)
+    out = spectral1d.richardson_pair(coarse, deep, coarsest)
+    assert out.error_estimates[-1] == 0.25
+    assert (out.error_estimates[:-1] == two_grid.error_estimates).all()
+
+
+def test_riesz_mean_error_is_exact_below_gamma_one():
+    spec = spectral1d.NegativeSpectrum(
+        energies=np.array([0.04, 0.01]), num_interior=100,
+        error_estimates=np.array([1e-3, 0.02]),
+    )
+    # E^gamma - (E - d)_+^gamma is the larger side for gamma < 1, and a level
+    # within its error of 0 may lose all of E^gamma
+    assert_allclose(spec.riesz_mean_error(0.5), (0.2 - math.sqrt(0.039)) + 0.1, rtol=1e-14)
+    # the first-order propagation undercounts both levels
+    assert spec.riesz_mean_error(0.5) > (0.5 * spec.energies**-0.5 * spec.error_estimates).sum()
+    # gamma > 1: the upper side, (E + d)^gamma - E^gamma
+    assert_allclose(
+        spec.riesz_mean_error(1.5), (0.041**1.5 - 0.04**1.5) + (0.03**1.5 - 0.01**1.5),
+        rtol=1e-13,
+    )
 
 
 def test_negative_spectrum_validation_and_moments():
