@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff_cmd.add_argument("new", help="path to the manifest.json to compare")
     diff_cmd.add_argument(
         "--rtol", type=float, default=0.0,
-        help="relative move of lhs/rhs/residual to tolerate (default: none)",
+        help="relative move of lhs/rhs/residual, tolerance and budget to tolerate "
+        "(default: none)",
     )
     return parser
 
@@ -79,12 +80,15 @@ def main(argv=None) -> int:
     if None in manifests:
         return 2
     try:
-        compared, lines = runner.diff_manifests(*manifests, rtol=args.rtol)
+        compared, lines, bounds = runner.diff_manifests(*manifests, rtol=args.rtol)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
+    for line in lines + bounds:
         print(line)
+    if bounds:  # listed, but not counted as changes of behaviour
+        grew = sum(line.endswith(" grew") for line in bounds)
+        print(f"{len(bounds)} tolerance or budget moves beyond rtol {args.rtol:g}, {grew} grew")
     print(f"{compared} records compared, {len(lines)} changes beyond rtol {args.rtol:g}")
     return 1 if lines else 0
 

@@ -9,10 +9,14 @@ plot-data files for the sweep-type audits.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
+import importlib
 import inspect
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -609,8 +613,71 @@ def run_scenario(scenario: Scenario) -> dict:
     }
 
 
+# The OpenBLAS that the numpy and the scipy wheel each bundle, with its own
+# worker pool: (wheel package, library file, thread-count symbols).
+BLAS_POOLS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_{}_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_{}_num_threads"),
+)
+
+
+def _blas_library(package: str, pattern: str):
+    """The package's bundled OpenBLAS if a module has loaded it, else None."""
+    libs = Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs"
+    for path in sorted(libs.glob(pattern)):
+        try:
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except (AttributeError, OSError):  # no RTLD_NOLOAD, or not loaded
+            pass
+    return None
+
+
+def _pin_blas_threads() -> tuple[dict, list]:
+    """Set each pool found to one thread.
+
+    Returns {pool: its thread count now, or "unpinned"} and the (setter,
+    count before) pairs that undo it.
+    """
+    pinned, undo = {}, []
+    for package, pattern, symbols in BLAS_POOLS:
+        library = _blas_library(package, pattern)
+        try:
+            get = getattr(library, symbols.format("get"))
+            set_ = getattr(library, symbols.format("set"))
+        except AttributeError:  # no such library or symbol: MKL, a system OpenBLAS
+            pinned[package] = "unpinned"
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        undo.append((set_, get()))
+        set_(1)
+        pinned[package] = get()
+    return pinned, undo
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Both OpenBLAS pools at one thread inside, their counts restored after.
+
+    Yields {pool: pinned thread count, or "unpinned"}.  A second thread
+    buys the sparse, tridiagonal and ARPACK solves of a run no wall time;
+    its worker spins on a core, and the records' last bits follow the
+    thread count (README, "BLAS threads").
+    """
+    pinned, undo = _pin_blas_threads()
+    try:
+        yield pinned
+    finally:
+        for setter, count in undo:
+            setter(count)
+
+
 def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
-    """Validate, execute, and (optionally) persist a full suite."""
+    """Validate, execute, and (optionally) persist a full suite.
+
+    The scenarios run inside one_blas_thread, and each --jobs worker pins
+    its own pools the same way.
+    """
     path = Path(config_path)
     try:
         raw = path.read_bytes()
@@ -620,11 +687,12 @@ def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
     except ValueError as exc:  # malformed JSON or undecodable bytes
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
     scenarios = validate_config(config)
-    if jobs > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_scenario, scenarios))
-    else:
-        results = [run_scenario(s) for s in scenarios]
+    with one_blas_thread() as blas_threads:
+        if jobs > 1 and len(scenarios) > 1:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
+                results = list(pool.map(run_scenario, scenarios))
+        else:
+            results = [run_scenario(s) for s in scenarios]
     global_pass = all(r["error"] is None for r in results) and all(
         rec["passed"] or rec["inconclusive"]
         for r in results
@@ -636,6 +704,7 @@ def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
         "suite": config.get("suite", path.stem),
         "config_digest": hashlib.sha256(raw).hexdigest(),
         "global_pass": global_pass,
+        "blas_threads": blas_threads,
         "scenarios": [
             {k: v for k, v in r.items() if k != "plots"} for r in results
         ],
@@ -680,22 +749,33 @@ def _scaled_move(a, b, scale: float) -> float | None:
     return abs(a - b) / max(abs(a), abs(b), scale)
 
 
-def diff_manifests(old: dict, new: dict, rtol: float) -> tuple[int, list[str]]:
-    """Records count and one line per verdict change or move beyond rtol.
+def _bound_move(where: str, key: str, a, b, rtol: float) -> list[str]:
+    """A line for a tolerance or budget that moved beyond rtol, saying which way."""
+    move = _scaled_move(a, b, 0.0)
+    if move is not None and move <= rtol:
+        return []
+    way = "changed" if move is None else "grew" if b > a else "fell"
+    return [f"{where}: {key} {a!r} -> {b!r} {way}"]
+
+
+def diff_manifests(old: dict, new: dict, rtol: float) -> tuple[int, list[str], list[str]]:
+    """Records count, one line per value change and one per bound move.
 
     Both manifests are compared after strip_timing.  Records pair up by
     position within each scenario.  A verdict (passed, inconclusive) or a
     scenario error that changes is listed; so is an lhs, rhs or residual
     that moves by more than rtol * max(|a|, |b|, |rhs|), with |rhs| the
     larger of the two records' right-hand sides, and such a line ends with
-    the new record's tolerance.  Raises ValueError when the scenario names or
-    their audit tags do not line up.
+    the new record's tolerance.  The bound moves are the records whose
+    tolerance or provenance budget moved by more than rtol * max(|a|, |b|),
+    each marked "grew" or "fell".  Raises ValueError when the scenario
+    names or their audit tags do not line up.
     """
     old, new = strip_timing(old), strip_timing(new)
     names = [s["name"] for s in old["scenarios"]]
     if names != [s["name"] for s in new["scenarios"]]:
         raise ValueError("the manifests do not hold the same scenarios")
-    lines = []
+    lines, bounds = [], []
     compared = 0
     for before, after in zip(old["scenarios"], new["scenarios"]):
         name = before["name"]
@@ -719,7 +799,10 @@ def diff_manifests(old: dict, new: dict, rtol: float) -> tuple[int, list[str]]:
                         f"{where}: {key} {a[key]!r} -> {b[key]!r} "
                         f"(scaled move {shown}, tolerance {b['tolerance']!r})"
                     )
-    return compared, lines
+            bounds += _bound_move(where, "tolerance", a["tolerance"], b["tolerance"], rtol)
+            bounds += _bound_move(where, "budget", a["provenance"].get("budget"),
+                                  b["provenance"].get("budget"), rtol)
+    return compared, lines, bounds
 
 
 def _csv_value(value) -> str:

@@ -1,11 +1,10 @@
-"""numpy's OpenBLAS worker threads stay idle over an `ltlab run`.
+"""The OpenBLAS worker threads of numpy and scipy stay idle over an `ltlab run`.
 
 The numpy and scipy wheels each bundle their own OpenBLAS, and each keeps
 its own worker pool.  After a threaded call a pool's workers spin for about
-a tenth of a second, so one numpy BLAS call beyond OpenBLAS's threading size
-puts a spinning numpy worker next to scipy's two ARPACK/SuperLU threads.
-The run path keeps numpy's BLAS calls below that size (README, "BLAS
-threads"); this test reads the CPU time of numpy's workers to hold it there.
+a tenth of a second, on a core the run's own thread could use.  `ltlab run`
+pins both pools to one thread (README, "BLAS threads"), so no call wakes a
+worker; these tests read the CPU time of each pool's workers to hold it so.
 """
 
 import json
@@ -18,8 +17,8 @@ import pytest
 
 import ltlab
 
-# numpy's workers are the threads that `import numpy` starts; scipy's
-# OpenBLAS starts its own later.  The script prints each numpy worker's CPU
+# numpy's workers are the threads that `import numpy` starts, scipy's those
+# that `import scipy.linalg` adds.  The script prints each worker's CPU
 # nanoseconds over the run (/proc/self/task/<tid>/schedstat, first field),
 # read half a second after it, so a spin the run's last call started is
 # counted in full rather than cut short by the exit.
@@ -28,20 +27,23 @@ import contextlib, json, os, sys, time
 tasks = lambda: set(os.listdir("/proc/self/task"))
 before = tasks()
 import numpy
-workers = sorted(tasks() - before)
-import scipy
+pools = {"numpy": sorted(tasks() - before)}
+import scipy.linalg
+pools["scipy"] = sorted(tasks() - before - set(pools["numpy"]))
 import ltlab.cli
 cpu = lambda tid: int(open(f"/proc/self/task/{tid}/schedstat").read().split()[0])
-start = [cpu(tid) for tid in workers]
+start = {tid: cpu(tid) for workers in pools.values() for tid in workers}
 with contextlib.redirect_stdout(sys.stderr):
     code = ltlab.cli.main(sys.argv[1:])
 time.sleep(0.5)
-print(json.dumps([cpu(tid) - ns for tid, ns in zip(workers, start)]))
+print(json.dumps({pool: [cpu(tid) - start[tid] for tid in workers]
+                  for pool, workers in pools.items()}))
 sys.exit(code)
 """
 
-# a plain planar Gaussian and the spectra workload's coupled sparse well,
-# the two places where the run path once made a threaded numpy call
+# a plain planar Gaussian and the spectra workload's coupled sparse well:
+# the two places where the run path once made a threaded numpy call, and
+# sparse LDL^T and ARPACK solves that call scipy's OpenBLAS
 CONFIG = {
     "schema_version": 1,
     "suite": "blas-pools",
@@ -63,9 +65,12 @@ CONFIG = {
 }
 
 
-def test_numpy_blas_workers_stay_idle(tmp_path):
+@pytest.fixture(scope="module")
+def worker_ns(tmp_path_factory):
+    """{pool: CPU nanoseconds of each of its workers} over one run."""
     if not Path("/proc/self/task").is_dir():
         pytest.skip("no /proc/self/task to read thread CPU times from")
+    tmp_path = tmp_path_factory.mktemp("blas-pools")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CONFIG))
     source = str(Path(ltlab.__file__).resolve().parents[1])
@@ -77,7 +82,16 @@ def test_numpy_blas_workers_stay_idle(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    worker_ns = json.loads(result.stdout.strip().splitlines()[-1])
-    if not worker_ns:
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_numpy_blas_workers_stay_idle(worker_ns):
+    if not worker_ns["numpy"]:
         pytest.skip("numpy started no BLAS worker thread (one CPU, or no OpenBLAS)")
-    assert max(worker_ns) < 20_000_000, worker_ns
+    assert max(worker_ns["numpy"]) < 20_000_000, worker_ns
+
+
+def test_scipy_blas_workers_stay_idle(worker_ns):
+    if not worker_ns["scipy"]:
+        pytest.skip("scipy started no BLAS worker thread (one CPU, or no OpenBLAS)")
+    assert max(worker_ns["scipy"]) < 20_000_000, worker_ns

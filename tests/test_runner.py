@@ -623,6 +623,38 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     assert code == 2 and "different records" in captured.err
 
 
+def test_cli_diff_lists_tolerance_and_budget_moves(tmp_path, capsys):
+    cfg = write_config(tmp_path, [CLOSED_FORMS])
+    base = runner.run_config(cfg)
+    base["scenarios"][0]["reports"][2]["provenance"]["budget"] = 1e-6
+    moved = json.loads(json.dumps(base))
+    records = moved["scenarios"][0]["reports"]
+    records[0]["tolerance"] *= 1.5
+    records[1]["tolerance"] *= 1.0 + 1e-13
+    records[2]["provenance"]["budget"] = 5e-7
+
+    def diff(new):
+        paths = [tmp_path / "base.json", tmp_path / "new.json"]
+        for path, manifest in zip(paths, (base, new)):
+            path.write_text(json.dumps(manifest))
+        code = cli.main(["diff", *map(str, paths), "--rtol", "1e-10"])
+        return code, capsys.readouterr().out.strip().splitlines()
+
+    capsys.readouterr()
+    code, lines = diff(moved)
+    assert code == 0  # bound moves are listed but are no change of behaviour
+    tag = lambda i: f"closed-forms[{i}] {records[i]['audit_tag']}"
+    assert lines[0].startswith(f"{tag(0)}: tolerance") and lines[0].endswith(" grew")
+    assert lines[1] == f"{tag(2)}: budget 1e-06 -> 5e-07 fell"
+    assert lines[2] == "2 tolerance or budget moves beyond rtol 1e-10, 1 grew"
+    assert lines[3].endswith("0 changes beyond rtol 1e-10")
+    records[3]["lhs"] = records[3]["lhs"] * 1.001 + 1e-3
+    code, lines = diff(moved)
+    assert code == 1
+    assert lines[0].startswith(f"{tag(3)}: lhs") and lines[1].startswith(f"{tag(0)}: tolerance")
+    assert lines[-1].endswith("1 changes beyond rtol 1e-10")
+
+
 def test_density_is_cached_by_point_count():
     ctx = runner.ScenarioContext(runner.Scenario(
         name="d", audits=("stable-c0",),
