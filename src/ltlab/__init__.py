@@ -1,20 +1,25 @@
 """Numerical audit bench for spectral bounds of 1D matrix Schrodinger operators."""
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import (  # noqa: E402
-    birman_schwinger,
-    bounds,
-    fractional,
-    multidim,
-    potentials,
-    reports,
-    scattering,
-    spectral1d,
-)
-from .potentials import SampledPotential, build_family
-from .reports import BoundReport, BoundSpec
-from .spectral1d import NegativeSpectrum, negative_spectrum, refined_negative_spectrum
+# The submodules, and the names re-exported from them, load on first access
+# (PEP 562): `import ltlab` loads neither numpy nor scipy, so the command
+# line can set OpenBLAS's thread count before either library loads.
+_SUBMODULES = frozenset({
+    "birman_schwinger", "bounds", "fractional", "multidim", "potentials", "reports",
+    "scattering", "spectral1d",
+})
+_EXPORTS = {
+    "BoundReport": "reports",
+    "BoundSpec": "reports",
+    "NegativeSpectrum": "spectral1d",
+    "SampledPotential": "potentials",
+    "build_family": "potentials",
+    "negative_spectrum": "spectral1d",
+    "refined_negative_spectrum": "spectral1d",
+}
 
 __all__ = [
     "__version__",
@@ -34,3 +39,15 @@ __all__ = [
     "scattering",
     "spectral1d",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -455,7 +455,9 @@ def remainder_sweep(
     """Gap between the phase-space term and the 3/2 moments, versus its cap.
 
     The gap is nonnegative and grows at most like coupling^(3/2); the fitted
-    log-log slope over the top decade is reported against slope_cap.
+    log-log slope over the top decade is reported against slope_cap, with
+    the budget that the remainders' own budgets give it, and is inconclusive
+    when a remainder there lies within its budget of 0.
     """
     l32 = classical_constant(1.5, 1)
     v_sq = potentials.trace_power_integral(potential, "minus", 2.0)
@@ -494,19 +496,24 @@ def remainder_sweep(
     )
     top = (alphas >= alphas.max() / 10.0) & (rem > 0)
     if top.sum() >= 3:
-        slope = float(
-            np.polyfit(np.log(alphas[top]), np.log(rem[top]), 1)[0]
-        )
-        slope_rep = BoundReport(
-            audit_tag="remainder-slope",
-            lhs=slope,
-            rhs=slope_cap,
-            tolerance=0.0,
-            passed=slope <= slope_cap,
+        x, r, b = np.log(alphas[top]), rem[top], budget[top]
+        # the slope is sum c_i log r_i, and r_i -+ b_i moves log r_i by at
+        # most -log(1 - b_i/r_i), which exceeds log(1 + b_i/r_i)
+        c = (x - x.mean()) / np.sum((x - x.mean()) ** 2)
+        slope = float(np.polyfit(x, np.log(r), 1)[0])
+        covered = bool(np.all(b < r))
+        slope_error = float(np.sum(np.abs(c) * -np.log1p(-b / r))) if covered else math.inf
+        slope_rep = comparison_report(
+            "remainder-slope",
+            "upper",
+            slope,
+            slope_cap,
             spec=BoundSpec(1.5, 1, "upper", 1.0, "remainder:growth-order"),
-            residual=slope_cap - slope,
+            lhs_error=slope_error,
             provenance={"points": int(top.sum())},
         )
+        if not covered:  # a remainder its budget cannot tell from 0
+            slope_rep = replace(slope_rep, passed=False, inconclusive=True)
     else:
         slope_rep = BoundReport(
             audit_tag="remainder-slope",

@@ -1,13 +1,22 @@
-"""Command-line entry points for running suites and rendering reports."""
+"""Command-line entry points for running suites and rendering reports.
+
+`main` starts OpenBLAS at one thread: it sets OPENBLAS_NUM_THREADS=1 in the
+process environment before it imports `runner`, and with it numpy and scipy,
+whose bundled OpenBLAS libraries read that count when they load.  A pool
+that starts at more than one thread starts a worker that spins beside the
+run (README, "BLAS threads").  A library some caller loaded before keeps its
+pool, which `runner.run_config` still pins for the run.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from . import __version__, runner
+from . import __version__
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,6 +64,9 @@ def _load_manifest(path) -> dict | None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read as numpy and scipy load
+    from . import runner
+
     if args.command == "run":
         try:
             manifest = runner.run_config(args.config, jobs=args.jobs, out_dir=args.out)

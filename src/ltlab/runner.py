@@ -662,7 +662,10 @@ def one_blas_thread():
     Yields {pool: pinned thread count, or "unpinned"}.  A second thread
     buys the sparse, tridiagonal and ARPACK solves of a run no wall time;
     its worker spins on a core, and the records' last bits follow the
-    thread count (README, "BLAS threads").
+    thread count (README, "BLAS threads").  The command line loads both
+    pools at one thread already; this pins the pools of a library caller,
+    loaded at the environment's count, and reads the counts the manifest
+    records.
     """
     pinned, undo = _pin_blas_threads()
     try:
@@ -676,7 +679,9 @@ def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
     """Validate, execute, and (optionally) persist a full suite.
 
     The scenarios run inside one_blas_thread, and each --jobs worker pins
-    its own pools the same way.
+    its own pools the same way, so a library caller gets the records of the
+    command line whatever thread count its pools loaded at.  This reads no
+    environment variable and sets none.
     """
     path = Path(config_path)
     try:

@@ -5,6 +5,8 @@ its own worker pool.  After a threaded call a pool's workers spin for about
 a tenth of a second, on a core the run's own thread could use.  `ltlab run`
 pins both pools to one thread (README, "BLAS threads"), so no call wakes a
 worker; these tests read the CPU time of each pool's workers to hold it so.
+Started plainly, the command line loads both libraries at one thread, so
+neither pool starts a worker at all.
 """
 
 import json
@@ -65,24 +67,30 @@ CONFIG = {
 }
 
 
-@pytest.fixture(scope="module")
-def worker_ns(tmp_path_factory):
-    """{pool: CPU nanoseconds of each of its workers} over one run."""
+def _run_script(script: str, config: dict, tmp_path: Path) -> str:
+    """The last line a fresh interpreter prints running script on `ltlab run`
+    arguments for config, under two OpenBLAS threads; the run writes to
+    tmp_path/out."""
     if not Path("/proc/self/task").is_dir():
-        pytest.skip("no /proc/self/task to read thread CPU times from")
-    tmp_path = tmp_path_factory.mktemp("blas-pools")
+        pytest.skip("no /proc/self/task to read threads from")
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     source = str(Path(ltlab.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
     env["PYTHONPATH"] = source + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, "run", "--config", str(cfg), "--jobs", "1",
+        [sys.executable, "-c", script, "run", "--config", str(cfg), "--jobs", "1",
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    return result.stdout.strip().splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def worker_ns(tmp_path_factory):
+    """{pool: CPU nanoseconds of each of its workers} over one run."""
+    return json.loads(_run_script(SCRIPT, CONFIG, tmp_path_factory.mktemp("blas-pools")))
 
 
 def test_numpy_blas_workers_stay_idle(worker_ns):
@@ -95,3 +103,54 @@ def test_scipy_blas_workers_stay_idle(worker_ns):
     if not worker_ns["scipy"]:
         pytest.skip("scipy started no BLAS worker thread (one CPU, or no OpenBLAS)")
     assert max(worker_ns["scipy"]) < 20_000_000, worker_ns
+
+
+# A plain start: nothing loads numpy or scipy ahead of `ltlab.cli.main`, as
+# in `python -m ltlab` and the `ltlab` script.  The script prints which of
+# the two `import ltlab` and `import ltlab.cli` loaded, and the process's
+# thread count after the run.
+PLAIN_START = """
+import contextlib, json, os, sys
+import ltlab, ltlab.cli
+loaded = sorted({"numpy", "scipy"} & set(sys.modules))
+with contextlib.redirect_stdout(sys.stderr):
+    code = ltlab.cli.main(sys.argv[1:])
+print(json.dumps({"loaded": loaded, "threads": len(os.listdir("/proc/self/task"))}))
+sys.exit(code)
+"""
+
+# a small coupled well, solved densely through scipy's LAPACK
+COUPLED_WELL = {
+    "schema_version": 1,
+    "suite": "plain-start",
+    "scenarios": [{
+        "name": "random-2x2-dense",
+        "potential": {"family": "random-smooth",
+                      "parameters": {"matrix_dim": 2, "seed": 1858836761}},
+        "grid": {"box_radius": 25.0, "num_interior": 200},
+        "audits": ["half-moment-sandwich"],
+    }],
+}
+
+
+def test_the_command_line_starts_no_blas_worker(tmp_path):
+    # under two OpenBLAS threads a library loaded at the environment's count
+    # starts one worker per pool: three threads in all
+    seen = json.loads(_run_script(PLAIN_START, COUPLED_WELL, tmp_path))
+    assert seen["loaded"] == []
+    pins = json.loads((tmp_path / "out" / "manifest.json").read_text())["blas_threads"]
+    if "unpinned" in pins.values():
+        pytest.skip(f"an OpenBLAS pool without the wheel's thread setter: {pins}")
+    assert pins == {"numpy": 1, "scipy": 1}
+    assert seen["threads"] == 1
+
+
+def test_the_lazy_package_keeps_its_api():
+    namespace = {}
+    exec("from ltlab import *", namespace)
+    for name in ltlab.__all__:
+        assert getattr(ltlab, name) is namespace[name]
+    assert ltlab.build_family is ltlab.potentials.build_family
+    assert set(ltlab.__all__) <= set(dir(ltlab))
+    with pytest.raises(AttributeError, match="no attribute 'runner_'"):
+        ltlab.runner_

@@ -1,8 +1,10 @@
 """`ltlab run` pins both OpenBLAS pools, so its records do not follow the thread count.
 
 The numpy and scipy wheels each bundle an OpenBLAS with its own thread
-count.  `runner.run_config` sets both to one thread for the run and in each
-`--jobs` worker, and records the pinned counts in the manifest header.
+count.  The command line loads both at one thread, and `runner.run_config`
+sets both to one thread for the run and in each `--jobs` worker, which pins
+the pools of a library caller too; the manifest header records the pinned
+counts.
 """
 
 import json
@@ -96,6 +98,16 @@ def test_records_do_not_follow_the_thread_count(manifests):
 
 def test_jobs_do_not_move_records(manifests):
     _same(manifests[2, 1], manifests[2, 2])
+
+
+def test_a_library_caller_gets_the_records_of_the_command_line(manifests, tmp_path):
+    # the command line's pools load at one thread; this process loaded its
+    # own at the environment's count, and run_config pins them for the run
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    manifest = runner.run_config(cfg)
+    assert manifest["blas_threads"] == manifests[2, 1]["blas_threads"]
+    _same(manifests[2, 1], manifest)
 
 
 def _closed_forms(tmp_path):

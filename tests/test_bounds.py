@@ -246,6 +246,38 @@ def test_remainder_sweep(gaussian_sweep):
     assert all(r <= c for r, c in zip(rows["remainder"], rows["cap"]))
 
 
+def test_remainder_slope_budget_covers_the_worst_sign_pattern(gaussian_sweep):
+    g, sweep = gaussian_sweep
+    reports, rows = bounds.remainder_sweep(g, sweep=sweep)
+    slope = reports[2]
+    alphas, rem = rows["coupling"], rows["remainder"]
+    top = (alphas >= alphas.max() / 10.0) & (rem > 0)
+    x, r, b = np.log(alphas[top]), rem[top], rows["budget"][top]
+    budget = slope.provenance["budget"]
+    assert slope.provenance["points"] == top.sum() >= 3
+    assert slope.passed and not slope.inconclusive
+    assert 0.0 < budget and slope.tolerance == pytest.approx(budget / slope.rhs)
+    bound = np.maximum(np.log1p(b / r), -np.log1p(-b / r))
+    fit = lambda log_r: np.polyfit(x, log_r, 1)[0]  # noqa: E731
+    sign = np.sign(x - x.mean())  # the sign of each coefficient c_i
+    for s in (sign, -sign):
+        # each log r_i moved by its whole bound, the sign of c_i: the budget
+        assert abs(fit(np.log(r) + s * bound) - slope.lhs) == pytest.approx(budget, rel=1e-9)
+        # each remainder moved by its whole budget: within it
+        assert abs(fit(np.log(r + s * b)) - slope.lhs) <= budget * (1.0 + 1e-12)
+
+
+def test_remainder_slope_is_inconclusive_within_a_budget_of_zero(gaussian_sweep):
+    g, sweep = gaussian_sweep
+    # the top coupling's level errors as large as its levels
+    top = dataclasses.replace(sweep.spectra[-1], error_estimates=sweep.spectra[-1].energies)
+    reports, _ = bounds.remainder_sweep(g, sweep=dataclasses.replace(
+        sweep, spectra=sweep.spectra[:-1] + (top,)))
+    slope = reports[2]
+    assert slope.inconclusive and not slope.passed
+    assert slope.provenance["budget"] == math.inf
+
+
 def _verdict_from_fields(rep):
     """The pass rule of a comparison record, read off its own fields."""
     if abs(rep.rhs) <= rep.provenance["budget"]:
