@@ -37,6 +37,12 @@ doubles its level until its own change between levels, plus the rounding of
 its sum, meets QUADRATURE_TARGET.  Near k = 0 a generic n x n well has
 log|det A| ~ -n log k + c; the rule's nodes crowd towards both ends
 double-exponentially, which integrates that singularity with no model of it.
+
+Each batch of wavenumbers is one Jost pass, and a scalar pass costs nearly
+the same for 9 k as for 100: the loop over steps dominates.  Each k's data
+are computed elementwise at the batch's step, so where two batches would
+take the same step (_jost_step) they are solved as one with no value moved;
+compute_scattering does so for the first doubling of end probes.
 """
 
 from __future__ import annotations
@@ -226,10 +232,19 @@ def _match(y_top, y_bot, k: np.ndarray, x_left: float, n: int):
     return a_pos, b_pos, a_neg, b_neg
 
 
+def _jost_step(potential: SampledPotential, k_top: float) -> float:
+    """The Jost step, before refine, of a batch whose largest wavenumber is k_top.
+
+    Half the sample spacing caps it; above k_top = 2 / (OSCILLATION_FRACTION
+    grid_step) the rule 1 / (OSCILLATION_FRACTION k_top) is finer and sets
+    it.  The step never grows with k_top.
+    """
+    return min(potential.grid_step / 2.0, 1.0 / (OSCILLATION_FRACTION * k_top))
+
+
 def _solve_batch(potential: SampledPotential, k: np.ndarray, refine: int):
     """A(k), B(k), A(-k), B(-k) at positive k, stepped to resolve the largest k."""
-    step = min(potential.grid_step / 2.0, 1.0 / (OSCILLATION_FRACTION * k.max()))
-    y_top, y_bot = _propagate(potential, k, step / refine)
+    y_top, y_bot = _propagate(potential, k, _jost_step(potential, k.max()) / refine)
     return _match(y_top, y_bot, k, potential.support[0], potential.matrix_dim)
 
 
@@ -308,18 +323,24 @@ def _moments(solve, lo: float, hi: float, extra=()):
     )[:2]
 
 
+def _end_probes() -> np.ndarray:
+    """The wavenumbers K_SPLIT * 2^(i / PROBES_PER_DOUBLING) below K_CAP, then K_CAP."""
+    count = int(math.ceil(PROBES_PER_DOUBLING * math.log2(K_CAP / K_SPLIT)))
+    return np.append(K_SPLIT * 2.0 ** (np.arange(count) / PROBES_PER_DOUBLING), K_CAP)
+
+
 def _find_end(solve):
     """The end of the k-integrals and the tail bound beyond it, one per moment j = 0, 2, 4.
 
-    The probes K_SPLIT * 2^(i / PROBES_PER_DOUBLING), and K_CAP last, are
-    solved one doubling of k per batch: [3, 6], (6, 12], ...  The end is the
-    first probe from which TAIL_RUN probes in a row have log|det A| below
-    TAIL_THRESHOLD, so one sample at an isolated zero of the reflection
-    cannot stop the search.  An exponential fit to the probes up to the end
-    bounds the integrals beyond it.
+    The probes (_end_probes) are asked for one doubling of k per call to
+    solve: [3, 6], (6, 12], ...; solve skips those it has already solved,
+    as it has the first doubling where compute_scattering put it into the
+    first batch.  The end is the first probe from which TAIL_RUN probes in
+    a row have log|det A| below TAIL_THRESHOLD, so one sample at an isolated
+    zero of the reflection cannot stop the search.  An exponential fit to
+    the probes up to the end bounds the integrals beyond it.
     """
-    count = int(math.ceil(PROBES_PER_DOUBLING * math.log2(K_CAP / K_SPLIT)))
-    probes = np.append(K_SPLIT * 2.0 ** (np.arange(count) / PROBES_PER_DOUBLING), K_CAP)
+    probes = _end_probes()
     logdet = np.empty(probes.size)
     edges = [0, *range(PROBES_PER_DOUBLING + 1, probes.size, PROBES_PER_DOUBLING), probes.size]
     for lo, hi in zip(edges, edges[1:]):
@@ -349,7 +370,13 @@ def compute_scattering(
     tail, or raises (insufficient decay).  Each integral's error adds the
     estimates of both intervals and the tail bound.  Every wavenumber is
     solved once, in batches whose Jost step is set by their largest k and
-    divided by refine.
+    divided by refine.  Without k_max the first batch, K_MIN and the first
+    level's nodes on [0, K_SPLIT], also takes the first doubling of end
+    probes, up to 2 K_SPLIT, whenever the step at 2 K_SPLIT is the one at
+    K_MIN, that is, the sample cap sets it: the merged batch then takes the
+    step each part would take alone, and a wavenumber's data depend on the
+    step, not on the other k in its batch, so one Jost pass is saved and no
+    value moves.
     """
     solved_k, solved_logdet, batches = np.empty(0), np.empty(0), []
 
@@ -364,7 +391,12 @@ def compute_scattering(
         return solved_logdet[order[np.searchsorted(solved_k, k, sorter=order)]]
 
     end = K_CAP if k_max is None else float(k_max)
-    value, error = _moments(solve, 0.0, min(K_SPLIT, end), extra=K_MIN)
+    extra = K_MIN
+    if k_max is None:
+        doubling = _end_probes()[: PROBES_PER_DOUBLING + 1]
+        if _jost_step(potential, doubling[-1]) == _jost_step(potential, K_MIN):
+            extra = np.append(K_MIN, doubling)
+    value, error = _moments(solve, 0.0, min(K_SPLIT, end), extra=extra)
     if k_max is None:
         end, tail = _find_end(solve)
         error = error + tail

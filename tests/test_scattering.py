@@ -118,11 +118,52 @@ def test_every_wavenumber_is_solved_once(monkeypatch, square_well):
         solved = np.concatenate(calls)
         assert np.unique(solved).size == solved.size
         assert data.k_grid.size == np.count_nonzero(solved >= scattering.K_MIN)
-    for nu in (1.0, 3.0):
+    # the sample cap sets the step up to k = 2 K_SPLIT on the default grid, so
+    # the first doubling of end probes rides in the first pass; on the
+    # coarser grid 1/8 of the kernels workload's nu = 1 well the step at
+    # k = 6 (1/96 at refine 2) is finer than the first level's (about 1/48),
+    # so the doubling keeps its own pass
+    for nu, grid_step, sizes in ((1.0, None, [111]), (3.0, None, [111]),
+                                 (1.0, 1.0 / 8.0, [102, 9])):
         with monkeypatch.context() as patch:
             calls = _counting_solves(patch)
-            scattering.compute_scattering(potentials.build_family("poschl-teller", nu=nu), refine=2)
-        assert len(calls) <= 3
+            scattering.compute_scattering(
+                potentials.build_family("poschl-teller", nu=nu, grid_step=grid_step), refine=2
+            )
+        assert [k.size for k in calls] == sizes
+
+
+# well, Jost refine; each batch below stays at or under the sample cap's reach
+BATCH_WELLS = {
+    "poschl-teller-3": (
+        lambda: potentials.build_family("poschl-teller", nu=3.0, grid_step=1.0 / 24.0), 2
+    ),
+    "lopsided-scalar": (lambda: potentials.build_family(
+        "random-smooth", matrix_dim=1, seed=3, real_valued=True,
+        support_radius=2.0, modes=3, grid_step=0.05,
+    ), 1),
+    "random-2x2": (lambda: potentials.build_family("random-smooth", matrix_dim=2, seed=11), 1),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_WELLS)
+def test_a_wavenumber_does_not_depend_on_its_batch(name):
+    # compute_scattering merges batches that take the same step, which keeps
+    # every value only if a wavenumber's data are computed elementwise; the
+    # first level's nodes and the first doubling of end probes are the model
+    build, refine = BATCH_WELLS[name]
+    well = build()
+    # the largest k whose step the sample cap still sets
+    reach = 2.0 / (scattering.OSCILLATION_FRACTION * well.grid_step)
+    k_a = reach * np.append(1e-3, np.linspace(0.01, 0.5, 23))
+    k_b = reach * 2.0 ** (np.arange(1, 9) / 8.0 - 1.0)
+    alone = scattering._solve_batch(well, k_a, refine)
+    merged = scattering._solve_batch(well, np.concatenate([k_a, k_b]), refine)
+    for got, want in zip(merged, alone):
+        assert np.array_equal(got[: k_a.size], want)
+    # past the cap's reach the merged batch takes a finer step, and A moves
+    finer = scattering._solve_batch(well, np.concatenate([k_a, 2.0 * k_b]), refine)
+    assert not np.array_equal(finer[0][: k_a.size], alone[0])
 
 
 def test_pointwise_samples_start_at_k_min(random_2x2_data, square_well_data, pt1_scattering):
