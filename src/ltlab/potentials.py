@@ -278,21 +278,23 @@ def _hermitian_apply(blocks: np.ndarray, f) -> np.ndarray:
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
+def _part_sign(part: str) -> float:
+    """1 for "plus", -1 for "minus"; any other part raises."""
+    if part not in ("plus", "minus"):
+        raise ValueError("part must be 'plus' or 'minus'")
+    return 1.0 if part == "plus" else -1.0
+
+
 def part_values(potential: SampledPotential, part: str) -> np.ndarray:
     """V_plus or V_minus at each sample, shape (N, n, n), from the pointwise
     eigendecomposition: V = V_plus - V_minus with commuting PSD parts."""
-    if part not in ("plus", "minus"):
-        raise ValueError("part must be 'plus' or 'minus'")
-    sign = 1.0 if part == "plus" else -1.0
+    sign = _part_sign(part)
     return _hermitian_apply(potential.values, lambda mu: np.maximum(sign * mu, 0.0))
 
 
 def part_eigenvalues(potential: SampledPotential, part: str) -> np.ndarray:
     """Eigenvalues of V_plus or V_minus at each sample, shape (N, n), >= 0."""
-    if part not in ("plus", "minus"):
-        raise ValueError("part must be 'plus' or 'minus'")
-    mu = np.linalg.eigvalsh(potential.values)
-    return np.maximum(mu if part == "plus" else -mu, 0.0)
+    return np.maximum(_part_sign(part) * np.linalg.eigvalsh(potential.values), 0.0)
 
 
 def require_nonpositive(potential: SampledPotential) -> None:
@@ -305,32 +307,28 @@ def require_nonpositive(potential: SampledPotential) -> None:
         )
 
 
+def _simpson(potential: SampledPotential, integrand: np.ndarray) -> float:
+    """Composite Simpson of integrand, given at the stored samples, over the sampled window."""
+    return float(simpson_weights(potential.num_points, potential.grid_step) @ integrand)
+
+
 def trace_power_integral(potential: SampledPotential, part: str, power: float) -> float:
     """Simpson quadrature of tr(V_part(x)^power) over the sampled window."""
     if power < 0.5:
         raise ValueError("power must be >= 1/2")
-    mu = part_eigenvalues(potential, part)
-    integrand = (mu**power).sum(axis=1)
-    w = simpson_weights(potential.num_points, potential.grid_step)
-    return float(w @ integrand)
+    return _simpson(potential, (part_eigenvalues(potential, part) ** power).sum(axis=1))
 
 
 def signed_trace_power_integral(potential: SampledPotential, power: int) -> float:
     """Simpson quadrature of tr(V(x)^power) for integer power (signed)."""
     if int(power) != power or power < 1:
         raise ValueError("power must be a positive integer")
-    mu = np.linalg.eigvalsh(potential.values)
-    integrand = (mu ** int(power)).sum(axis=1)
-    w = simpson_weights(potential.num_points, potential.grid_step)
-    return float(w @ integrand)
+    return _simpson(potential, (np.linalg.eigvalsh(potential.values) ** int(power)).sum(axis=1))
 
 
 def derivative_square_integral(potential: SampledPotential) -> float:
     """Simpson quadrature of tr((dV/dx)^2) over the sampled window."""
-    d = potential.derivative_samples()
-    integrand = (np.abs(d) ** 2).sum(axis=(1, 2))
-    w = simpson_weights(potential.num_points, potential.grid_step)
-    return float(w @ integrand)
+    return _simpson(potential, (np.abs(potential.derivative_samples()) ** 2).sum(axis=(1, 2)))
 
 
 def scale(potential: SampledPotential, coupling: float) -> SampledPotential:

@@ -39,6 +39,9 @@ from .reports import CSV_COLUMNS, sanitize_json
 
 SCHEMA_VERSION = 1
 DEFAULT_INTERIOR = 1200
+# the default of each option the planar stages read, and of each density key
+STAGE_DEFAULTS = {"box_radius": 8.0, "num_interior": 64, "field_strength": 1.0}
+DENSITY_DEFAULTS = {"scale": 1.0, "grid_cutoff": 40.0, "grid_points": 801}
 
 
 class ConfigError(ValueError):
@@ -186,8 +189,8 @@ def _check_stage_grids(scenario: Scenario, where: str):
     if audits & {"remainder-sweep", "weyl-ratios"}:
         checks.append(("options.couplings", lambda: bounds._check_couplings(ctx.couplings())))
     if "density" in scenario.options:
-        spec = scenario.options["density"]
-        parameters = float(spec["stability_index"]), float(spec.get("scale", 1.0))
+        spec = ctx.density_spec()
+        parameters = float(spec["stability_index"]), float(spec["scale"])
         checks.append(("options.density (stability_index, scale)",
                        lambda: fractional._check_stable_parameters(*parameters)))
         key = "options.density (grid_points, grid_cutoff)"
@@ -268,13 +271,15 @@ class ScenarioContext:
 
     Each stage is built once per scenario, and a build that raises raises
     its exception again to each later reader.  `timings` holds the seconds
-    each build took under its key, the stages it first built included.
+    each build took under its key, the stages it first built included, and
+    `provenance` the work counts a stage reports, under the same key.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.plots: dict[str, str] = {}
         self.timings: dict[str, float] = {}
+        self.provenance: dict[str, dict] = {}
         self._cache: dict = {}
 
     def _stage(self, key: str, build):
@@ -289,8 +294,8 @@ class ScenarioContext:
             raise self._cache[key]
         return self._cache[key]
 
-    def option(self, key, default=None):
-        return self.scenario.options.get(key, default)
+    def option(self, key):
+        return self.scenario.options.get(key, STAGE_DEFAULTS.get(key))
 
     def tolerance(self, tag: str, default: float) -> float:
         return float(self.scenario.tolerances.get(tag, default))
@@ -311,11 +316,13 @@ class ScenarioContext:
         ))
 
     def scattering_data(self):
-        return self._stage("scattering", lambda: scattering.compute_scattering(
-            self.potential(),
-            k_max=self.scenario.grid.get("k_max"),
-            refine=self.scenario.grid.get("refine", 1),
-        ))
+        def build():
+            data = scattering.compute_scattering(self.potential(), k_max=self.scenario.grid.get("k_max"),
+                                                 refine=self.scenario.grid.get("refine", 1))
+            self.provenance["scattering"] = data.work
+            return data
+
+        return self._stage("scattering", build)
 
     def coupling_sweep(self):
         """The potential's spectra at every coupling of options.couplings."""
@@ -341,20 +348,21 @@ class ScenarioContext:
         return self._stage("well_2d", build)
 
     def plane_box(self) -> float:
-        return float(self.option("box_radius", 8.0))
+        return float(self.option("box_radius"))
 
     def plane_points(self) -> int:
-        return self.option("num_interior", 64)
+        return self.option("num_interior")
 
     def gauge_points(self) -> int:
         """options.gauge_points, else the planar side capped at 32."""
         given = self.option("gauge_points")
         return min(self.plane_points(), 32) if given is None else given
 
+    def field_strength(self) -> float:
+        return float(self.option("field_strength"))
+
     def vector_potential(self, magnetic: bool):
-        if not magnetic:
-            return None
-        return multidim.constant_field(float(self.option("field_strength", 1.0)))
+        return multidim.constant_field(self.field_strength()) if magnetic else None
 
     def planar_spectrum(self, num_interior: int, magnetic: bool):
         """Unrefined planar spectrum, solved once per (grid, field)."""
@@ -376,16 +384,19 @@ class ScenarioContext:
             )
         ))
 
+    def density_spec(self) -> dict:
+        return DENSITY_DEFAULTS | self.option("density")
+
     def momentum_grid(self, points: int | None = None) -> np.ndarray:
         """`points` momenta (default: the density's grid_points) from 0 to its grid_cutoff."""
-        spec = self.option("density")
-        return np.linspace(0.0, spec.get("grid_cutoff", 40.0), points or spec.get("grid_points", 801))
+        spec = self.density_spec()
+        return np.linspace(0.0, spec["grid_cutoff"], points or spec["grid_points"])
 
     def density(self, points: int | None = None):
         """The options' density tabulated on `points` momenta (default: its grid_points)."""
-        spec, grid = self.option("density"), self.momentum_grid(points)
+        spec, grid = self.density_spec(), self.momentum_grid(points)
         return self._stage(f"density-{grid.size}", lambda: fractional.stable_density(
-            float(spec["stability_index"]), float(spec.get("scale", 1.0)), grid
+            float(spec["stability_index"]), float(spec["scale"]), grid
         ))
 
 
@@ -542,8 +553,8 @@ AUDITS = {
     "gauge-invariance": Audit(
         lambda ctx, o, tol: multidim.gauge_invariance_check(
             ctx.well_2d(), ctx.plane_box(), ctx.gauge_points(),
-            field_strength=o["field_strength"], seed=o["gauge_seed"], tolerance=tol),
-        ("well",), {"gauge_points": None, "field_strength": 1.0, "gauge_seed": 5}, 1e-8),
+            field_strength=ctx.field_strength(), seed=o["gauge_seed"], tolerance=tol),
+        ("well",), {"gauge_points": None, "gauge_seed": 5}, 1e-8),
     "lifting-2d": Audit(
         lambda ctx, o, tol: [multidim.lifting_inequality_audit(
             ctx.well_2d(), ctx.plane_box(), ctx.plane_points(), gamma=o["lifting_gamma"],
@@ -553,8 +564,8 @@ AUDITS = {
         lambda ctx, o, tol: [multidim.diamagnetic_trend_check(
             ctx.planar_spectrum(ctx.plane_points(), False),
             ctx.planar_spectrum(ctx.plane_points(), True),
-            gamma=o["magnetic_gamma"], field_strength=o["field_strength"])],
-        ("well",), {"magnetic_gamma": 1.5, "field_strength": 1.0}),
+            gamma=o["magnetic_gamma"], field_strength=ctx.field_strength())],
+        ("well",), {"magnetic_gamma": 1.5}),
     "stable-c0": Audit(
         lambda ctx, o, tol: fractional.c0_reference_audit(
             o["operator_exponent"], ctx.density(), reference=o["reference"],
@@ -610,6 +621,7 @@ def run_scenario(scenario: Scenario) -> dict:
         "reports": records,
         "plots": ctx.plots,
         "timings": ctx.timings,
+        "provenance": ctx.provenance,
     }
 
 
@@ -820,24 +832,17 @@ def _csv_value(value) -> str:
     return str(value)
 
 
+def _status(rec: dict, words=("False", "True")) -> str:
+    """"inconclusive", else the word for the record's passed flag."""
+    return "inconclusive" if rec["inconclusive"] else words[rec["passed"]]
+
+
 def manifest_to_csv(manifest: dict) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for scenario in manifest["scenarios"]:
         for rec in scenario["reports"]:
-            status = "inconclusive" if rec["inconclusive"] else str(rec["passed"])
-            row = [
-                scenario["name"],
-                rec["audit_tag"],
-                rec["citation"],
-                _csv_value(rec["gamma"]),
-                _csv_value(rec["d"]),
-                _csv_value(rec["lhs"]),
-                _csv_value(rec["rhs"]),
-                _csv_value(rec["ratio"]),
-                _csv_value(rec["tolerance"]),
-                status,
-            ]
-            lines.append(",".join(row))
+            values = [_csv_value(rec[key]) for key in ("gamma", "d", "lhs", "rhs", "ratio", "tolerance")]
+            lines.append(",".join([scenario["name"], rec["audit_tag"], rec["citation"], *values, _status(rec)]))
     return "\n".join(lines) + "\n"
 
 
@@ -873,6 +878,10 @@ def _topic_for(tag: str) -> str:
     return "Other"
 
 
+def _markdown_cell(value) -> str:
+    return "" if value is None else f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
 def manifest_to_markdown(manifest: dict) -> str:
     lines = [
         f"# Audit summary: {manifest['suite']}",
@@ -882,50 +891,30 @@ def manifest_to_markdown(manifest: dict) -> str:
         f"- global pass: **{manifest['global_pass']}**",
         "",
     ]
-    failed = [
-        (s["name"], s["error"]) for s in manifest["scenarios"] if s["error"]
-    ]
+    failed = [(s["name"], s["error"]) for s in manifest["scenarios"] if s["error"]]
     if failed:
-        lines.append("## Scenario errors")
-        lines.append("")
-        for name, err in failed:
-            lines.append(f"- `{name}`: {err}")
-        lines.append("")
+        lines += ["## Scenario errors", "", *(f"- `{name}`: {err}" for name, err in failed), ""]
     grouped: dict[str, list] = {}
     for scenario in manifest["scenarios"]:
         for rec in scenario["reports"]:
-            grouped.setdefault(_topic_for(rec["audit_tag"]), []).append(
-                (scenario["name"], rec)
-            )
+            grouped.setdefault(_topic_for(rec["audit_tag"]), []).append((scenario["name"], rec))
     for title, _ in TOPIC_GROUPS + (("Other", ()),):
         if title not in grouped:
             continue
-        lines.append(f"## {title}")
-        lines.append("")
-        lines.append("| scenario | audit | reference | lhs | rhs | ratio | tolerance | status |")
-        lines.append("| --- | --- | --- | --- | --- | --- | --- | --- |")
+        lines += [f"## {title}", "", "| scenario | audit | reference | lhs | rhs | ratio | tolerance | status |",
+                  "| --- | --- | --- | --- | --- | --- | --- | --- |"]
         for name, rec in grouped[title]:
-            status = "inconclusive" if rec["inconclusive"] else (
-                "pass" if rec["passed"] else "FAIL"
-            )
-            def cell(v):
-                return "" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v)
-            lines.append(
-                "| {} | {} | {} | {} | {} | {} | {} | {} |".format(
-                    name, rec["audit_tag"], rec["citation"],
-                    cell(rec["lhs"]), cell(rec["rhs"]), cell(rec["ratio"]),
-                    cell(rec["tolerance"]), status,
-                )
-            )
+            cells = map(_markdown_cell, (rec["lhs"], rec["rhs"], rec["ratio"], rec["tolerance"]))
+            lines.append("| {} | {} | {} | {} | {} | {} | {} | {} |".format(
+                name, rec["audit_tag"], rec["citation"], *cells, _status(rec, ("FAIL", "pass"))))
         lines.append("")
     return "\n".join(lines)
 
 
+RENDERERS = {"csv": manifest_to_csv, "json": render_manifest, "md": manifest_to_markdown}
+
+
 def render_report(manifest: dict, fmt: str) -> str:
-    if fmt == "csv":
-        return manifest_to_csv(manifest)
-    if fmt == "json":
-        return render_manifest(manifest)
-    if fmt == "md":
-        return manifest_to_markdown(manifest)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in RENDERERS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return RENDERERS[fmt](manifest)

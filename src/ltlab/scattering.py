@@ -42,7 +42,8 @@ Each batch of wavenumbers is one Jost pass, and a scalar pass costs nearly
 the same for 9 k as for 100: the loop over steps dominates.  Each k's data
 are computed elementwise at the batch's step, so where two batches would
 take the same step (_jost_step) they are solved as one with no value moved;
-compute_scattering does so for the first doubling of end probes.
+compute_scattering does so for the first doubling of end probes, and counts
+its passes, their GL2 steps and the wavenumbers they solve.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ _BLOCK_VALUES = 1 << 13
 _CENTRE_TOL = 1e-14
 
 
-def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: float):
-    """Carry [F; F'] for both +-k from the right support edge to the left one."""
+def _stages(potential: SampledPotential, step_target: float):
+    """The step s of a pass, right to left, V at its two Gauss nodes per step, interleaved,
+    and whether it takes the mirror path: a centred scalar well with mirror-symmetric samples."""
     a, b = potential.support
-    n = potential.matrix_dim
     span = b - a
     ns = max(1, int(math.ceil(span / step_target)))
     s = -span / ns
@@ -96,6 +97,16 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
     nodes[0::2] = x_steps + _C1 * s
     nodes[1::2] = x_steps + _C2 * s
     vn = potential.sample_at(nodes)
+    mirrored = (potential.matrix_dim == 1 and abs(a + b) <= _CENTRE_TOL * span
+                and mirror_symmetric(vn[:, 0, 0].real))
+    return s, vn, mirrored
+
+
+def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: float):
+    """Carry [F; F'] for both +-k from the right support edge to the left one."""
+    a, b = potential.support
+    n = potential.matrix_dim
+    s, vn, mirrored = _stages(potential, step_target)
 
     k = np.asarray(k_values, dtype=float)
     phase = np.exp(1j * k * b)
@@ -107,7 +118,7 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
         # the +k solution rides as two real columns, Re and Im
         vr = vn[:, 0, 0].real
         y = np.stack([start.real, start.imag], axis=1)
-        if abs(a + b) <= _CENTRE_TOL * span and mirror_symmetric(vr):
+        if mirrored:
             vr = 0.5 * (vr + vr[::-1])
             f, fp = _mirror_scalar(vr[0::2], vr[1::2], k, s, y, a)
         else:
@@ -232,19 +243,19 @@ def _match(y_top, y_bot, k: np.ndarray, x_left: float, n: int):
     return a_pos, b_pos, a_neg, b_neg
 
 
-def _jost_step(potential: SampledPotential, k_top: float) -> float:
-    """The Jost step, before refine, of a batch whose largest wavenumber is k_top.
+def _jost_step(potential: SampledPotential, k_top: float, refine: int = 1) -> float:
+    """The Jost step, divided by refine, of a batch whose largest wavenumber is k_top.
 
     Half the sample spacing caps it; above k_top = 2 / (OSCILLATION_FRACTION
     grid_step) the rule 1 / (OSCILLATION_FRACTION k_top) is finer and sets
     it.  The step never grows with k_top.
     """
-    return min(potential.grid_step / 2.0, 1.0 / (OSCILLATION_FRACTION * k_top))
+    return min(potential.grid_step / 2.0, 1.0 / (OSCILLATION_FRACTION * k_top)) / refine
 
 
 def _solve_batch(potential: SampledPotential, k: np.ndarray, refine: int):
     """A(k), B(k), A(-k), B(-k) at positive k, stepped to resolve the largest k."""
-    y_top, y_bot = _propagate(potential, k, _jost_step(potential, k.max()) / refine)
+    y_top, y_bot = _propagate(potential, k, _jost_step(potential, k.max(), refine))
     return _match(y_top, y_bot, k, potential.support[0], potential.matrix_dim)
 
 
@@ -257,7 +268,7 @@ class ScatteringData:
     nodes below K_MIN, down to about 1e-15, enter only i0, i2 and i4: there
     |A|^2 grows like k^-2, so an absolute unitarity residual means nothing.
     integral_details holds the error estimates of I_0, I_2, I_4 keyed by j,
-    and the end of the k-integrals.
+    and the end of the k-integrals.  work counts the Jost passes, their steps and wavenumbers.
     """
 
     k_grid: np.ndarray
@@ -271,6 +282,7 @@ class ScatteringData:
     i2: float
     i4: float
     integral_details: dict
+    work: dict
 
 
 def _tail_stop(logdet: np.ndarray, earliest: int) -> int | None:
@@ -378,13 +390,16 @@ def compute_scattering(
     step, not on the other k in its batch, so one Jost pass is saved and no
     value moves.
     """
-    solved_k, solved_logdet, batches = np.empty(0), np.empty(0), []
+    solved_k, solved_logdet, batches, steps = np.empty(0), np.empty(0), [], 0
 
     def solve(k):
-        nonlocal solved_k, solved_logdet
+        nonlocal solved_k, solved_logdet, steps
         fresh = np.setdiff1d(k, solved_k)
         if fresh.size:
             batches.append(_solve_batch(potential, fresh, refine))
+            # the steps of the pass: the first half, rounded up, on the mirror path
+            _, vn, mirrored = _stages(potential, _jost_step(potential, fresh.max(), refine))
+            steps += (vn.shape[0] + 2) // 4 if mirrored else vn.shape[0] // 2
             solved_k = np.concatenate([solved_k, fresh])
             solved_logdet = np.concatenate([solved_logdet, np.linalg.slogdet(batches[-1][0])[1]])
         order = np.argsort(solved_k)
@@ -429,6 +444,7 @@ def compute_scattering(
             "errors": dict(zip((0, 2, 4), error.tolist())),
             "end": end,
         },
+        work={"passes": len(batches), "steps": steps, "wavenumbers": solved_k.size},
     )
 
 

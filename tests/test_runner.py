@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ltlab
-from ltlab import cli, runner, scattering
+from ltlab import cli, potentials, runner, scattering
 
 
 def write_config(tmp_path, scenarios, name="config.json"):
@@ -178,6 +178,22 @@ def test_scenario_timings_cover_audits_and_stages(tmp_path):
     # an audit's seconds include the stages it built
     assert timings["sharp-half"] >= timings["spectrum"]
     assert "timings" not in runner.strip_timing(manifest)["scenarios"][0]
+
+
+def test_scattering_scenarios_record_their_jost_work(tmp_path):
+    cfg = write_config(tmp_path, [
+        {"name": "pt", "potential": POSCHL_TELLER_1, "audits": ["unitarity", "spectral-positivity"]},
+        {"name": "pt-spectrum", "potential": POSCHL_TELLER_1, "audits": ["sharp-half"]},
+    ])
+    manifest = runner.run_config(cfg)
+    jost, spectral = manifest["scenarios"]
+    data = scattering.compute_scattering(potentials.build(POSCHL_TELLER_1))
+    assert jost["provenance"] == {"scattering": data.work}
+    assert data.work["passes"] >= 1 and data.work["steps"] >= 1
+    assert data.work["wavenumbers"] >= data.k_grid.size
+    assert spectral["provenance"] == {}
+    # the counts are deterministic, so strip_timing keeps them
+    assert runner.strip_timing(manifest)["scenarios"][0]["provenance"] == jost["provenance"]
 
 
 def test_report_formats(tmp_path):

@@ -114,10 +114,13 @@ def test_every_wavenumber_is_solved_once(monkeypatch, square_well):
     for well, k_max in ((lopsided, None), (square_well, 30.0)):
         with monkeypatch.context() as patch:
             calls = _counting_solves(patch)
+            counted = _count_steps(patch)
             data = scattering.compute_scattering(well, k_max=k_max)
         solved = np.concatenate(calls)
         assert np.unique(solved).size == solved.size
         assert data.k_grid.size == np.count_nonzero(solved >= scattering.K_MIN)
+        # the square well is even, so its passes take the mirror path's half
+        assert data.work == {"passes": len(calls), "steps": sum(counted), "wavenumbers": solved.size}
     # the sample cap sets the step up to k = 2 K_SPLIT on the default grid, so
     # the first doubling of end probes rides in the first pass; on the
     # coarser grid 1/8 of the kernels workload's nu = 1 well the step at
