@@ -34,9 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_cmd = sub.add_parser("report", help="render a manifest")
     report_cmd.add_argument("--manifest", required=True, help="path to manifest.json")
-    report_cmd.add_argument(
-        "--format", required=True, choices=("csv", "json", "md"), dest="fmt"
-    )
+    # a format not in runner.RENDERERS exits 2 in main: this module imports
+    # runner only after it has set OPENBLAS_NUM_THREADS
+    report_cmd.add_argument("--format", required=True, dest="fmt", help="report format")
 
     diff_cmd = sub.add_parser("diff", help="compare two manifests record by record")
     diff_cmd.add_argument("old", help="path to the reference manifest.json")
@@ -86,7 +86,11 @@ def main(argv=None) -> int:
         manifest = _load_manifest(args.manifest)
         if manifest is None:
             return 2
-        sys.stdout.write(runner.render_report(manifest, args.fmt))
+        try:
+            sys.stdout.write(runner.render_report(manifest, args.fmt))
+        except ValueError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
         return 0
     manifests = [_load_manifest(args.old), _load_manifest(args.new)]  # the diff command
     if None in manifests:

@@ -58,16 +58,88 @@ class Scenario:
     options: dict = field(default_factory=dict)
 
 
-def _check_potential(spec, where: str):
-    """Family, nesting and parameters of a potential spec, nested specs too."""
+class Kind(NamedTuple):
+    """A field's type: what a refusal says it expected, its test and its conversion."""
+
+    expected: str
+    accept: Callable
+    convert: Callable = lambda value: value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_couplings(value) -> bool:
+    if isinstance(value, dict):
+        return (set(value) == {"start", "stop", "count"} and _is_int(value["count"])
+                and _is_number(value["start"]) and _is_number(value["stop"]))
+    return NUMBERS.accept(value)
+
+
+NUMBER = Kind("numeric value", _is_number, float)
+INTEGER = Kind("integer value", _is_int)
+NUMBERS = Kind("numeric-list value", lambda v: isinstance(v, list) and all(map(_is_number, v)), tuple)
+FLAG = Kind("boolean value", lambda v: isinstance(v, bool))
+CONSTANT = Kind(
+    "numeric or 'pi' value", lambda v: v == "pi" or _is_number(v),
+    lambda v: math.pi if v == "pi" else float(v),
+)
+OBJECT = Kind("an object", lambda v: isinstance(v, dict))
+POSITIVE = Kind("a positive number", lambda v: _is_number(v) and v > 0)
+
+# The fields of each config object; None takes any value, or one that a
+# check of its own reads.
+CONFIG_FIELDS = {
+    "schema_version": Kind(str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
+    "suite": None,
+    "scenarios": Kind("a list", lambda v: isinstance(v, list)),
+}
+SCENARIO_FIELDS = {
+    "name": Kind("a nonempty string", lambda v: isinstance(v, str) and v != ""),
+    "audits": Kind("a nonempty list", lambda v: isinstance(v, list) and v != []),
+    "potential": None, "grid": OBJECT, "tolerances": OBJECT, "options": OBJECT,
+}
+GRID_FIELDS = {
+    "refine": Kind("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "k_max": Kind(f"a number above K_MIN = {scattering.K_MIN}",
+                  lambda v: _is_number(v) and scattering.K_MIN < v < math.inf),
+    "num_interior": Kind(f"an integer of at least {spectral1d.MIN_INTERIOR_POINTS}",
+                         lambda v: _is_int(v) and v >= spectral1d.MIN_INTERIOR_POINTS),
+    "box_radius": POSITIVE,
+}
+POTENTIAL_FIELDS = {"family": None, "parameters": OBJECT}
+
+
+def _check_fields(spec, fields: dict, where: str, required=(), unknown="{where}: unknown key {key!r}"):
+    """Refuse a spec that is not an object, then a key not in fields, then a value not
+    of its field's Kind; a required key that is missing is read as None.
+
+    where is the spec's path, empty at the top level of a config.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where or 'config'}: expected an object")
+    unknown_keys = sorted(set(spec) - set(fields))
+    if unknown_keys:
+        raise ConfigError(unknown.format(where=where or "config", key=unknown_keys[0]))
+    for key, kind in fields.items():
+        if kind is not None and (key in spec or key in required) and not kind.accept(spec.get(key)):
+            raise ConfigError(f"{where}.{key}: expected {kind.expected}, found {spec.get(key)!r}".lstrip("."))
+
+
+def _check_potential(spec, where: str, fields: dict = POTENTIAL_FIELDS):
+    """Family, keys, nesting and parameters of a potential spec, nested specs too."""
     if not isinstance(spec, dict) or spec.get("family") not in potentials.FAMILIES:
         raise ConfigError(
             f"{where}: expected an object with a family in {list(potentials.FAMILIES)}"
         )
+    _check_fields(spec, fields, where)
     family = spec["family"]
     parameters = spec.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise ConfigError(f"{where}.parameters: expected an object")
     if family == "direct-sum":
         blocks = parameters.get("blocks")
         if set(parameters) != {"blocks"} or not isinstance(blocks, list) or len(blocks) != 2:
@@ -98,49 +170,9 @@ def _check_well(spec, where: str):
             raise ConfigError(f"{where}: a gaussian well needs {missing[0]!r}")
         _check_fields(spec, {"kind": None, "depth": NUMBER, "width": NUMBER}, where)
     elif kind == "separable":
-        _check_fields(spec, dict.fromkeys(("kind", "family", "parameters")), where)
-        _check_potential(spec, where)
+        _check_potential(spec, where, POTENTIAL_FIELDS | {"kind": None})
     else:
         raise ConfigError(f"{where}: expected an object with kind 'gaussian' or 'separable'")
-
-
-def _check_fields(spec: dict, fields: dict, where: str):
-    """Refuse a key not in fields, then a value not of its field's Kind (None takes any)."""
-    unknown = set(spec) - set(fields)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
-    for key, kind in fields.items():
-        if kind is not None and key in spec and not kind.accept(spec[key]):
-            raise ConfigError(f"{where}.{key}: expected {kind.adjective} value, found {spec[key]!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_grid(grid: dict, where: str):
-    """Each grid key is known and its value lies where the solvers accept it."""
-    checks = {
-        "refine": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-        "k_max": (
-            lambda v: _is_number(v) and scattering.K_MIN < v < math.inf,
-            f"a number above K_MIN = {scattering.K_MIN}",
-        ),
-        "num_interior": (
-            lambda v: _is_int(v) and v >= spectral1d.MIN_INTERIOR_POINTS,
-            f"an integer of at least {spectral1d.MIN_INTERIOR_POINTS}",
-        ),
-        "box_radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    }
-    _check_fields(grid, dict.fromkeys(checks), where)
-    for key, value in grid.items():
-        accept, expected = checks[key]
-        if not accept(value):
-            raise ConfigError(f"{where}.{key}: expected {expected}, found {value!r}")
 
 
 def _check_density(spec, where: str):
@@ -151,26 +183,33 @@ def _check_density(spec, where: str):
     _check_fields(spec, fields, where)
 
 
+def _check_inputs(audits, item: dict, where: str):
+    """Each input an audit reads is given: the potential, options.well or options.density."""
+    options = item.get("options", {})
+    for tag in audits:
+        for name in AUDITS[tag].inputs:
+            # fractional-moment reads the density only to search for its constant
+            if tag == "fractional-moment" and name == "density" and "comparison_constant" in options:
+                continue
+            path, given = (name, item) if name == "potential" else (f"options.{name}", options)
+            if name not in given:
+                raise ConfigError(f"{where}.{path}: audit {tag!r} needs a {name}")
+
+
 def _check_options(audits, options: dict, where: str):
-    """The inputs the audits read, then their required options, then every option's type."""
-    needs = {name: [t for t in audits if name in AUDITS[t].inputs] for name in ("well", "density")}
-    if "comparison_constant" not in options:
-        # fractional-moment reads the density only to search for its constant
-        needs["density"] += [t for t in audits if t == "fractional-moment"]
-    for name, check in (("well", _check_well), ("density", _check_density)):
-        if needs[name] and name not in options:
-            raise ConfigError(f"{where}.{name}: audit {needs[name][0]!r} needs a {name}")
-        if name in options:
-            check(options[name], f"{where}.{name}")
+    """The well and density, the audits' required options, every known option's type."""
+    if "well" in options:
+        _check_well(options["well"], f"{where}.well")
+    if "density" in options:
+        _check_density(options["density"], f"{where}.density")
     for tag in audits:
         for name, default in AUDITS[tag].options.items():
             kind = OPTION_KINDS[name]
             if default is REQUIRED and not kind.accept(options.get(name)):
-                raise ConfigError(f"{where}.{name}: audit {tag!r} needs a {kind.adjective} {name}")
-    for name, value in options.items():
-        kind = OPTION_KINDS.get(name)
-        if kind is not None and not kind.accept(value):
-            raise ConfigError(f"{where}.{name}: expected {kind.adjective} value, found {value!r}")
+                adjective = kind.expected.removesuffix(" value")
+                raise ConfigError(f"{where}.{name}: audit {tag!r} needs a {adjective} {name}")
+    # option names are not checked yet: a name not in OPTION_KINDS takes any value
+    _check_fields(options, dict.fromkeys(options) | OPTION_KINDS, where)
     if "stable-c0" in audits and options.get("reference") is None and not options.get("refine_grid"):
         raise ConfigError(f"{where}.reference: audit 'stable-c0' needs a reference or refine_grid: true")
 
@@ -203,63 +242,30 @@ def _check_stage_grids(scenario: Scenario, where: str):
 
 
 def validate_config(config) -> list[Scenario]:
-    if not isinstance(config, dict):
-        raise ConfigError("config: expected a JSON object")
-    version = config.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, found {version!r}"
-        )
-    raw = config.get("scenarios")
-    if not isinstance(raw, list):
-        raise ConfigError("scenarios: expected a list")
+    _check_fields(config, CONFIG_FIELDS, "", required=("schema_version", "scenarios"))
     scenarios = []
     seen = set()
-    for i, item in enumerate(raw):
+    for i, item in enumerate(config["scenarios"]):
         where = f"scenarios[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where}: expected an object")
-        name = item.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"{where}.name: expected a nonempty string")
+        _check_fields(item, SCENARIO_FIELDS, where, required=("name", "audits"))
+        name, audits = item["name"], item["audits"]
         if name in seen:
             raise ConfigError(f"{where}.name: duplicate scenario name {name!r}")
         seen.add(name)
-        audits = item.get("audits")
-        if not isinstance(audits, list) or not audits:
-            raise ConfigError(f"{where}.audits: expected a nonempty list")
         for tag in audits:
-            if tag not in AUDITS:
+            if not isinstance(tag, str) or tag not in AUDITS:
                 raise ConfigError(f"{where}.audits: unknown audit tag {tag!r}")
-        potential_spec = item.get("potential")
-        if potential_spec is not None:
-            _check_potential(potential_spec, f"{where}.potential")
-        needs_potential = [t for t in audits if "potential" in AUDITS[t].inputs]
-        if needs_potential and potential_spec is None:
-            raise ConfigError(
-                f"{where}.potential: audit {needs_potential[0]!r} needs a potential"
-            )
-        grid = item.get("grid", {})
-        if not isinstance(grid, dict):
-            raise ConfigError(f"{where}.grid: expected an object")
-        _check_grid(grid, f"{where}.grid")
-        tolerances = item.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError(f"{where}.tolerances: expected an object")
-        for tag, value in tolerances.items():
-            if not _is_number(value) or value <= 0:
-                raise ConfigError(f"{where}.tolerances.{tag}: expected a positive number")
-            if tag not in audits or AUDITS[tag].tolerance is None:
-                raise ConfigError(
-                    f"{where}.tolerances.{tag}: expected one of the scenario's audits "
-                    "that takes a tolerance"
-                )
-        options = item.get("options", {})
-        if not isinstance(options, dict):
-            raise ConfigError(f"{where}.options: expected an object")
+        if "potential" in item:
+            _check_potential(item["potential"], f"{where}.potential")
+        _check_inputs(audits, item, where)
+        grid, tolerances, options = (item.get(key, {}) for key in ("grid", "tolerances", "options"))
+        _check_fields(grid, GRID_FIELDS, f"{where}.grid")
+        tolerated = [tag for tag in audits if AUDITS[tag].tolerance is not None]
+        _check_fields(tolerances, dict.fromkeys(tolerated, POSITIVE), f"{where}.tolerances",
+                      unknown="{where}.{key}: expected one of the scenario's audits that takes a tolerance")
         _check_options(audits, options, f"{where}.options")
         scenarios.append(Scenario(
-            name=name, audits=tuple(audits), potential_spec=potential_spec,
+            name=name, audits=tuple(audits), potential_spec=item.get("potential"),
             grid=dict(grid), tolerances=dict(tolerances), options=dict(options),
         ))
         _check_stage_grids(scenarios[-1], where)
@@ -415,30 +421,6 @@ def _plotted(ctx, name: str, result) -> list:
     return reports
 
 
-class Kind(NamedTuple):
-    """An option's type: the word for it in messages, its test and its conversion."""
-
-    adjective: str
-    accept: Callable
-    convert: Callable = lambda value: value
-
-
-def _is_couplings(value) -> bool:
-    if isinstance(value, dict):
-        return (set(value) == {"start", "stop", "count"} and _is_int(value["count"])
-                and _is_number(value["start"]) and _is_number(value["stop"]))
-    return NUMBERS.accept(value)
-
-
-NUMBER = Kind("numeric", _is_number, float)
-INTEGER = Kind("integer", _is_int)
-NUMBERS = Kind("numeric-list", lambda v: isinstance(v, list) and all(map(_is_number, v)), tuple)
-FLAG = Kind("boolean", lambda v: isinstance(v, bool))
-CONSTANT = Kind(
-    "numeric or 'pi'", lambda v: v == "pi" or _is_number(v),
-    lambda v: math.pi if v == "pi" else float(v),
-)
-
 # One type per option name.  box_radius, num_interior and field_strength are
 # also read by the planar stages.  Names not listed here are ignored.
 OPTION_KINDS = {
@@ -446,7 +428,7 @@ OPTION_KINDS = {
     "integral": NUMBER, "widths": NUMBERS, "saturation_floor": NUMBER,
     "gammas": NUMBERS, "count": INTEGER, "seed": INTEGER,
     "epsilons": NUMBERS, "n_max": INTEGER, "slope_cap": NUMBER,
-    "couplings": Kind("numeric-list or {start, stop, count}", _is_couplings),
+    "couplings": Kind("numeric-list or {start, stop, count} value", _is_couplings),
     "magnetic_gamma": NUMBER, "gauge_points": INTEGER, "gauge_seed": INTEGER,
     "lifting_gamma": NUMBER, "operator_exponent": NUMBER, "reference": CONSTANT,
     "refine_grid": FLAG, "comparison_constant": CONSTANT, "box_margin": NUMBER,
@@ -585,8 +567,8 @@ AUDITS = {
             fractional.c0_search(o["operator_exponent"], ctx.density())
             if o["comparison_constant"] is None else o["comparison_constant"],
             box_margin=o["box_margin"], num_points=o["num_points"], base_tolerance=tol)],
-        ("potential",), {"operator_exponent": REQUIRED, "comparison_constant": None,
-                         "box_margin": 10.0, "num_points": 1024}, 1e-6),
+        ("potential", "density"), {"operator_exponent": REQUIRED, "comparison_constant": None,
+                                   "box_margin": 10.0, "num_points": 1024}, 1e-6),
 }
 
 

@@ -103,10 +103,15 @@ def _stages(potential: SampledPotential, step_target: float):
 
 
 def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: float):
-    """Carry [F; F'] for both +-k from the right support edge to the left one."""
+    """Carry [F; F'] for both +-k from the right support edge to the left one.
+
+    Returns F and F' at the left edge and the number of GL2 steps taken:
+    the grid's ns, or (ns + 1) // 2 on the mirror path.
+    """
     a, b = potential.support
     n = potential.matrix_dim
     s, vn, mirrored = _stages(potential, step_target)
+    ns = len(vn) // 2
 
     k = np.asarray(k_values, dtype=float)
     phase = np.exp(1j * k * b)
@@ -126,14 +131,14 @@ def _propagate(potential: SampledPotential, k_values: np.ndarray, step_target: f
             f, fp = y[:, 0] + 1j * y[:, 1]
         y_top = np.stack([f, np.conj(f)], axis=-1)[:, None, :]
         y_bot = np.stack([fp, np.conj(fp)], axis=-1)[:, None, :]
-        return y_top, y_bot
+        return y_top, y_bot, (ns + 1) // 2 if mirrored else ns
 
     # rows F, F' of each channel; columns e^{ikx}, then e^{-ikx}, per channel
     y = np.zeros((2 * n, 2 * n, k.size), dtype=complex)
     for i in range(n):
         y[i::n, i::n] = np.stack([start, np.conj(start)], axis=1)
     y = _steps(vn[0::2], vn[1::2], k, s, y)
-    return np.moveaxis(y[:n], -1, 0), np.moveaxis(y[n:], -1, 0)
+    return np.moveaxis(y[:n], -1, 0), np.moveaxis(y[n:], -1, 0), ns
 
 
 def _steps(v1, v2, k, s, y):
@@ -254,9 +259,10 @@ def _jost_step(potential: SampledPotential, k_top: float, refine: int = 1) -> fl
 
 
 def _solve_batch(potential: SampledPotential, k: np.ndarray, refine: int):
-    """A(k), B(k), A(-k), B(-k) at positive k, stepped to resolve the largest k."""
-    y_top, y_bot = _propagate(potential, k, _jost_step(potential, k.max(), refine))
-    return _match(y_top, y_bot, k, potential.support[0], potential.matrix_dim)
+    """(A(k), B(k), A(-k), B(-k)) at positive k, stepped to resolve the largest k,
+    and the GL2 steps of the pass."""
+    y_top, y_bot, steps = _propagate(potential, k, _jost_step(potential, k.max(), refine))
+    return _match(y_top, y_bot, k, potential.support[0], potential.matrix_dim), steps
 
 
 @dataclass
@@ -396,10 +402,9 @@ def compute_scattering(
         nonlocal solved_k, solved_logdet, steps
         fresh = np.setdiff1d(k, solved_k)
         if fresh.size:
-            batches.append(_solve_batch(potential, fresh, refine))
-            # the steps of the pass: the first half, rounded up, on the mirror path
-            _, vn, mirrored = _stages(potential, _jost_step(potential, fresh.max(), refine))
-            steps += (vn.shape[0] + 2) // 4 if mirrored else vn.shape[0] // 2
+            matching, pass_steps = _solve_batch(potential, fresh, refine)
+            batches.append(matching)
+            steps += pass_steps
             solved_k = np.concatenate([solved_k, fresh])
             solved_logdet = np.concatenate([solved_logdet, np.linalg.slogdet(batches[-1][0])[1]])
         order = np.argsort(solved_k)

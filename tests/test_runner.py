@@ -257,6 +257,10 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert code == 0
     assert captured.out.startswith("scenario,audit_tag")
 
+    code = cli.main(["report", "--manifest", str(out / "manifest.json"), "--format", "xml"])
+    assert code == 2
+    assert "unknown report format 'xml'" in capsys.readouterr().err
+
     code = cli.main(["report", "--manifest", str(tmp_path / "missing.json"), "--format", "md"])
     assert code == 2
 
@@ -388,6 +392,38 @@ def test_ill_typed_options_exit_two(tmp_path, capsys, scenario, message):
         runner.validate_config(json.loads(cfg.read_text()))
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+GAUSSIAN_1 = {"family": "gaussian", "parameters": {"depth": 1.0, "width": 1.0}}
+MISPLACED_STEP = {**GAUSSIAN_1, "grid_step": 0.05}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"suit": "unit"}, "config: unknown key 'suit'"),
+    ({"scenarios": [{**CLOSED_FORMS, "tolerance": {"lifting-identity": 0.1}}]},
+     "scenarios[0]: unknown key 'tolerance'"),
+    ({"scenarios": [{**CLOSED_FORMS, "gird": {"num_interior": 800}}]},
+     "scenarios[0]: unknown key 'gird'"),
+    # a grid_step beside parameters, not inside them
+    ({"scenarios": [{"name": "a", "audits": ["sharp-half"], "potential": MISPLACED_STEP}]},
+     "scenarios[0].potential: unknown key 'grid_step'"),
+    ({"scenarios": [{"name": "a", "audits": ["sharp-half"], "potential": {
+        "family": "direct-sum", "parameters": {"blocks": [GAUSSIAN_1, MISPLACED_STEP]}}}]},
+     "scenarios[0].potential.parameters.blocks[1]: unknown key 'grid_step'"),
+    ({"scenarios": [{"name": "a", "audits": ["sharp-half"], "potential": {
+        "family": "scaled", "parameters": {"base": MISPLACED_STEP, "coupling": 2.0}}}]},
+     "scenarios[0].potential.parameters.base: unknown key 'grid_step'"),
+], ids=["top-level", "scenario-tolerance", "scenario-grid", "potential", "direct-sum-block",
+        "scaled-base"])
+def test_unknown_config_keys_exit_two(tmp_path, capsys, config, message):
+    config = {"schema_version": 1, "suite": "unit", "scenarios": [CLOSED_FORMS], **config}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(runner.ConfigError, match=re.escape(message)):
+        runner.validate_config(config)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -584,6 +620,9 @@ def test_bundled_suite_and_benchmark_workloads_validate():
                 for name in workloads.WORKLOADS for seed in (0, 1, 2, 3, 4, 55)]
     for config in configs:
         assert runner.validate_config(config)
+    # a separable well's kind key is a well key, not a potential key
+    assert any(scenario.get("options", {}).get("well", {}).get("kind") == "separable"
+               for config in configs for scenario in config["scenarios"])
 
 
 def test_cli_diff_exit_codes(tmp_path, capsys):

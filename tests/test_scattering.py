@@ -20,7 +20,8 @@ def square_well_data(square_well):
 
 def _a_at(potential, k, refine):
     """A(k) of a scalar well from a one-point batch."""
-    return scattering._solve_batch(potential, np.array([k]), refine)[0][0, 0, 0]
+    (a_pos, *_), _ = scattering._solve_batch(potential, np.array([k]), refine)
+    return a_pos[0, 0, 0]
 
 
 def test_square_well_matching_oracle(square_well):
@@ -136,6 +137,27 @@ def test_every_wavenumber_is_solved_once(monkeypatch, square_well):
         assert [k.size for k in calls] == sizes
 
 
+def test_each_pass_samples_its_stages_once(monkeypatch, square_well):
+    # the pass reports its own steps, so counting them samples no stage again
+    lopsided = potentials.build_family(
+        "random-smooth", matrix_dim=1, seed=3, real_valued=True,
+        support_radius=2.0, modes=3, grid_step=0.05,
+    )
+    for well, k_max in ((lopsided, None), (square_well, 30.0)):
+        sampled = []
+        stages = scattering._stages
+
+        def counting(*args):
+            sampled.append(args)
+            return stages(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scattering, "_stages", counting)
+            data = scattering.compute_scattering(well, k_max=k_max)
+        assert data.work["passes"] > 1
+        assert len(sampled) == data.work["passes"]
+
+
 # well, Jost refine; each batch below stays at or under the sample cap's reach
 BATCH_WELLS = {
     "poschl-teller-3": (
@@ -160,12 +182,14 @@ def test_a_wavenumber_does_not_depend_on_its_batch(name):
     reach = 2.0 / (scattering.OSCILLATION_FRACTION * well.grid_step)
     k_a = reach * np.append(1e-3, np.linspace(0.01, 0.5, 23))
     k_b = reach * 2.0 ** (np.arange(1, 9) / 8.0 - 1.0)
-    alone = scattering._solve_batch(well, k_a, refine)
-    merged = scattering._solve_batch(well, np.concatenate([k_a, k_b]), refine)
+    alone, steps = scattering._solve_batch(well, k_a, refine)
+    merged, merged_steps = scattering._solve_batch(well, np.concatenate([k_a, k_b]), refine)
+    assert merged_steps == steps
     for got, want in zip(merged, alone):
         assert np.array_equal(got[: k_a.size], want)
     # past the cap's reach the merged batch takes a finer step, and A moves
-    finer = scattering._solve_batch(well, np.concatenate([k_a, 2.0 * k_b]), refine)
+    finer, finer_steps = scattering._solve_batch(well, np.concatenate([k_a, 2.0 * k_b]), refine)
+    assert finer_steps > steps
     assert not np.array_equal(finer[0][: k_a.size], alone[0])
 
 
@@ -312,7 +336,7 @@ def test_scalar_steps_equal_the_two_sign_reference():
     )
     k = np.linspace(0.05, 9.0, 37)
     for step in (0.05, 0.013):
-        y_top, y_bot = scattering._propagate(well, k, step)
+        y_top, y_bot, _ = scattering._propagate(well, k, step)
         f, fp = _two_sign_reference(well, k, step)
         for sign in range(2):
             assert np.array_equal(y_top[:, 0, sign], f[sign])
@@ -378,13 +402,13 @@ def test_mirror_path_takes_half_the_steps(monkeypatch, name):
         step = (b - a) / (ns - 0.5)
         with monkeypatch.context() as patch:
             counted = _count_steps(patch)
-            y_top, y_bot = scattering._propagate(well, k, step)
-        assert sum(counted) == (ns + 1) // 2
+            y_top, y_bot, steps = scattering._propagate(well, k, step)
+        assert sum(counted) == steps == (ns + 1) // 2
         with monkeypatch.context() as patch:
             _full_path(patch)
             counted = _count_steps(patch)
-            full_top, full_bot = scattering._propagate(well, k, step)
-        assert sum(counted) == ns
+            full_top, full_bot, steps = scattering._propagate(well, k, step)
+        assert sum(counted) == steps == ns
         parities.add(ns % 2)
         mirror = scattering._match(y_top, y_bot, k, a, 1)
         full = scattering._match(full_top, full_bot, k, a, 1)
@@ -416,8 +440,8 @@ def test_lopsided_and_off_centre_wells_take_the_full_path(monkeypatch):
         a, b = well.support
         step = well.grid_step / 2.0
         counted = _count_steps(monkeypatch)
-        scattering._propagate(well, k, step)
-        assert sum(counted) == int(math.ceil((b - a) / step))
+        _, _, steps = scattering._propagate(well, k, step)
+        assert sum(counted) == steps == int(math.ceil((b - a) / step))
         monkeypatch.undo()
 
 
@@ -488,7 +512,7 @@ def test_scalar_steps_track_a_longdouble_run(monkeypatch, name):
         with monkeypatch.context() as patch:
             if not mirror:
                 _full_path(patch)
-            a_pos, b_pos = scattering._solve_batch(well, k, refine)[:2]
+            (a_pos, b_pos, *_), _ = scattering._solve_batch(well, k, refine)
         assert np.all(np.abs(a_pos[:, 0, 0] - a_ref) / scale <= bound)
         assert np.all(np.abs(b_pos[:, 0, 0] - b_ref) / scale <= bound)
 
@@ -523,8 +547,8 @@ def test_coupled_steps_match_the_rotated_scalar_wells():
     rotated = part(lambda m: u @ m @ np.conj(u.T))
     assert np.abs(rotated.values[:, 0, 1]).max() > 1.0
     k = np.linspace(12.0, 30.0, 19)
-    coupled = scattering._solve_batch(rotated, k, 2)
-    channels = [scattering._solve_batch(part(lambda m: m[:, i:i + 1, i:i + 1]), k, 2)
+    coupled, _ = scattering._solve_batch(rotated, k, 2)
+    channels = [scattering._solve_batch(part(lambda m: m[:, i:i + 1, i:i + 1]), k, 2)[0]
                 for i in range(2)]
     scale = np.abs(coupled[0]).max()
     for got, first, second in zip(coupled, *channels):
