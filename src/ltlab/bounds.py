@@ -95,8 +95,7 @@ def classical_constant_audit() -> list[BoundReport]:
 
 def product_identity_check(gamma: float, d: int) -> BoundReport:
     """One-dimensional constant times the lifted one reproduces dimension d >= 2."""
-    if gamma < 0.5:
-        raise ValueError("need gamma >= 1/2")
+    _check_gamma(gamma)
     lhs = classical_constant(gamma, 1) * classical_constant(gamma + 0.5, d - 1)
     rhs = classical_constant(gamma, d)
     residual = abs(lhs - rhs) / rhs
@@ -190,24 +189,26 @@ def sharp_half_audit(
     )
 
 
+def _sweep_grids(widths) -> list[int]:
+    """The interior points of the sharpness sweep's grid at each of one or more widths; the box
+    radius must be a multiple of the step so both well edges land on nodes, else the scheme is first order."""
+    if len(widths) == 0 or min(widths) <= 0:
+        raise ValueError("need one or more positive widths")
+    cells = [2.0 * SHARPNESS_BOX_RADIUS / (width / SHARPNESS_POINTS_PER_WIDTH) for width in widths]
+    if any(abs(c - round(c)) > 1e-9 for c in cells):
+        raise ValueError("box radius must be an integer multiple of the step")
+    return [int(round(c)) - 1 for c in cells]
+
+
 def sharpness_sweep(
     integral: float = 2.0,
     widths=(1e-1, 1e-2, 1e-3),
     base_tolerance: float = 1e-3,
     saturation_floor: float = 0.499,
 ) -> tuple[list[BoundReport], dict]:
-    """Rank-one wells of fixed weight and shrinking width saturate the bound.
-
-    The box radius must stay an integer multiple of the grid step so both
-    well edges land on nodes; otherwise the scheme degrades to first order.
-    """
+    """Rank-one wells of fixed weight and shrinking width saturate the bound."""
     reports = []
-    for width in widths:
-        step = width / SHARPNESS_POINTS_PER_WIDTH
-        cells = 2.0 * SHARPNESS_BOX_RADIUS / step
-        if abs(cells - round(cells)) > 1e-9:
-            raise ValueError("box radius must be an integer multiple of the step")
-        num_interior = int(round(cells)) - 1
+    for width, num_interior in zip(widths, _sweep_grids(widths)):
         well = potentials.build_family(
             "rank-one-narrow", integral=integral, width=width
         )
@@ -237,6 +238,12 @@ def sharpness_sweep(
     return reports + [saturation], rows
 
 
+def _check_gamma(gamma: float) -> None:
+    """Raise unless gamma >= 1/2, the least index constant_factor(gamma, 1) certifies."""
+    if gamma < 0.5:
+        raise ValueError("need gamma >= 1/2")
+
+
 def lifted_moment_audit(
     potential: SampledPotential,
     spectrum: NegativeSpectrum,
@@ -244,8 +251,7 @@ def lifted_moment_audit(
     base_tolerance: float = 1e-6,
 ) -> BoundReport:
     """Riesz mean at gamma against factor * L^cl * integral of V_-^(gamma+1/2)."""
-    if gamma < 0.5:
-        raise ValueError("need gamma >= 1/2")
+    _check_gamma(gamma)
     potentials.require_nonpositive(potential)
     factor = constant_factor(gamma, 1)
     lhs = spectrum.riesz_mean(gamma)
@@ -301,9 +307,15 @@ def lifting_identity_check(
     )
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise ValueError("need a count of at least 1")
+
+
 def lifting_identity_sweep(
     count: int = 20, seed: int = 7, tolerance: float = 1e-8
 ) -> list[BoundReport]:
+    _check_count(count)
     rng = np.random.default_rng(seed)
     gammas = rng.uniform(0.51, 3.0, count)
     shifts = -rng.uniform(0.1, 10.0, count)

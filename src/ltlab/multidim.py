@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, orth
 
 from . import spectral1d
-from .bounds import classical_constant, constant_factor
+from .bounds import _check_gamma, classical_constant, constant_factor
 from .potentials import simpson_weights
 from .reports import BoundReport, BoundSpec, comparison_report
 from .spectral1d import DiscretizedOperator1D, NegativeSpectrum
@@ -165,6 +165,14 @@ def plane_moment_integral(potential, box_radius: float, gamma: float) -> float:
     return float(w @ (neg ** (gamma + 1.0)) @ w)
 
 
+def _check_plane_gamma(gamma: float, magnetic: bool = False) -> None:
+    """Raise unless gamma lies in [1/2, 5/2], and at 3/2 or above with the field on."""
+    if not 0.5 <= gamma <= 2.5:
+        raise ValueError("gamma must lie in [1/2, 5/2]")
+    if magnetic and gamma < 1.5:
+        raise ValueError("the magnetic factor-1 bound needs gamma >= 3/2")
+
+
 def lt_audit_2d(
     potential,
     spectrum: NegativeSpectrum,
@@ -179,10 +187,7 @@ def lt_audit_2d(
     the link-phase discretization preserves the sharp constants, so the
     certified eigenvalue budget rides on top of base_tolerance.
     """
-    if not 0.5 <= gamma <= 2.5:
-        raise ValueError("gamma must lie in [1/2, 5/2]")
-    if magnetic and gamma < 1.5:
-        raise ValueError("the magnetic factor-1 bound needs gamma >= 3/2")
+    _check_plane_gamma(gamma, magnetic)
     factor = 1.0 if magnetic else constant_factor(gamma, 2)
     lhs = spectrum.riesz_mean(gamma)
     rhs = factor * classical_constant(gamma, 2) * plane_moment_integral(
@@ -340,8 +345,7 @@ def lifting_inequality_audit(
     that of its compression to S, which the 1D solver takes as a dim S
     channel well.  spectrum_2d is the solved planar spectrum on the same grid.
     """
-    if gamma < 0.5:
-        raise ValueError("need gamma >= 1/2")
+    _check_gamma(gamma)
     op = build_operator_2d(potential, box_radius, num_interior)
     m = op.num_interior
     h = op.grid_step

@@ -203,7 +203,8 @@ class SampledPotential:
     The declared support must lie inside the sampled window; samples outside
     the support stay below SUPPORT_THRESHOLD in max-entry norm.  evaluator
     and derivative_evaluator give V and dV/dx at arbitrary points, shape
-    (len(x), n, n), so operators on other grids resample exactly.
+    (len(x), n, n), so operators on other grids resample exactly; a V with
+    jumps has no derivative_evaluator (None).
     """
 
     grid_start: float
@@ -211,7 +212,7 @@ class SampledPotential:
     values: np.ndarray
     support: tuple[float, float]
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
-    derivative_evaluator: Callable[[np.ndarray], np.ndarray] = field(
+    derivative_evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
         repr=False, compare=False
     )
 
@@ -267,7 +268,9 @@ class SampledPotential:
         return out
 
     def derivative_samples(self) -> np.ndarray:
-        """dV/dx on the stored grid."""
+        """dV/dx on the stored grid; raises for a V with jumps."""
+        if self.derivative_evaluator is None:
+            raise ValueError("V has jumps, so it has no derivative dV/dx")
         return self.derivative_evaluator(self.grid)
 
 
@@ -340,7 +343,7 @@ def scale(potential: SampledPotential, coupling: float) -> SampledPotential:
         potential,
         values=c * potential.values,
         evaluator=lambda x: c * ev(x),
-        derivative_evaluator=lambda x: c * dev(x),
+        derivative_evaluator=None if dev is None else lambda x: c * dev(x),
     )
 
 
@@ -385,7 +388,7 @@ def _scalar_family(x_eval, d_eval, support, step):
 
         return g
 
-    return _sampled(masked(x_eval), masked(d_eval), support, step)
+    return _sampled(masked(x_eval), None if d_eval is None else masked(d_eval), support, step)
 
 
 def _build_square_well(depth: float, half_width: float, grid_step: float | None = None):
@@ -402,10 +405,7 @@ def _build_square_well(depth: float, half_width: float, grid_step: float | None 
         out = np.where(np.abs(r - half_width) <= edge_tol, -depth / 2.0, out)
         return out
 
-    def dv(x):
-        return np.zeros_like(np.asarray(x, float))
-
-    return _scalar_family(v, dv, (-half_width, half_width), h)
+    return _scalar_family(v, None, (-half_width, half_width), h)
 
 
 def _build_poschl_teller(nu: float, grid_step: float | None = None):
@@ -480,11 +480,7 @@ def _build_rank_one_narrow(
         amp = np.where(inside, -depth, 0.0) + np.where(onedge, -depth / 2.0, 0.0)
         return amp[:, None, None] * proj[None, :, :]
 
-    def dv(x):
-        x = np.asarray(x, float)
-        return np.zeros((x.size, n, n), dtype=complex)
-
-    return _sampled(v, dv, (0.0, width), h)
+    return _sampled(v, None, (0.0, width), h)
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -597,7 +593,7 @@ def direct_sum(first: SampledPotential, second: SampledPotential) -> SampledPote
         out[:, n1:, n1:] = second.derivative_evaluator(xs)
         return out
 
-    return _sampled(v, dv, (lo, hi), h)
+    return _sampled(v, dv if first.derivative_evaluator and second.derivative_evaluator else None, (lo, hi), h)
 
 
 FAMILY_BUILDERS = {

@@ -38,9 +38,10 @@ from . import (
 from .reports import CSV_COLUMNS, sanitize_json
 
 SCHEMA_VERSION = 1
-DEFAULT_INTERIOR = 1200
-# the default of each option the planar stages read, and of each density key
-STAGE_DEFAULTS = {"box_radius": 8.0, "num_interior": 64, "field_strength": 1.0}
+# the default of each grid value, each option the stages read and each density key
+GRID_DEFAULTS = {"num_interior": 1200, "refine": 1}
+STAGE_DEFAULTS = {"box_radius": 8.0, "num_interior": 64, "field_strength": 1.0,
+                  "couplings": bounds.ALPHA_DEFAULTS}
 DENSITY_DEFAULTS = {"scale": 1.0, "grid_cutoff": 40.0, "grid_points": 801}
 
 
@@ -83,36 +84,40 @@ def _is_couplings(value) -> bool:
 
 NUMBER = Kind("numeric value", _is_number, float)
 INTEGER = Kind("integer value", _is_int)
-NUMBERS = Kind("numeric-list value", lambda v: isinstance(v, list) and all(map(_is_number, v)), tuple)
+NUMBERS = Kind("numeric-list value", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+               lambda v: tuple(map(float, v)))
 FLAG = Kind("boolean value", lambda v: isinstance(v, bool))
 CONSTANT = Kind(
     "numeric or 'pi' value", lambda v: v == "pi" or _is_number(v),
     lambda v: math.pi if v == "pi" else float(v),
 )
 OBJECT = Kind("an object", lambda v: isinstance(v, dict))
-POSITIVE = Kind("a positive number", lambda v: _is_number(v) and v > 0)
+POSITIVE = Kind("a positive number", lambda v: _is_number(v) and v > 0, float)
+NONEMPTY_LIST = Kind("a nonempty list", lambda v: isinstance(v, list) and v != [])
 
 # The fields of each config object; None takes any value, or one that a
 # check of its own reads.
 CONFIG_FIELDS = {
     "schema_version": Kind(str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
     "suite": None,
-    "scenarios": Kind("a list", lambda v: isinstance(v, list)),
+    "scenarios": NONEMPTY_LIST,
 }
 SCENARIO_FIELDS = {
     "name": Kind("a nonempty string", lambda v: isinstance(v, str) and v != ""),
-    "audits": Kind("a nonempty list", lambda v: isinstance(v, list) and v != []),
+    "audits": NONEMPTY_LIST,
     "potential": None, "grid": OBJECT, "tolerances": OBJECT, "options": OBJECT,
 }
 GRID_FIELDS = {
     "refine": Kind("a positive integer", lambda v: _is_int(v) and v >= 1),
     "k_max": Kind(f"a number above K_MIN = {scattering.K_MIN}",
-                  lambda v: _is_number(v) and scattering.K_MIN < v < math.inf),
+                  lambda v: _is_number(v) and scattering.K_MIN < v < math.inf, float),
     "num_interior": Kind(f"an integer of at least {spectral1d.MIN_INTERIOR_POINTS}",
                          lambda v: _is_int(v) and v >= spectral1d.MIN_INTERIOR_POINTS),
     "box_radius": POSITIVE,
 }
 POTENTIAL_FIELDS = {"family": None, "parameters": OBJECT}
+DENSITY_FIELDS = {"stability_index": NUMBER, "scale": NUMBER, "grid_cutoff": NUMBER,
+                  "grid_points": INTEGER}
 
 
 def _check_fields(spec, fields: dict, where: str, required=(), unknown="{where}: unknown key {key!r}"):
@@ -179,8 +184,7 @@ def _check_density(spec, where: str):
     """A numeric stability_index; scale, grid_cutoff and grid_points of their types; no other key."""
     if not isinstance(spec, dict) or not _is_number(spec.get("stability_index")):
         raise ConfigError(f"{where}: expected an object with a numeric stability_index")
-    fields = {"stability_index": NUMBER, "scale": NUMBER, "grid_cutoff": NUMBER, "grid_points": INTEGER}
-    _check_fields(spec, fields, where)
+    _check_fields(spec, DENSITY_FIELDS, where)
 
 
 def _check_inputs(audits, item: dict, where: str):
@@ -214,31 +218,43 @@ def _check_options(audits, options: dict, where: str):
         raise ConfigError(f"{where}.reference: audit 'stable-c0' needs a reference or refine_grid: true")
 
 
+# (audits, option, rule): the rule of those audits' solvers or of the audits
+# themselves that the option's value must pass before any of them runs
+OPTION_RULES = (
+    ({"lifting-2d", "diamagnetic-trend"}, "num_interior", lambda points: multidim._nodes(1.0, points)),
+    ({"lt-2d", "lt-2d-magnetic"}, "num_interior",  # and the Richardson fine grid
+     lambda points: [multidim._nodes(1.0, n) for n in (points, 2 * points + 1)]),
+    ({"gauge-invariance"}, "gauge_points", lambda points: multidim._nodes(1.0, points)),
+    ({"remainder-sweep", "weyl-ratios"}, "couplings", bounds._check_couplings),
+    ({"lifted-moment", "weyl-ratios"}, "gammas", lambda gammas: [bounds._check_gamma(g) for g in gammas]),
+    ({"lt-2d"}, "gammas", lambda gammas: [multidim._check_plane_gamma(g) for g in gammas]),
+    ({"lt-2d-magnetic"}, "magnetic_gamma", lambda gamma: multidim._check_plane_gamma(gamma, magnetic=True)),
+    ({"lifting-2d"}, "lifting_gamma", bounds._check_gamma),
+    ({"sharp-half-sweep"}, "widths", bounds._sweep_grids),
+    ({"lifting-identity"}, "count", bounds._check_count),
+)
+
+
 def _check_stage_grids(scenario: Scenario, where: str):
-    """The grids, couplings and density parameters the audits build pass the solvers' own checks."""
-    ctx, audits, grid = ScenarioContext(scenario), set(scenario.audits), scenario.grid
-    checks = []
-    if audits & {"lt-2d", "lt-2d-magnetic", "lifting-2d", "diamagnetic-trend"}:
-        checks.append(("options.num_interior", lambda: multidim._nodes(1.0, ctx.plane_points())))
-    if audits & {"lt-2d", "lt-2d-magnetic"}:  # and the Richardson fine grid
-        checks.append(("options.num_interior", lambda: multidim._nodes(1.0, 2 * ctx.plane_points() + 1)))
-    if "gauge-invariance" in audits:
-        key = "gauge_points" if "gauge_points" in scenario.options else "num_interior"
-        checks.append((f"options.{key}", lambda: multidim._nodes(1.0, ctx.gauge_points())))
-    if audits & {"remainder-sweep", "weyl-ratios"}:
-        checks.append(("options.couplings", lambda: bounds._check_couplings(ctx.couplings())))
-    if "density" in scenario.options:
-        spec = ctx.density_spec()
-        parameters = float(spec["stability_index"]), float(spec["scale"])
-        checks.append(("options.density (stability_index, scale)",
-                       lambda: fractional._check_stable_parameters(*parameters)))
-        key = "options.density (grid_points, grid_cutoff)"
-        checks.append((key, lambda: fractional._check_momentum_grid(ctx.momentum_grid())))
-    for key, check in checks:
+    """The options of OPTION_RULES and the density pass the rules of the audits that read them."""
+    try:
+        options, audits = ScenarioContext(scenario).options, set(scenario.audits)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
+    # an audit's own defaults pass its rules, so only the options given or the stages' are read
+    checks = [(key, rule, options[key]) for tags, key, rule in OPTION_RULES if audits & tags and key in options]
+    if "density" in options:
+        checks += [("density (stability_index, scale)", lambda density: fractional._check_stable_parameters(
+                        density["stability_index"], density["scale"]), options["density"]),
+                   ("density (grid_points, grid_cutoff)", lambda density: fractional._check_momentum_grid(
+                       _momentum_grid(density)), options["density"])]
+    for key, rule, value in checks:
         try:
-            check()
+            rule(value)
         except ValueError as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from None
+            # a gauge_points not given is num_interior, capped at 32
+            key = "num_interior" if key == "gauge_points" and key not in scenario.options else key
+            raise ConfigError(f"{where}.options.{key}: {exc}") from None
 
 
 def validate_config(config) -> list[Scenario]:
@@ -252,9 +268,11 @@ def validate_config(config) -> list[Scenario]:
         if name in seen:
             raise ConfigError(f"{where}.name: duplicate scenario name {name!r}")
         seen.add(name)
-        for tag in audits:
+        for j, tag in enumerate(audits):
             if not isinstance(tag, str) or tag not in AUDITS:
                 raise ConfigError(f"{where}.audits: unknown audit tag {tag!r}")
+            if tag in audits[:j]:
+                raise ConfigError(f"{where}.audits: duplicate audit tag {tag!r}")
         if "potential" in item:
             _check_potential(item["potential"], f"{where}.potential")
         _check_inputs(audits, item, where)
@@ -272,17 +290,43 @@ def validate_config(config) -> list[Scenario]:
     return scenarios
 
 
+def _resolved(given: dict, kinds: dict, defaults: dict, where: str) -> dict:
+    """The defaults, then each given value converted by its Kind (a name without one as given);
+    a value its Kind cannot convert raises a ConfigError naming where.key."""
+    resolved = dict(defaults)
+    for key, value in given.items():
+        try:
+            resolved[key] = kinds[key].convert(value) if key in kinds else value
+        except (ValueError, OverflowError) as exc:  # a geometric range through 0, an int past float
+            raise ConfigError(f"{where}.{key}: {exc}") from None
+    return resolved
+
+
+def _momentum_grid(density: dict, points: int | None = None) -> np.ndarray:
+    """`points` momenta (default: the density's grid_points) from 0 to its grid_cutoff."""
+    return np.linspace(0.0, density["grid_cutoff"], points or density["grid_points"])
+
+
 class ScenarioContext:
     """Lazy, cached access to the expensive per-scenario objects.
 
-    Each stage is built once per scenario, and a build that raises raises
-    its exception again to each later reader.  `timings` holds the seconds
-    each build took under its key, the stages it first built included, and
-    `provenance` the work counts a stage reports, under the same key.
+    `grid`, `tolerances` and `options` hold the scenario's values converted
+    once by their Kinds, with the stage defaults filled in.  Each stage is
+    built once per scenario, and a build that raises raises its exception
+    again to each later reader.  `timings` holds the seconds each build took
+    under its key, the stages it first built included, and `provenance` the
+    work counts a stage reports, under the same key.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        self.grid = _resolved(scenario.grid, GRID_FIELDS, GRID_DEFAULTS, "grid")
+        self.tolerances = _resolved(scenario.tolerances, dict.fromkeys(AUDITS, POSITIVE), {}, "tolerances")
+        self.options = _resolved(scenario.options, OPTION_KINDS, STAGE_DEFAULTS, "options")
+        self.options.setdefault("gauge_points", min(self.options["num_interior"], 32))
+        if "density" in self.options:
+            self.options["density"] = _resolved(self.options["density"], DENSITY_FIELDS, DENSITY_DEFAULTS,
+                                                "options.density")
         self.plots: dict[str, str] = {}
         self.timings: dict[str, float] = {}
         self.provenance: dict[str, dict] = {}
@@ -300,31 +344,21 @@ class ScenarioContext:
             raise self._cache[key]
         return self._cache[key]
 
-    def option(self, key):
-        return self.scenario.options.get(key, STAGE_DEFAULTS.get(key))
-
-    def tolerance(self, tag: str, default: float) -> float:
-        return float(self.scenario.tolerances.get(tag, default))
-
     def potential(self):
         return self._stage("potential", lambda: potentials.build(self.scenario.potential_spec))
 
     def box_radius(self) -> float:
-        given = self.scenario.grid.get("box_radius")
-        return self._stage("box_radius", lambda: (
-            float(given) if given is not None else spectral1d.default_box(self.potential())
-        ))
+        return self._stage("box_radius", lambda: self.grid.get("box_radius")
+                           or spectral1d.default_box(self.potential()))
 
     def spectrum(self):
         return self._stage("spectrum", lambda: spectral1d.refined_negative_spectrum(
-            self.potential(), self.box_radius(),
-            self.scenario.grid.get("num_interior", DEFAULT_INTERIOR),
-        ))
+            self.potential(), self.box_radius(), self.grid["num_interior"]))
 
     def scattering_data(self):
         def build():
-            data = scattering.compute_scattering(self.potential(), k_max=self.scenario.grid.get("k_max"),
-                                                 refine=self.scenario.grid.get("refine", 1))
+            data = scattering.compute_scattering(self.potential(), k_max=self.grid.get("k_max"),
+                                                 refine=self.grid["refine"])
             self.provenance["scattering"] = data.work
             return data
 
@@ -332,78 +366,36 @@ class ScenarioContext:
 
     def coupling_sweep(self):
         """The potential's spectra at every coupling of options.couplings."""
-        return self._stage(
-            "sweep", lambda: bounds.coupling_sweep(self.potential(), self.couplings())
-        )
-
-    def couplings(self):
-        spec = self.option("couplings")
-        if spec is None:
-            return bounds.ALPHA_DEFAULTS
-        if isinstance(spec, dict):
-            return tuple(np.geomspace(spec["start"], spec["stop"], spec["count"]))
-        return tuple(float(a) for a in spec)
+        return self._stage("sweep", lambda: bounds.coupling_sweep(self.potential(), self.options["couplings"]))
 
     def well_2d(self):
         def build():
-            spec = self.option("well")
+            spec = self.options["well"]
             if spec["kind"] == "gaussian":
                 return multidim.gaussian_well_2d(spec["depth"], spec["width"])
             return multidim.separable_well_2d(potentials.build(spec))
 
         return self._stage("well_2d", build)
 
-    def plane_box(self) -> float:
-        return float(self.option("box_radius"))
-
-    def plane_points(self) -> int:
-        return self.option("num_interior")
-
-    def gauge_points(self) -> int:
-        """options.gauge_points, else the planar side capped at 32."""
-        given = self.option("gauge_points")
-        return min(self.plane_points(), 32) if given is None else given
-
-    def field_strength(self) -> float:
-        return float(self.option("field_strength"))
-
-    def vector_potential(self, magnetic: bool):
-        return multidim.constant_field(self.field_strength()) if magnetic else None
-
     def planar_spectrum(self, num_interior: int, magnetic: bool):
         """Unrefined planar spectrum, solved once per (grid, field)."""
         key = f"planar_spectrum-{num_interior}" + ("-magnetic" if magnetic else "")
-        return self._stage(key, lambda: multidim.negative_spectrum_2d(
-            multidim.build_operator_2d(
-                self.well_2d(), self.plane_box(), num_interior,
-                self.vector_potential(magnetic),
-            )
-        ))
+        return self._stage(key, lambda: multidim.negative_spectrum_2d(multidim.build_operator_2d(
+            self.well_2d(), self.options["box_radius"], num_interior,
+            multidim.constant_field(self.options["field_strength"]) if magnetic else None)))
 
     def spectrum_2d(self, magnetic: bool):
         """Richardson pairing of the planar M and 2M+1 grids, as in one dimension."""
-        points = self.plane_points()
-        return self._stage("spectrum_2d" + ("-magnetic" if magnetic else ""), lambda: (
-            spectral1d.richardson_pair(
-                self.planar_spectrum(points, magnetic),
-                self.planar_spectrum(2 * points + 1, magnetic),
-            )
-        ))
-
-    def density_spec(self) -> dict:
-        return DENSITY_DEFAULTS | self.option("density")
-
-    def momentum_grid(self, points: int | None = None) -> np.ndarray:
-        """`points` momenta (default: the density's grid_points) from 0 to its grid_cutoff."""
-        spec = self.density_spec()
-        return np.linspace(0.0, spec["grid_cutoff"], points or spec["grid_points"])
+        points, key = self.options["num_interior"], "spectrum_2d" + ("-magnetic" if magnetic else "")
+        return self._stage(key, lambda: spectral1d.richardson_pair(
+            self.planar_spectrum(points, magnetic), self.planar_spectrum(2 * points + 1, magnetic)))
 
     def density(self, points: int | None = None):
         """The options' density tabulated on `points` momenta (default: its grid_points)."""
-        spec, grid = self.density_spec(), self.momentum_grid(points)
+        spec = self.options["density"]
+        grid = _momentum_grid(spec, points)
         return self._stage(f"density-{grid.size}", lambda: fractional.stable_density(
-            float(spec["stability_index"]), float(spec["scale"]), grid
-        ))
+            spec["stability_index"], spec["scale"], grid))
 
 
 def _columns_csv(columns: dict) -> str:
@@ -428,7 +420,8 @@ OPTION_KINDS = {
     "integral": NUMBER, "widths": NUMBERS, "saturation_floor": NUMBER,
     "gammas": NUMBERS, "count": INTEGER, "seed": INTEGER,
     "epsilons": NUMBERS, "n_max": INTEGER, "slope_cap": NUMBER,
-    "couplings": Kind("numeric-list or {start, stop, count} value", _is_couplings),
+    "couplings": Kind("numeric-list or {start, stop, count} value", _is_couplings, lambda v: tuple(
+        np.geomspace(v["start"], v["stop"], v["count"]) if isinstance(v, dict) else map(float, v))),
     "magnetic_gamma": NUMBER, "gauge_points": INTEGER, "gauge_seed": INTEGER,
     "lifting_gamma": NUMBER, "operator_exponent": NUMBER, "reference": CONSTANT,
     "refine_grid": FLAG, "comparison_constant": CONSTANT, "box_margin": NUMBER,
@@ -445,8 +438,8 @@ class Audit:
     `run(ctx, options, tolerance)` returns the audit's reports.  `inputs`
     names what it reads besides options: the scenario's potential, or the
     well or density entry of its options.  `options` maps each option it
-    reads to its default, and `tolerance` is its base tolerance, None when
-    it takes none.
+    reads to its default (None: the one ScenarioContext fills in), and
+    `tolerance` is its base tolerance, None when it takes none.
     """
 
     run: Callable
@@ -470,8 +463,7 @@ AUDITS = {
         tolerance=1e-3),
     "lifted-moment": Audit(
         lambda ctx, o, tol: [
-            bounds.lifted_moment_audit(ctx.potential(), ctx.spectrum(), float(g), tol)
-            for g in o["gammas"]],
+            bounds.lifted_moment_audit(ctx.potential(), ctx.spectrum(), g, tol) for g in o["gammas"]],
         ("potential",), {"gammas": (0.5, 1.5)}, 1e-6),
     "half-moment-sandwich": Audit(
         lambda ctx, o, tol: bounds.half_moment_sandwich(ctx.potential(), ctx.spectrum(), tol),
@@ -514,39 +506,39 @@ AUDITS = {
         lambda ctx, o, tol: _plotted(ctx, "remainder", bounds.remainder_sweep(
             ctx.potential(), ctx.coupling_sweep(), base_tolerance=tol, slope_cap=o["slope_cap"])),
         ("potential",), {"couplings": None, "slope_cap": 1.6}, 1e-6),
+    # each plot is named by the gamma the config wrote: weyl-1, not weyl-1.0
     "weyl-ratios": Audit(
         lambda ctx, o, tol: [
             report
-            for gamma in o["gammas"]
-            for report in _plotted(ctx, f"weyl-{gamma}", bounds.weyl_ratio_sweep(
-                ctx.potential(), float(gamma), ctx.coupling_sweep(), base_tolerance=tol))],
+            for written, gamma in zip(ctx.scenario.options.get("gammas", o["gammas"]), o["gammas"])
+            for report in _plotted(ctx, f"weyl-{written}", bounds.weyl_ratio_sweep(
+                ctx.potential(), gamma, ctx.coupling_sweep(), base_tolerance=tol))],
         ("potential",), {"gammas": (1.0, 1.5), "couplings": None}, 1e-6),
     "lt-2d": Audit(
-        lambda ctx, o, tol: [
-            multidim.lt_audit_2d(ctx.well_2d(), ctx.spectrum_2d(False), float(gamma),
-                                 ctx.plane_box(), base_tolerance=tol)
+        lambda ctx, o, tol: [multidim.lt_audit_2d(
+            ctx.well_2d(), ctx.spectrum_2d(False), gamma, o["box_radius"], base_tolerance=tol)
             for gamma in o["gammas"]],
         ("well",), {"gammas": (0.75, 1.0, 1.5)}, 1e-3),
     "lt-2d-magnetic": Audit(
         lambda ctx, o, tol: [multidim.lt_audit_2d(
-            ctx.well_2d(), ctx.spectrum_2d(True), o["magnetic_gamma"], ctx.plane_box(),
+            ctx.well_2d(), ctx.spectrum_2d(True), o["magnetic_gamma"], o["box_radius"],
             magnetic=True, base_tolerance=tol)],
         ("well",), {"magnetic_gamma": 1.5}, 1e-3),
     "gauge-invariance": Audit(
         lambda ctx, o, tol: multidim.gauge_invariance_check(
-            ctx.well_2d(), ctx.plane_box(), ctx.gauge_points(),
-            field_strength=ctx.field_strength(), seed=o["gauge_seed"], tolerance=tol),
+            ctx.well_2d(), o["box_radius"], o["gauge_points"],
+            field_strength=o["field_strength"], seed=o["gauge_seed"], tolerance=tol),
         ("well",), {"gauge_points": None, "gauge_seed": 5}, 1e-8),
     "lifting-2d": Audit(
         lambda ctx, o, tol: [multidim.lifting_inequality_audit(
-            ctx.well_2d(), ctx.plane_box(), ctx.plane_points(), gamma=o["lifting_gamma"],
-            base_tolerance=tol, spectrum_2d=ctx.planar_spectrum(ctx.plane_points(), False))],
+            ctx.well_2d(), o["box_radius"], o["num_interior"], gamma=o["lifting_gamma"],
+            base_tolerance=tol, spectrum_2d=ctx.planar_spectrum(o["num_interior"], False))],
         ("well",), {"lifting_gamma": 1.0}, 1e-9),
     "diamagnetic-trend": Audit(
         lambda ctx, o, tol: [multidim.diamagnetic_trend_check(
-            ctx.planar_spectrum(ctx.plane_points(), False),
-            ctx.planar_spectrum(ctx.plane_points(), True),
-            gamma=o["magnetic_gamma"], field_strength=ctx.field_strength())],
+            ctx.planar_spectrum(o["num_interior"], False),
+            ctx.planar_spectrum(o["num_interior"], True),
+            gamma=o["magnetic_gamma"], field_strength=o["field_strength"])],
         ("well",), {"magnetic_gamma": 1.5}),
     "stable-c0": Audit(
         lambda ctx, o, tol: fractional.c0_reference_audit(
@@ -573,15 +565,9 @@ AUDITS = {
 
 
 def _dispatch(ctx: ScenarioContext, tag: str) -> list:
-    """Run one audit with its options and tolerance resolved from the scenario."""
+    """Run one audit with the scenario's options over its defaults, and its tolerance."""
     audit = AUDITS[tag]
-    given = ctx.scenario.options
-    options = {
-        name: OPTION_KINDS[name].convert(given[name]) if name in given else default
-        for name, default in audit.options.items()
-    }
-    tolerance = None if audit.tolerance is None else ctx.tolerance(tag, audit.tolerance)
-    return audit.run(ctx, options, tolerance)
+    return audit.run(ctx, audit.options | ctx.options, ctx.tolerances.get(tag, audit.tolerance))
 
 
 def run_scenario(scenario: Scenario) -> dict:

@@ -173,6 +173,15 @@ def test_nested_specs_build_like_their_parts(pt1):
     assert np.array_equal(both.derivative_samples(), reference.derivative_samples())
 
 
+def test_families_with_jumps_have_no_derivative(pt1):
+    square = potentials.build_family("square-well", depth=2.0, half_width=1.0)
+    narrow = potentials.build_family("rank-one-narrow", integral=2.0, width=0.1)
+    for pot in (square, narrow, potentials.scale(square, 2.0), potentials.direct_sum(pt1, narrow)):
+        assert pot.derivative_evaluator is None
+        with pytest.raises(ValueError, match="V has jumps"):
+            potentials.derivative_square_integral(pot)
+
+
 def test_unknown_family_raises():
     with pytest.raises(ValueError, match="unknown family"):
         potentials.build_family("morse", depth=1.0)

@@ -31,7 +31,7 @@ def test_validate_config_field_messages():
         runner.validate_config([])
     with pytest.raises(runner.ConfigError, match="schema_version"):
         runner.validate_config({"schema_version": 99, "scenarios": []})
-    with pytest.raises(runner.ConfigError, match="scenarios: expected a list"):
+    with pytest.raises(runner.ConfigError, match="scenarios: expected a nonempty list"):
         runner.validate_config({"schema_version": 1, "scenarios": "x"})
 
     def check(scenarios, message):
@@ -46,7 +46,10 @@ def test_validate_config_field_messages():
         ],
         r"scenarios\[1\].name: duplicate",
     )
+    check([], r"scenarios: expected a nonempty list, found \[\]")
     check([{"name": "a", "audits": []}], "nonempty list")
+    check([{"name": "a", "audits": ["cauchy-kernel", "lifting-identity", "cauchy-kernel"]}],
+          r"scenarios\[0\].audits: duplicate audit tag 'cauchy-kernel'")
     check([{"name": "a", "audits": ["bogus-tag"]}], "unknown audit tag 'bogus-tag'")
     check(
         [{"name": "a", "audits": ["sharp-half"]}],
@@ -130,22 +133,29 @@ def test_run_config_writes_outputs(tmp_path):
     assert header == "scenario,audit_tag,paper_ref,gamma,d,lhs,rhs,ratio,tolerance,pass"
 
 
+# 2 / 0.5 = 4 deep over half a unit: log|det A| has not decayed by the k cap,
+# so the scattering stage raises "insufficient decay" at run time, a failure
+# that no validation can see
+UNDECAYED = {
+    "name": "undecayed",
+    "potential": {"family": "rank-one-narrow",
+                  "parameters": {"integral": 2.0, "width": 0.5, "matrix_dim": 1}},
+}
+
+
 def test_failing_scenario_is_isolated(tmp_path):
-    # the width 0.3 is no multiple of the sweep's grid step, so the audit
-    # raises at run time; the audits after it in the scenario still run
-    bad = {
-        "name": "bad-sweep",
-        "audits": ["sharp-half-sweep", "cauchy-kernel", "sharp-half-sweep"],
-        "options": {"integral": 2.0, "widths": [0.3]},
-    }
+    # the audits after a failing one in the scenario still run
+    bad = {**UNDECAYED, "audits": ["unitarity", "cauchy-kernel", "spectral-positivity"]}
     cfg = write_config(tmp_path, [bad, CLOSED_FORMS])
     manifest = runner.run_config(cfg)
     assert manifest["global_pass"] is False
     first, second = manifest["scenarios"]
-    assert first["name"] == "bad-sweep"
-    failures = first["error"].split("; ")
-    assert len(failures) == 2
-    assert all(f.startswith("sharp-half-sweep: ValueError:") for f in failures)
+    assert first["name"] == "undecayed"
+    # one line per failing audit; the stage's message holds a "; " of its own
+    failure = "ValueError: insufficient decay"
+    assert first["error"].startswith(f"unitarity: {failure}")
+    assert f"; spectral-positivity: {failure}" in first["error"]
+    assert first["error"].count(failure) == 2
     assert [r["audit_tag"] for r in first["reports"]] == ["cauchy-kernel"]
     assert first["reports"][0]["passed"] is True
     assert second["error"] is None
@@ -274,16 +284,11 @@ def test_cli_run_and_report(tmp_path, capsys):
 
 
 def test_cli_failing_suite_returns_one(tmp_path, capsys):
-    bad = {
-        "name": "bad-sweep",
-        "audits": ["sharp-half-sweep"],
-        "options": {"integral": 2.0, "widths": [0.3]},
-    }
-    cfg = write_config(tmp_path, [bad])
+    cfg = write_config(tmp_path, [{**UNDECAYED, "audits": ["unitarity"]}])
     code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 1
-    assert "scenario error: bad-sweep" in captured.err
+    assert "scenario error: undecayed" in captured.err
 
 
 def test_cli_config_error_returns_two(tmp_path, capsys):
@@ -350,6 +355,9 @@ def test_planar_well_validation():
      "options.gammas: expected numeric-list value, found 1.5"),
     ({"audits": ["lifting-identity", "cauchy-kernel"], "options": {"count": "twenty"}},
      "options.count: expected integer value, found 'twenty'"),
+    # a count of 0 wrote no record and passed
+    ({"audits": ["lifting-identity"], "options": {"count": 0}},
+     "options.count: need a count of at least 1"),
     # an option is typed whether or not an audit of the scenario reads it
     ({"audits": ["cauchy-kernel"], "options": {"gammas": [1.0, "1.5"]}},
      "options.gammas: expected numeric-list value"),
@@ -362,6 +370,11 @@ def test_planar_well_validation():
      "options.couplings: expected numeric-list or {start, stop, count} value"),
     ({"audits": ["cauchy-kernel"], "options": {"field_strength": True}},
      "options.field_strength: expected numeric value, found True"),
+    # and converted once, whether or not an audit reads it: a value its Kind cannot convert
+    ({"audits": ["cauchy-kernel"], "options": {"couplings": {"start": 0.0, "stop": 9.0, "count": 8}}},
+     "options.couplings: Geometric sequence cannot include zero"),
+    ({"audits": ["lifted-moment"], "potential": POSCHL_TELLER_1, "options": {"gammas": [10**400]}},
+     "options.gammas: int too large to convert to float"),
     # the fields of a density and of a Gaussian well are typed like options
     ({"audits": ["characteristic-roundtrip"],
       "options": {"density": {"stability_index": 1.0, "scale": "one"}}},
@@ -383,8 +396,8 @@ def test_planar_well_validation():
     ({"audits": ["lt-2d"],
       "options": {"well": {"kind": "gaussian", "depth": 8.0, "width": 1.2, "dpeth": 3}}},
      "options.well: unknown key 'dpeth'"),
-], ids=["reference", "gammas", "count", "unread", "planar-grid", "flag", "couplings", "bool",
-        "density-scale", "density-cutoff", "density-points", "well-depth", "well-width",
+], ids=["reference", "gammas", "count", "count-zero", "unread", "planar-grid", "flag", "couplings", "bool",
+        "couplings-zero", "gammas-overflow", "density-scale", "density-cutoff", "density-points", "well-depth", "well-width",
         "density-key", "well-key"])
 def test_ill_typed_options_exit_two(tmp_path, capsys, scenario, message):
     cfg = write_config(tmp_path, [{"name": "a", **scenario}])
@@ -568,6 +581,21 @@ CAUCHY = {"stability_index": 1.0}
      r"options.density \(stability_index, scale\): scale must be positive"),
     ({"audits": ["weyl-ratios"], "potential": POSCHL_TELLER_1, "options": {"couplings": [1, 2, 3]}},
      r"options.couplings: need at least 6 couplings for the sweep"),
+    # the audits' own rules on their moment indices and widths
+    ({"audits": ["lifted-moment"], "potential": POSCHL_TELLER_1, "options": {"gammas": [0.25, 1.5]}},
+     r"options.gammas: need gamma >= 1/2"),
+    ({"audits": ["weyl-ratios"], "potential": POSCHL_TELLER_1, "options": {"gammas": [0.25]}},
+     r"options.gammas: need gamma >= 1/2"),
+    ({"audits": ["lt-2d"], "options": {"well": GAUSSIAN_PLANE, "num_interior": 16, "gammas": [3.0]}},
+     r"options.gammas: gamma must lie in \[1/2, 5/2\]"),
+    ({"audits": ["lt-2d-magnetic"], "options": {"well": GAUSSIAN_PLANE, "magnetic_gamma": 1.0}},
+     r"options.magnetic_gamma: the magnetic factor-1 bound needs gamma >= 3/2"),
+    ({"audits": ["lifting-2d"], "options": {"well": GAUSSIAN_PLANE, "lifting_gamma": 0.25}},
+     r"options.lifting_gamma: need gamma >= 1/2"),
+    ({"audits": ["sharp-half-sweep"], "options": {"widths": [0.03]}},
+     r"options.widths: box radius must be an integer multiple of the step"),
+    ({"audits": ["sharp-half-sweep"], "options": {"widths": []}},
+     r"options.widths: need one or more positive widths"),
 ])
 def test_grids_the_solvers_refuse_exit_two(tmp_path, capsys, scenario, message):
     cfg = write_config(tmp_path, [{"name": "s", **scenario}])
@@ -609,6 +637,21 @@ def test_a_stage_that_raises_is_built_once(monkeypatch):
     assert "scattering" in result["timings"]
 
 
+def test_a_well_with_jumps_records_an_error_not_a_verdict():
+    # the audits that integrate tr(V')^2 once read V' = 0 on a square well:
+    # holder-chain-fourth failed against rhs 0, and so did trace-identity-3
+    # and remainder-cap
+    audits = ["holder-chain", "trace-identities", "remainder-sweep"]
+    [scenario] = runner.validate_config({"schema_version": 1, "scenarios": [{
+        "name": "square", "audits": audits, "grid": {"k_max": 40.0, "refine": 2},
+        "potential": {"family": "square-well", "parameters": {"depth": 2.0, "half_width": 1.0}},
+    }]})
+    result = runner.run_scenario(scenario)
+    assert result["error"] == "; ".join(
+        f"{tag}: ValueError: V has jumps, so it has no derivative dV/dx" for tag in audits)
+    assert result["reports"] == []  # no holder-chain-fourth against rhs 0, nor any other verdict
+
+
 def test_bundled_suite_and_benchmark_workloads_validate():
     sys.path.insert(0, str(Path(__file__).parents[1] / "ltbench"))
     try:
@@ -617,7 +660,7 @@ def test_bundled_suite_and_benchmark_workloads_validate():
         sys.path.pop(0)
     configs = [json.loads((Path(ltlab.__file__).parent / "configs" / "full_suite.json").read_text())]
     configs += [workloads.generate(name, seed)[0]
-                for name in workloads.WORKLOADS for seed in (0, 1, 2, 3, 4, 55)]
+                for name in workloads.WORKLOADS for seed in (*range(20), 55)]
     for config in configs:
         assert runner.validate_config(config)
     # a separable well's kind key is a well key, not a potential key
