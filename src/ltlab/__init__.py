@@ -1,6 +1,6 @@
 """Numerical audit bench for spectral bounds of 1D matrix Schrodinger operators."""
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -41,11 +41,18 @@ __all__ = [
 ]
 
 
+def _submodule(name: str):
+    # the import statement's own machinery, which `python -X importtime`
+    # times module by module; importlib.import_module bypasses it
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
     if name in _EXPORTS:
-        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        return getattr(_submodule(_EXPORTS[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dtbtrs
 
 from .potentials import (
     SampledPotential,
@@ -103,6 +101,9 @@ def _leading_eigenvalues(
     nonzero spectrum alone and lifts its limit to size - 1.  When every
     eigenvalue is wanted, the last is the trace minus the others.
     """
+    import scipy.sparse.linalg as spla
+    from scipy.linalg.lapack import dtbtrs
+
     keep = np.abs(a).max(axis=(1, 2)) > 0.0
     if not keep.any():
         return np.empty(0)

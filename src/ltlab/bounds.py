@@ -24,6 +24,9 @@ INTEGRAL_SLACK = 1e-9
 SWEEP_BASE_STEP = 0.1
 SHARPNESS_POINTS_PER_WIDTH = 8
 SHARPNESS_BOX_RADIUS = 8.0
+# the most interior points of a sweep's coarse grid: the bundled width 1e-3
+# takes 127,999, and its Richardson fine grid twice that
+SHARPNESS_GRID_CAP = 128_000
 PRODUCT_DIMS = (2, 3, 4, 5, 6, 7, 8)
 PRODUCT_POINT = (0.5, 2)
 ORDERING_DIMS = tuple(range(3, 11))
@@ -191,13 +194,17 @@ def sharp_half_audit(
 
 def _sweep_grids(widths) -> list[int]:
     """The interior points of the sharpness sweep's grid at each of one or more widths; the box
-    radius must be a multiple of the step so both well edges land on nodes, else the scheme is first order."""
+    radius must be a multiple of the step so both well edges land on nodes, else the scheme is first order,
+    and no grid may exceed SHARPNESS_GRID_CAP points."""
     if len(widths) == 0 or min(widths) <= 0:
         raise ValueError("need one or more positive widths")
     cells = [2.0 * SHARPNESS_BOX_RADIUS / (width / SHARPNESS_POINTS_PER_WIDTH) for width in widths]
     if any(abs(c - round(c)) > 1e-9 for c in cells):
         raise ValueError("box radius must be an integer multiple of the step")
-    return [int(round(c)) - 1 for c in cells]
+    points = [int(round(c)) - 1 for c in cells]
+    if max(points) > SHARPNESS_GRID_CAP:
+        raise ValueError(f"grid cap {SHARPNESS_GRID_CAP} points exceeded at width {min(widths):g}")
+    return points
 
 
 def sharpness_sweep(

@@ -1,11 +1,13 @@
 """Command-line entry points for running suites and rendering reports.
 
 `main` starts OpenBLAS at one thread: it sets OPENBLAS_NUM_THREADS=1 in the
-process environment before it imports `runner`, and with it numpy and scipy,
-whose bundled OpenBLAS libraries read that count when they load.  A pool
-that starts at more than one thread starts a worker that spins beside the
-run (README, "BLAS threads").  A library some caller loaded before keeps its
-pool, which `runner.run_config` still pins for the run.
+process environment before it imports `runner`, and with it numpy, and
+before `runner.run_config` loads scipy; each library's bundled OpenBLAS
+reads that count when it loads.  `report`, `diff` and a refused config
+load numpy only.  A pool that starts at more than one thread starts a
+worker that spins beside the run (README, "BLAS threads").  A library some
+caller loaded before keeps its pool, which `runner.run_config` still pins
+for the run.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _load_manifest(path) -> dict | None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read as numpy and scipy load
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read as numpy, and later scipy, load
     from . import runner
 
     if args.command == "run":

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
-from scipy.sparse.linalg import LinearOperator
 
 from . import potentials, spectral1d
 from .potentials import SampledPotential
@@ -339,6 +337,8 @@ class PeriodicOperator:
         eps * ||A||_1 does in spectral1d._ldlt.  The solve is Woodbury's:
         (A + shift)^{-1} = G + G B (W - K)^{-1} B^T G, with G applied by FFT.
         """
+        from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+
         support = np.flatnonzero(self.samples)
         values = self.samples[support]
         weights = np.sqrt(np.abs(values))
@@ -385,6 +385,8 @@ class PeriodicOperator:
         each certifying factor is a dense m x m one, dearer than the
         applications a closer shift saves.  A zero V has no level to factor.
         """
+        from scipy.sparse.linalg import LinearOperator
+
         if not self.samples.any():
             return np.empty(0)
         sigma = 1.15 * float(self.samples.min()) - 0.05

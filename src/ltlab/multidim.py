@@ -10,10 +10,12 @@ exact for any quadratic gauge function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, orth
+
+if TYPE_CHECKING:  # scipy loads at the calls that use it
+    import scipy.sparse as sp
 
 from . import spectral1d
 from .bounds import _check_gamma, classical_constant, constant_factor
@@ -75,6 +77,8 @@ class GridOperator2D:
         The y hop out of the last node of a grid row, (i, M-1) -> (i+1, 0),
         joins no edge, so the +-1 diagonals hold a zero there.
         """
+        import scipy.sparse as sp
+
         m = self.num_interior
         inv_h2 = 1.0 / self.grid_step**2
         links = (np.ones((m - 1, m)), np.ones((m, m - 1)))
@@ -250,6 +254,8 @@ def gauge_invariance_check(
     and the Landau-to-symmetric change of gauge, chi = B x y / 2, are
     checked.
     """
+    import scipy.sparse as sp
+
     landau = constant_field(field_strength)
     base_op = build_operator_2d(potential, box_radius, num_interior, landau)
     base = base_op.to_sparse()
@@ -345,6 +351,8 @@ def lifting_inequality_audit(
     that of its compression to S, which the 1D solver takes as a dim S
     channel well.  spectrum_2d is the solved planar spectrum on the same grid.
     """
+    from scipy.linalg import eigh_tridiagonal, orth
+
     _check_gamma(gamma)
     op = build_operator_2d(potential, box_radius, num_interior)
     m = op.num_interior

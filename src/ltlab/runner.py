@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -613,11 +612,15 @@ def _blas_library(package: str, pattern: str):
 
 
 def _pin_blas_threads() -> tuple[dict, list]:
-    """Set each pool found to one thread.
+    """Load the solver stack, then set each pool found to one thread.
 
-    Returns {pool: its thread count now, or "unpinned"} and the (setter,
-    count before) pairs that undo it.
+    Importing this module loads no scipy: the solver modules import it at
+    their calls.  It loads here, so scipy's pool exists to be pinned and no
+    scenario's timer holds the import.  Returns {pool: its thread count
+    now, or "unpinned"} and the (setter, count before) pairs that undo it.
     """
+    import scipy.sparse.linalg  # noqa: F401  (and with it scipy.linalg and its OpenBLAS)
+
     pinned, undo = {}, []
     for package, pattern, symbols in BLAS_POOLS:
         library = _blas_library(package, pattern)
@@ -644,8 +647,8 @@ def one_blas_thread():
     its worker spins on a core, and the records' last bits follow the
     thread count (README, "BLAS threads").  The command line loads both
     pools at one thread already; this pins the pools of a library caller,
-    loaded at the environment's count, and reads the counts the manifest
-    records.
+    loaded at the environment's count, loading scipy's first if no call
+    has, and reads the counts the manifest records.
     """
     pinned, undo = _pin_blas_threads()
     try:
@@ -674,6 +677,8 @@ def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
     scenarios = validate_config(config)
     with one_blas_thread() as blas_threads:
         if jobs > 1 and len(scenarios) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
                 results = list(pool.map(run_scenario, scenarios))
         else:

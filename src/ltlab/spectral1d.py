@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+
+if TYPE_CHECKING:  # scipy loads at the calls that use it
+    import scipy.sparse as sp
 
 from .potentials import SampledPotential
 
@@ -95,6 +96,8 @@ class DiscretizedOperator1D:
         i*n + a, and zero where a + d leaves the block; offsets +-n hold the
         hops.  The conversion drops zero entries.
         """
+        import scipy.sparse as sp
+
         n, inv_h2 = self.matrix_dim, 1.0 / self.grid_step**2
         shifted = self.potential_blocks + 2.0 * inv_h2 * np.eye(n)
         offsets = np.arange(n, -n - 1, -1)
@@ -226,6 +229,17 @@ def _mirror_halves(diagonal: np.ndarray, off: float) -> tuple[np.ndarray, np.nda
     )
 
 
+def eigh_tridiagonal(diagonal, off_diagonal, **options):
+    """scipy.linalg.eigh_tridiagonal, imported at the call.
+
+    _channel_levels solves through this name, so the tridiagonal solve can
+    be wrapped in one place, and importing this module loads no scipy.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(diagonal, off_diagonal, **options)
+
+
 def _channel_levels(channel: np.ndarray, inv_h2: float, lower: float, threshold: float):
     """Levels of -d^2/dx^2 + channel in [lower, -threshold] by tridiagonal bisection.
 
@@ -263,6 +277,8 @@ def _negative_eigenvalues(op: DiscretizedOperator1D, threshold: float) -> np.nda
 
 def _pivot_guard(mat) -> float:
     """eps * ||mat||_1: the size below which a pivot or a Ritz gap is roundoff."""
+    import scipy.sparse.linalg as spla
+
     return float(np.finfo(float).eps * spla.norm(mat, 1))
 
 
@@ -275,6 +291,9 @@ def _ldlt(mat, guard: float):
     makes one on a vanishing diagonal) or an exactly singular matrix voids
     the count, which is then None.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     eye = sp.identity(mat.shape[0], format="csc")
 
     def factor_at(shift):
@@ -366,6 +385,8 @@ def _eigsh_below(mat, sigma: float, count: int, cut: float, guard: float, OPinv)
     is seeded normal noise: an even one would leave the odd states of a
     symmetric well to roundoff.
     """
+    import scipy.sparse.linalg as spla
+
     size = mat.shape[0]
     v0 = np.random.default_rng(0).standard_normal(size)
     edge = -cut + CUT_STEP * guard
@@ -397,11 +418,13 @@ def _shift_invert_levels(mat, factor_at, guard: float, threshold: float, shift_f
     mat - sigma, the one choice an operator makes: sparse ones place it
     (_placed_shift), the periodic one keeps its floor.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     count, cut = _stable_count(factor_at, threshold, guard, mat.shape[0])
     if count == 0:
         return np.empty(0)
     sigma, solve = shift_for(cut)
-    opinv = spla.LinearOperator(mat.shape, matvec=solve, dtype=mat.dtype)
+    opinv = LinearOperator(mat.shape, matvec=solve, dtype=mat.dtype)
     return _eigsh_below(mat, sigma, count, cut, guard, opinv)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import circulant
 
@@ -256,7 +257,7 @@ def test_fractional_moment_vacuous_case(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a zero potential needs no factor and no eigsh")
 
-    monkeypatch.setattr(spectral1d.spla, "eigsh", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
     monkeypatch.setattr(fractional.PeriodicOperator, "_factor_at", refuse)
     op = fractional.PeriodicOperator.on_box(zero_potential(), 2.0, 5.0, 128)
     assert op.negative_levels().size == 0

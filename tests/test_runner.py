@@ -596,6 +596,8 @@ CAUCHY = {"stability_index": 1.0}
      r"options.widths: box radius must be an integer multiple of the step"),
     ({"audits": ["sharp-half-sweep"], "options": {"widths": []}},
      r"options.widths: need one or more positive widths"),
+    ({"audits": ["sharp-half-sweep"], "options": {"widths": [1e-6]}},
+     r"options.widths: grid cap 128000 points exceeded at width 1e-06"),
 ])
 def test_grids_the_solvers_refuse_exit_two(tmp_path, capsys, scenario, message):
     cfg = write_config(tmp_path, [{"name": "s", **scenario}])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import LinearOperator
 
@@ -144,7 +145,7 @@ def _count_solver_calls(monkeypatch):
     monkeypatch.setattr(
         spectral1d, "eigh_tridiagonal", counted("tridiagonal", spectral1d.eigh_tridiagonal)
     )
-    monkeypatch.setattr(spectral1d.spla, "eigsh", counted("eigsh", spectral1d.spla.eigsh))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted("eigsh", scipy.sparse.linalg.eigsh))
     return calls
 
 
@@ -348,7 +349,7 @@ def _eigsh_ks(monkeypatch, drop_calls=0):
     the way Lanczos returns the next level up when it misses a copy.
     """
     ks = []
-    real = spectral1d.spla.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def patched(mat, k, **kwargs):
         ks.append(k)
@@ -357,7 +358,7 @@ def _eigsh_ks(monkeypatch, drop_calls=0):
             return vals
         return np.append(np.sort(vals)[1:], 1.0)
 
-    monkeypatch.setattr(spectral1d.spla, "eigsh", patched)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", patched)
     return ks
 
 
