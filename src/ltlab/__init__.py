@@ -21,24 +21,7 @@ _EXPORTS = {
     "refined_negative_spectrum": "spectral1d",
 }
 
-__all__ = [
-    "__version__",
-    "BoundReport",
-    "BoundSpec",
-    "NegativeSpectrum",
-    "SampledPotential",
-    "birman_schwinger",
-    "bounds",
-    "build_family",
-    "fractional",
-    "multidim",
-    "negative_spectrum",
-    "potentials",
-    "refined_negative_spectrum",
-    "reports",
-    "scattering",
-    "spectral1d",
-]
+__all__ = ["__version__", *sorted(_SUBMODULES | _EXPORTS.keys())]
 
 
 def _submodule(name: str):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import potentials, spectral1d
 from .potentials import SampledPotential
-from .reports import BoundReport, BoundSpec, comparison_report
+from .reports import BoundReport, BoundSpec, comparison_report, riesz_report
 from .spectral1d import NegativeSpectrum
 
 GAMMA_DEFAULTS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5)
@@ -177,18 +177,12 @@ def sharp_half_audit(
 ) -> BoundReport:
     """Half moments against one half of the trace integral of the well."""
     potentials.require_nonpositive(potential)
-    lhs = spectrum.riesz_mean(0.5)
-    rhs = 0.5 * potentials.trace_power_integral(potential, "minus", 1.0)
-    return comparison_report(
-        "sharp-half",
-        "upper",
-        lhs,
-        rhs,
+    return riesz_report(
+        "sharp-half", "upper", spectrum, 0.5,
+        0.5 * potentials.trace_power_integral(potential, "minus", 1.0),
         spec=BoundSpec(0.5, 1, "upper", 2.0, "bound:half-moment-sharp"),
         base_tolerance=base_tolerance,
-        lhs_error=spectrum.riesz_mean_error(0.5),
         rhs_error=INTEGRAL_SLACK,
-        provenance={"levels": spectrum.count},
     )
 
 
@@ -261,22 +255,17 @@ def lifted_moment_audit(
     _check_gamma(gamma)
     potentials.require_nonpositive(potential)
     factor = constant_factor(gamma, 1)
-    lhs = spectrum.riesz_mean(gamma)
     rhs = (
         factor
         * classical_constant(gamma, 1)
         * potentials.trace_power_integral(potential, "minus", gamma + 0.5)
     )
-    return comparison_report(
-        "lifted-moment",
-        "upper",
-        lhs,
-        rhs,
+    return riesz_report(
+        "lifted-moment", "upper", spectrum, gamma, rhs,
         spec=BoundSpec(gamma, 1, "upper", factor, "bound:lifted-moment"),
         base_tolerance=base_tolerance,
-        lhs_error=spectrum.riesz_mean_error(gamma),
         rhs_error=INTEGRAL_SLACK,
-        provenance={"levels": spectrum.count, "gamma": gamma},
+        gamma=gamma,
     )
 
 
@@ -340,30 +329,18 @@ def half_moment_sandwich(
     """Two-sided estimate on the half moments for sign-indefinite wells."""
     tr_minus = potentials.trace_power_integral(potential, "minus", 1.0)
     tr_plus = potentials.trace_power_integral(potential, "plus", 1.0)
-    mid = spectrum.riesz_mean(0.5)
-    err = spectrum.riesz_mean_error(0.5)
     quarter = classical_constant(0.5, 1)
-    lower = comparison_report(
-        "half-moment-lower",
-        "lower",
-        mid,
-        quarter * (tr_minus - tr_plus),
+    lower = riesz_report(
+        "half-moment-lower", "lower", spectrum, 0.5, quarter * (tr_minus - tr_plus),
         spec=BoundSpec(0.5, 1, "lower", 1.0, "bound:half-moment-below"),
         base_tolerance=base_tolerance,
-        lhs_error=err,
         rhs_error=INTEGRAL_SLACK,
-        provenance={"levels": spectrum.count},
     )
-    upper = comparison_report(
-        "half-moment-upper",
-        "upper",
-        mid,
-        2.0 * quarter * tr_minus,
+    upper = riesz_report(
+        "half-moment-upper", "upper", spectrum, 0.5, 2.0 * quarter * tr_minus,
         spec=BoundSpec(0.5, 1, "upper", 2.0, "bound:half-moment-sharp"),
         base_tolerance=base_tolerance,
-        lhs_error=err,
         rhs_error=INTEGRAL_SLACK,
-        provenance={"levels": spectrum.count},
     )
     return [lower, upper]
 
@@ -433,6 +410,11 @@ class CouplingSweep:
     couplings: tuple
     spectra: tuple
 
+    def riesz_means(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each coupling's Riesz mean at gamma, and its propagated budget."""
+        return (np.array([spectrum.riesz_mean(gamma) for spectrum in self.spectra]),
+                np.array([spectrum.riesz_mean_error(gamma) for spectrum in self.spectra]))
+
 
 def _check_couplings(couplings) -> None:
     """Raise unless there are at least 6 couplings, all positive."""
@@ -484,8 +466,7 @@ def remainder_sweep(
     deriv_sq = potentials.derivative_square_integral(potential)
     cap_coeff = 3.0 / 16.0 * math.sqrt(v_one) * math.sqrt(deriv_sq)
     alphas = np.array(sweep.couplings)
-    riesz = np.array([spectrum.riesz_mean(1.5) for spectrum in sweep.spectra])
-    errors = np.array([spectrum.riesz_mean_error(1.5) for spectrum in sweep.spectra])
+    riesz, errors = sweep.riesz_means(1.5)
     rem = alphas * alphas * l32 * v_sq - riesz
     cap = np.array([cap_coeff * a**1.5 for a in sweep.couplings])
     budget = errors + INTEGRAL_SLACK * alphas * alphas
@@ -567,8 +548,8 @@ def weyl_ratio_sweep(
     )
     alphas = np.array(sweep.couplings)
     denoms = np.array([a ** (gamma + 0.5) * scale_integral for a in sweep.couplings])
-    ratios = np.array([spectrum.riesz_mean(gamma) for spectrum in sweep.spectra]) / denoms
-    budgets = np.array([spectrum.riesz_mean_error(gamma) for spectrum in sweep.spectra]) / denoms
+    riesz, errors = sweep.riesz_means(gamma)
+    ratios, budgets = riesz / denoms, errors / denoms
     i_worst = int(np.argmax(ratios - budgets))
     cap = comparison_report(
         "weyl-ratio-cap",

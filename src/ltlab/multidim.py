@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # scipy loads at the calls that use it
 from . import spectral1d
 from .bounds import _check_gamma, classical_constant, constant_factor
 from .potentials import simpson_weights
-from .reports import BoundReport, BoundSpec, comparison_report
+from .reports import BoundReport, BoundSpec, comparison_report, riesz_report
 from .spectral1d import DiscretizedOperator1D, NegativeSpectrum
 
 GRID_CAP = 160
@@ -193,26 +193,19 @@ def lt_audit_2d(
     """
     _check_plane_gamma(gamma, magnetic)
     factor = 1.0 if magnetic else constant_factor(gamma, 2)
-    lhs = spectrum.riesz_mean(gamma)
     rhs = factor * classical_constant(gamma, 2) * plane_moment_integral(
         potential, box_radius, gamma
     )
     tag = "lt-2d-magnetic" if magnetic else "lt-2d"
     citation = "bound:plane-moment-magnetic" if magnetic else "bound:plane-moment"
-    return comparison_report(
-        tag,
-        "upper",
-        lhs,
-        rhs,
+    return riesz_report(
+        tag, "upper", spectrum, gamma, rhs,
         spec=BoundSpec(gamma, 2, "upper", factor, citation),
         base_tolerance=base_tolerance,
-        lhs_error=spectrum.riesz_mean_error(gamma),
-        provenance={
-            "gamma": gamma,
-            "magnetic": magnetic,
-            "levels": spectrum.count,
-            "grid": spectrum.num_interior,
-        },
+        rhs_error=0.0,
+        gamma=gamma,
+        magnetic=magnetic,
+        grid=spectrum.num_interior,
     )
 
 

@@ -522,7 +522,7 @@ def _build_random_smooth(
         raise ValueError("decay ratio must sit in (0, 1)")
     rng = np.random.default_rng(int(seed))
 
-    def herm(m):
+    def herm():
         z = rng.standard_normal((n, n))
         if not real_valued:
             z = z + 1j * rng.standard_normal((n, n))
@@ -532,8 +532,8 @@ def _build_random_smooth(
     sin_coeff = []
     for m in range(1, modes + 1):
         s = amplitude * decay**m
-        cos_coeff.append(s * herm(m))
-        sin_coeff.append(s * herm(m))
+        cos_coeff.append(s * herm())
+        sin_coeff.append(s * herm())
     cos_coeff = np.array(cos_coeff)
     sin_coeff = np.array(sin_coeff)
     eye = np.eye(n, dtype=complex)

@@ -141,6 +141,20 @@ def comparison_report(
     )
 
 
+def riesz_report(audit_tag: str, side: str, spectrum, moment: float, rhs: float, spec: BoundSpec,
+                 base_tolerance: float, rhs_error: float, **provenance) -> BoundReport:
+    """A spectrum's Riesz mean at `moment` against rhs, through comparison_report.
+
+    lhs is sum |E_j|^moment and lhs_error its propagated eigenvalue budget;
+    the provenance carries the level count besides the keys given.
+    """
+    return comparison_report(
+        audit_tag, side, spectrum.riesz_mean(moment), rhs, spec=spec, base_tolerance=base_tolerance,
+        lhs_error=spectrum.riesz_mean_error(moment), rhs_error=rhs_error,
+        provenance={"levels": spectrum.count, **provenance},
+    )
+
+
 def limit_report(audit_tag: str, value: float, limit: float, provenance: dict) -> BoundReport:
     """A measured deviation against its limit: passes when value <= limit.
 

@@ -54,7 +54,6 @@ class Scenario:
     audits: tuple
     potential_spec: dict | None = None
     grid: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
 
 
@@ -104,7 +103,7 @@ CONFIG_FIELDS = {
 SCENARIO_FIELDS = {
     "name": Kind("a nonempty string", lambda v: isinstance(v, str) and v != ""),
     "audits": NONEMPTY_LIST,
-    "potential": None, "grid": OBJECT, "tolerances": OBJECT, "options": OBJECT,
+    "potential": None, "grid": OBJECT, "options": OBJECT,
 }
 GRID_FIELDS = {
     "refine": Kind("a positive integer", lambda v: _is_int(v) and v >= 1),
@@ -119,7 +118,7 @@ DENSITY_FIELDS = {"stability_index": NUMBER, "scale": NUMBER, "grid_cutoff": NUM
                   "grid_points": INTEGER}
 
 
-def _check_fields(spec, fields: dict, where: str, required=(), unknown="{where}: unknown key {key!r}"):
+def _check_fields(spec, fields: dict, where: str, required=()):
     """Refuse a spec that is not an object, then a key not in fields, then a value not
     of its field's Kind; a required key that is missing is read as None.
 
@@ -129,7 +128,7 @@ def _check_fields(spec, fields: dict, where: str, required=(), unknown="{where}:
         raise ConfigError(f"{where or 'config'}: expected an object")
     unknown_keys = sorted(set(spec) - set(fields))
     if unknown_keys:
-        raise ConfigError(unknown.format(where=where or "config", key=unknown_keys[0]))
+        raise ConfigError(f"{where or 'config'}: unknown key {unknown_keys[0]!r}")
     for key, kind in fields.items():
         if kind is not None and (key in spec or key in required) and not kind.accept(spec.get(key)):
             raise ConfigError(f"{where}.{key}: expected {kind.expected}, found {spec.get(key)!r}".lstrip("."))
@@ -165,6 +164,14 @@ def _check_potential(spec, where: str, fields: dict = POTENTIAL_FIELDS):
             raise ConfigError(f"{where}.parameters: {family}: {exc}") from None
 
 
+def _check_builds(spec, where: str):
+    """The spec builds: a parameter value its family refuses raises a ConfigError naming where."""
+    try:
+        potentials.build(spec)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _check_well(spec, where: str):
     """A planar well: a Gaussian with depth and width, or a separable potential spec."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -175,6 +182,7 @@ def _check_well(spec, where: str):
         _check_fields(spec, {"kind": None, "depth": NUMBER, "width": NUMBER}, where)
     elif kind == "separable":
         _check_potential(spec, where, POTENTIAL_FIELDS | {"kind": None})
+        _check_builds(spec, where)
     else:
         raise ConfigError(f"{where}: expected an object with kind 'gaussian' or 'separable'")
 
@@ -274,16 +282,14 @@ def validate_config(config) -> list[Scenario]:
                 raise ConfigError(f"{where}.audits: duplicate audit tag {tag!r}")
         if "potential" in item:
             _check_potential(item["potential"], f"{where}.potential")
+            _check_builds(item["potential"], f"{where}.potential")
         _check_inputs(audits, item, where)
-        grid, tolerances, options = (item.get(key, {}) for key in ("grid", "tolerances", "options"))
+        grid, options = item.get("grid", {}), item.get("options", {})
         _check_fields(grid, GRID_FIELDS, f"{where}.grid")
-        tolerated = [tag for tag in audits if AUDITS[tag].tolerance is not None]
-        _check_fields(tolerances, dict.fromkeys(tolerated, POSITIVE), f"{where}.tolerances",
-                      unknown="{where}.{key}: expected one of the scenario's audits that takes a tolerance")
         _check_options(audits, options, f"{where}.options")
         scenarios.append(Scenario(
             name=name, audits=tuple(audits), potential_spec=item.get("potential"),
-            grid=dict(grid), tolerances=dict(tolerances), options=dict(options),
+            grid=dict(grid), options=dict(options),
         ))
         _check_stage_grids(scenarios[-1], where)
     return scenarios
@@ -309,8 +315,8 @@ def _momentum_grid(density: dict, points: int | None = None) -> np.ndarray:
 class ScenarioContext:
     """Lazy, cached access to the expensive per-scenario objects.
 
-    `grid`, `tolerances` and `options` hold the scenario's values converted
-    once by their Kinds, with the stage defaults filled in.  Each stage is
+    `grid` and `options` hold the scenario's values converted once by their
+    Kinds, with the stage defaults filled in.  Each stage is
     built once per scenario, and a build that raises raises its exception
     again to each later reader.  `timings` holds the seconds each build took
     under its key, the stages it first built included, and `provenance` the
@@ -320,7 +326,6 @@ class ScenarioContext:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.grid = _resolved(scenario.grid, GRID_FIELDS, GRID_DEFAULTS, "grid")
-        self.tolerances = _resolved(scenario.tolerances, dict.fromkeys(AUDITS, POSITIVE), {}, "tolerances")
         self.options = _resolved(scenario.options, OPTION_KINDS, STAGE_DEFAULTS, "options")
         self.options.setdefault("gauge_points", min(self.options["num_interior"], 32))
         if "density" in self.options:
@@ -564,9 +569,9 @@ AUDITS = {
 
 
 def _dispatch(ctx: ScenarioContext, tag: str) -> list:
-    """Run one audit with the scenario's options over its defaults, and its tolerance."""
+    """Run one audit with the scenario's options over its defaults, and its base tolerance."""
     audit = AUDITS[tag]
-    return audit.run(ctx, audit.options | ctx.options, ctx.tolerances.get(tag, audit.tolerance))
+    return audit.run(ctx, audit.options | ctx.options, audit.tolerance)
 
 
 def run_scenario(scenario: Scenario) -> dict:

@@ -1,6 +1,27 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import ltlab
 from ltlab import potentials, scattering, spectral1d
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """child_env(threads=None, *paths): the environment of a child interpreter that
+    imports this ltlab, `src` then paths before any PYTHONPATH given; with threads,
+    OpenBLAS and OpenMP at that count."""
+
+    def build(threads: int | None = None, *paths) -> dict:
+        env = dict(os.environ)
+        if threads is not None:
+            env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        source = [str(Path(ltlab.__file__).resolve().parents[1]), *map(str, paths)]
+        env["PYTHONPATH"] = os.pathsep.join(source + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return env
+
+    return build
 
 
 @pytest.fixture(scope="session")

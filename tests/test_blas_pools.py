@@ -10,7 +10,6 @@ neither pool starts a worker at all.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -67,7 +66,7 @@ CONFIG = {
 }
 
 
-def _run_script(script: str, config: dict, tmp_path: Path) -> str:
+def _run_script(script: str, config: dict, tmp_path: Path, child_env) -> str:
     """The last line a fresh interpreter prints running script on `ltlab run`
     arguments for config, under two OpenBLAS threads; the run writes to
     tmp_path/out."""
@@ -75,22 +74,19 @@ def _run_script(script: str, config: dict, tmp_path: Path) -> str:
         pytest.skip("no /proc/self/task to read threads from")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    source = str(Path(ltlab.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-    env["PYTHONPATH"] = source + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
         [sys.executable, "-c", script, "run", "--config", str(cfg), "--jobs", "1",
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=child_env(2), timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     return result.stdout.strip().splitlines()[-1]
 
 
 @pytest.fixture(scope="module")
-def worker_ns(tmp_path_factory):
+def worker_ns(tmp_path_factory, child_env):
     """{pool: CPU nanoseconds of each of its workers} over one run."""
-    return json.loads(_run_script(SCRIPT, CONFIG, tmp_path_factory.mktemp("blas-pools")))
+    return json.loads(_run_script(SCRIPT, CONFIG, tmp_path_factory.mktemp("blas-pools"), child_env))
 
 
 def test_numpy_blas_workers_stay_idle(worker_ns):
@@ -133,10 +129,10 @@ COUPLED_WELL = {
 }
 
 
-def test_the_command_line_starts_no_blas_worker(tmp_path):
+def test_the_command_line_starts_no_blas_worker(tmp_path, child_env):
     # under two OpenBLAS threads a library loaded at the environment's count
     # starts one worker per pool: three threads in all
-    seen = json.loads(_run_script(PLAIN_START, COUPLED_WELL, tmp_path))
+    seen = json.loads(_run_script(PLAIN_START, COUPLED_WELL, tmp_path, child_env))
     assert seen["loaded"] == []
     pins = json.loads((tmp_path / "out" / "manifest.json").read_text())["blas_threads"]
     if "unpinned" in pins.values():

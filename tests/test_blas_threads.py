@@ -8,15 +8,12 @@ counts.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import ltlab
 from ltlab import runner
 
 # the fields that followed the thread count before the pin: a coupled dense
@@ -58,27 +55,24 @@ CONFIG = {
 }
 
 
-def _run(tmp_path, threads: int, jobs: int) -> dict:
+def _run(tmp_path, threads: int, jobs: int, child_env) -> dict:
     """The manifest of `ltlab run` in a fresh process under `threads` OpenBLAS threads."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CONFIG))
     out = tmp_path / f"out-{threads}-{jobs}"
-    source = str(Path(ltlab.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    env["PYTHONPATH"] = source + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
         [sys.executable, "-m", "ltlab", "run", "--config", str(cfg), "--jobs", str(jobs),
          "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=child_env(threads), timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     return json.loads((out / "manifest.json").read_text())
 
 
 @pytest.fixture(scope="module")
-def manifests(tmp_path_factory):
+def manifests(tmp_path_factory, child_env):
     tmp_path = tmp_path_factory.mktemp("blas-threads")
-    return {key: _run(tmp_path, *key) for key in ((1, 1), (2, 1), (2, 2))}
+    return {key: _run(tmp_path, *key, child_env) for key in ((1, 1), (2, 1), (2, 2))}
 
 
 def _same(old: dict, new: dict):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltlab import bounds, potentials, spectral1d
+from ltlab import bounds, multidim, potentials, runner, spectral1d
 
 
 def test_classical_constant_closed_forms():
@@ -324,3 +324,39 @@ def test_holder_chain(pt1, pt1_scattering):
         "holder-chain-fourth",
     ]
     assert all(r.passed for r in reports)
+
+
+def test_riesz_mean_records_carry_the_spectrum_budget(pt1, pt1_spectrum, gaussian_sweep):
+    # lhs, budget and level count of every Riesz-mean record come from its
+    # spectrum; the rhs adds INTEGRAL_SLACK in 1D and nothing on the plane
+    records = [(pt1_spectrum, 0.5, 1e-9, bounds.sharp_half_audit(pt1, pt1_spectrum))]
+    records += [(pt1_spectrum, g, 1e-9, bounds.lifted_moment_audit(pt1, pt1_spectrum, g)) for g in (0.5, 1.5)]
+    records += [(pt1_spectrum, 0.5, 1e-9, rep) for rep in bounds.half_moment_sandwich(pt1, pt1_spectrum)]
+    ctx = runner.ScenarioContext(runner.Scenario(name="plane", audits=("lt-2d",), options={
+        "well": {"kind": "gaussian", "depth": 8.0, "width": 1.2}, "box_radius": 6.0, "num_interior": 16}))
+    for magnetic in (False, True):
+        spectrum = ctx.spectrum_2d(magnetic)
+        records.append((spectrum, 1.5, 0.0, multidim.lt_audit_2d(ctx.well_2d(), spectrum, 1.5, 6.0, magnetic)))
+    assert [rep.audit_tag for *_, rep in records] == [
+        "sharp-half", "lifted-moment", "lifted-moment", "half-moment-lower", "half-moment-upper",
+        "lt-2d", "lt-2d-magnetic"]
+    for spectrum, gamma, rhs_error, rep in records:
+        assert spectrum.count > 0
+        assert rep.lhs == spectrum.riesz_mean(gamma)
+        assert rep.provenance["budget"] == spectrum.riesz_mean_error(gamma) + rhs_error
+        assert rep.provenance["levels"] == spectrum.count
+
+    g, sweep = gaussian_sweep
+    alphas = np.array(sweep.couplings)
+    riesz, errors = sweep.riesz_means(1.5)
+    assert list(riesz) == [s.riesz_mean(1.5) for s in sweep.spectra]
+    assert list(errors) == [s.riesz_mean_error(1.5) for s in sweep.spectra]
+    _, rows = bounds.remainder_sweep(g, sweep)
+    assert list(rows["riesz_mean"]) == list(riesz)
+    assert list(rows["budget"]) == list(errors + 1e-9 * alphas * alphas)
+    assert list(rows["levels"]) == [s.count for s in sweep.spectra]
+    scale = bounds.classical_constant(1.0, 1) * potentials.trace_power_integral(g, "minus", 1.5)
+    denoms = alphas ** 1.5 * scale
+    _, rows = bounds.weyl_ratio_sweep(g, 1.0, sweep)
+    assert_allclose(rows["ratio"], [s.riesz_mean(1.0) for s in sweep.spectra] / denoms, rtol=1e-14)
+    assert_allclose(rows["budget"], [s.riesz_mean_error(1.0) for s in sweep.spectra] / denoms, rtol=1e-14)

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -103,16 +102,6 @@ def test_validate_config_field_messages():
             }
         ],
         "grid: unknown key 'step'",
-    )
-    check(
-        [
-            {
-                "name": "a",
-                "audits": ["cauchy-kernel"],
-                "tolerances": {"cauchy-kernel": 0.0},
-            }
-        ],
-        "positive number",
     )
 
 
@@ -418,6 +407,9 @@ MISPLACED_STEP = {**GAUSSIAN_1, "grid_step": 0.05}
      "scenarios[0]: unknown key 'tolerance'"),
     ({"scenarios": [{**CLOSED_FORMS, "gird": {"num_interior": 800}}]},
      "scenarios[0]: unknown key 'gird'"),
+    # base tolerances come from runner.AUDITS alone
+    ({"scenarios": [{**CLOSED_FORMS, "audits": ["cauchy-kernel"], "tolerances": {"cauchy-kernel": 1e-3}}]},
+     "scenarios[0]: unknown key 'tolerances'"),
     # a grid_step beside parameters, not inside them
     ({"scenarios": [{"name": "a", "audits": ["sharp-half"], "potential": MISPLACED_STEP}]},
      "scenarios[0].potential: unknown key 'grid_step'"),
@@ -427,8 +419,8 @@ MISPLACED_STEP = {**GAUSSIAN_1, "grid_step": 0.05}
     ({"scenarios": [{"name": "a", "audits": ["sharp-half"], "potential": {
         "family": "scaled", "parameters": {"base": MISPLACED_STEP, "coupling": 2.0}}}]},
      "scenarios[0].potential.parameters.base: unknown key 'grid_step'"),
-], ids=["top-level", "scenario-tolerance", "scenario-grid", "potential", "direct-sum-block",
-        "scaled-base"])
+], ids=["top-level", "scenario-tolerance", "scenario-grid", "scenario-tolerances", "potential",
+        "direct-sum-block", "scaled-base"])
 def test_unknown_config_keys_exit_two(tmp_path, capsys, config, message):
     config = {"schema_version": 1, "suite": "unit", "scenarios": [CLOSED_FORMS], **config}
     cfg = tmp_path / "config.json"
@@ -440,38 +432,47 @@ def test_unknown_config_keys_exit_two(tmp_path, capsys, config, message):
     assert not (tmp_path / "o").exists()
 
 
+def _sharp_half(potential):
+    return {"audits": ["sharp-half"], "potential": potential}
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (_sharp_half({"family": "gaussian", "parameters": {"depth": "deep", "width": 1.0}}),
+     "potential: '<=' not supported between instances of 'str' and 'int'"),
+    (_sharp_half({"family": "gaussian", "parameters": {"depth": -1.0, "width": 1.0}}),
+     "potential: gaussian needs positive depth and width"),
+    (_sharp_half({"family": "scaled", "parameters": {"base": GAUSSIAN_1, "coupling": "x"}}),
+     "potential: could not convert string to float: 'x'"),
+    (_sharp_half({"family": "poschl-teller", "parameters": {"nu": 1.0, "grid_step": 0.5}}),
+     "potential: poschl-teller: grid_step 0.5 does not resolve the narrowest feature"),
+    ({"audits": ["lt-2d"], "options": {"well": {"kind": "separable", **GAUSSIAN_1,
+                                                 "parameters": {"depth": 1.0, "width": -1.0}}}},
+     "options.well: gaussian needs positive depth and width"),
+], ids=["depth-string", "depth-negative", "coupling-string", "coarse-step", "separable-well"])
+def test_potential_values_its_family_refuses_exit_two(tmp_path, capsys, scenario, message):
+    # each spec names known parameters, and only building it shows the fault
+    cfg = write_config(tmp_path, [{"name": "a", **scenario}])
+    with pytest.raises(runner.ConfigError, match=re.escape(f"scenarios[0].{message}")):
+        runner.validate_config(json.loads(cfg.read_text()))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: scenarios[0].{message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_option_names_are_ignored():
     runner.validate_config({"schema_version": 1, "scenarios": [{
         "name": "a", "audits": ["cauchy-kernel"], "options": {"rank": 6, "gamma": "x"},
     }]})
 
 
-@pytest.mark.parametrize("tag", ["cauchy-kernal", "unitarity", "classical-constants"],
-                         ids=["misspelt", "not-run", "no-tolerance"])
-def test_tolerance_keys_are_validated(tmp_path, capsys, tag):
-    cfg = write_config(tmp_path, [{**CLOSED_FORMS, "audits": CLOSED_FORMS["audits"] + [
-        "cauchy-kernel"], "tolerances": {tag: 1e-3}}])
-    with pytest.raises(runner.ConfigError, match=rf"scenarios\[0\].tolerances.{tag}: expected "
-                       "one of the scenario's audits that takes a tolerance"):
-        runner.validate_config(json.loads(cfg.read_text()))
-    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    capsys.readouterr()
-
-
 def test_sharp_half_sweep_reads_its_own_tolerance():
-    def tolerances(given):
-        result = runner.run_scenario(runner.validate_config({"schema_version": 1, "scenarios": [{
-            "name": "sweep", "audits": ["sharp-half-sweep"],
-            "options": {"widths": [0.05, 0.025]}, "tolerances": given,
-        }]})[0])
-        assert result["error"] is None
-        return [r["tolerance"] for r in result["reports"]
-                if r["citation"] == "bound:half-moment-sharp"]
-
-    default = tolerances({})
-    assert len(default) == 2 and all(1e-3 <= t < 0.01 for t in default)
-    assert [t - 0.25 for t in tolerances({"sharp-half-sweep": 0.25})] == pytest.approx(
-        [t - 1e-3 for t in default], abs=1e-12)
+    result = runner.run_scenario(runner.validate_config({"schema_version": 1, "scenarios": [{
+        "name": "sweep", "audits": ["sharp-half-sweep"], "options": {"widths": [0.05, 0.025]},
+    }]})[0])
+    assert result["error"] is None
+    # the sweep's 1e-3 plus each width's budget, not sharp-half's 1e-6
+    tolerances = [r["tolerance"] for r in result["reports"] if r["citation"] == "bound:half-moment-sharp"]
+    assert len(tolerances) == 2 and all(1e-3 <= t < 0.01 for t in tolerances)
 
 
 def test_readme_option_table_matches_audits():
@@ -769,7 +770,7 @@ def test_density_is_cached_by_point_count():
     assert fine.momentum_grid[2] == coarse.momentum_grid[1]
 
 
-def test_audits_load_no_quadrature_library(tmp_path):
+def test_audits_load_no_quadrature_library(tmp_path, child_env):
     # every integral in ltlab runs through the double-exponential rules of
     # potentials.fourier_integral and finite_integral, and the Gamma functions
     # come from math, so a process that runs the kernel, Jost, closed-form and
@@ -801,13 +802,10 @@ def test_audits_load_no_quadrature_library(tmp_path):
         "                                     ['scipy', 'special'])))\n"
         "sys.exit(code)\n"
     )
-    source = str(Path(ltlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = source + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
         [sys.executable, "-c", script, "run", "--config", str(cfg), "--jobs", "1",
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[]"

@@ -8,14 +8,12 @@ pool either.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import ltlab
 from ltlab import runner
 
 # Validates the bundled suite and both benchmark workloads at seed 0, runs
@@ -51,7 +49,7 @@ print(json.dumps(seen))
 
 
 @pytest.fixture(scope="module")
-def seen(tmp_path_factory):
+def seen(tmp_path_factory, child_env):
     tmp_path = tmp_path_factory.mktemp("startup")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"schema_version": 1, "suite": "startup", "scenarios": [
@@ -64,12 +62,9 @@ def seen(tmp_path_factory):
     commands = [["report", "--manifest", str(manifest), "--format", fmt] for fmt in runner.RENDERERS]
     commands += [["diff", str(manifest), str(manifest)],
                  ["run", "--config", str(refused), "--out", str(tmp_path / "out")]]
-    root = Path(__file__).resolve().parents[1]
-    source = [str(Path(ltlab.__file__).resolve().parents[1]), str(root / "ltbench")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-    env["PYTHONPATH"] = os.pathsep.join(source + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    ltbench = Path(__file__).resolve().parents[1] / "ltbench"
     result = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
-                            capture_output=True, text=True, env=env, timeout=300)
+                            capture_output=True, text=True, env=child_env(2, ltbench), timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
 
