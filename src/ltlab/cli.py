@@ -93,6 +93,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"report error: {exc}", file=sys.stderr)
             return 2
+        except (KeyError, TypeError) as exc:  # a record or field the manifest lacks
+            print(f"manifest error: {exc}", file=sys.stderr)
+            return 2
         return 0
     manifests = [_load_manifest(args.old), _load_manifest(args.new)]  # the diff command
     if None in manifests:

@@ -367,11 +367,20 @@ def _sampled(v, dv, support: tuple[float, float], step: float) -> SampledPotenti
 
 
 def _check_resolution(step: float, feature: float, tag: str):
+    if not step > 0:
+        raise ValueError(f"{tag}: grid_step must be positive")
     if step * POINTS_PER_FEATURE > feature * (1 + 1e-12):
         raise ValueError(
             f"{tag}: grid_step {step} does not resolve the narrowest feature "
             f"{feature} with >= {POINTS_PER_FEATURE} points"
         )
+
+
+def _check_integers(tag: str, least: int, **values):
+    """Refuse a value that is not an integer (a bool or a fraction) or is below least."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{tag}: {name} must be an integer of at least {least}, not {value!r}")
 
 
 def _scalar_family(x_eval, d_eval, support, step):
@@ -412,6 +421,8 @@ def _build_poschl_teller(nu: float, grid_step: float | None = None):
     if nu <= 0:
         raise ValueError("poschl-teller needs nu > 0")
     depth = nu * (nu + 1)
+    if depth <= SUPPORT_THRESHOLD:
+        raise ValueError(f"poschl-teller: nu must make nu (nu + 1) exceed SUPPORT_THRESHOLD, not {nu!r}")
     h = 0.02 if grid_step is None else float(grid_step)
     _check_resolution(h, 1.0 / max(nu, 1.0), "poschl-teller")
     radius = float(np.arccosh(math.sqrt(depth / SUPPORT_THRESHOLD)))
@@ -430,6 +441,8 @@ def _build_poschl_teller(nu: float, grid_step: float | None = None):
 def _build_gaussian(depth: float, width: float, grid_step: float | None = None):
     if depth <= 0 or width <= 0:
         raise ValueError("gaussian needs positive depth and width")
+    if depth <= SUPPORT_THRESHOLD:
+        raise ValueError(f"gaussian: depth must exceed SUPPORT_THRESHOLD = {SUPPORT_THRESHOLD}, not {depth!r}")
     h = width / 50.0 if grid_step is None else float(grid_step)
     _check_resolution(h, width, "gaussian")
     radius = width * math.sqrt(math.log(depth / SUPPORT_THRESHOLD))
@@ -453,7 +466,8 @@ def _build_rank_one_narrow(
     """Narrow box well -(c/w) * indicator([0, w]) * P with P a fixed projector."""
     if integral <= 0 or width <= 0:
         raise ValueError("rank-one-narrow needs positive integral and width")
-    n = int(matrix_dim)
+    _check_integers("rank-one-narrow", 1, matrix_dim=matrix_dim)
+    n = matrix_dim
     if direction is None:
         theta = math.pi / 5.0
         e = np.zeros(n, dtype=complex)
@@ -516,11 +530,15 @@ def _build_random_smooth(
     Mode m carries coefficient scale amplitude * decay^m; the bump window
     makes the result C-infinity with support [-a, a].
     """
-    n = int(matrix_dim)
+    _check_integers("random-smooth", 1, matrix_dim=matrix_dim)
+    _check_integers("random-smooth", 0, seed=seed, modes=modes)
+    n = matrix_dim
     a = float(support_radius)
+    if not a > 0:
+        raise ValueError("random-smooth: support_radius must be positive")
     if not (0 < decay < 1):
         raise ValueError("decay ratio must sit in (0, 1)")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
 
     def herm():
         z = rng.standard_normal((n, n))

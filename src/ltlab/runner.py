@@ -48,15 +48,6 @@ class ConfigError(ValueError):
     """Raised for schema violations; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    audits: tuple
-    potential_spec: dict | None = None
-    grid: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-
-
 class Kind(NamedTuple):
     """A field's type: what a refusal says it expected, its test and its conversion."""
 
@@ -118,11 +109,13 @@ DENSITY_FIELDS = {"stability_index": NUMBER, "scale": NUMBER, "grid_cutoff": NUM
                   "grid_points": INTEGER}
 
 
-def _check_fields(spec, fields: dict, where: str, required=()):
+def _check_fields(spec, fields: dict, where: str, required=(), defaults=None) -> dict:
     """Refuse a spec that is not an object, then a key not in fields, then a value not
     of its field's Kind; a required key that is missing is read as None.
 
-    where is the spec's path, empty at the top level of a config.
+    Returns the defaults, then each of the spec's values converted by its Kind
+    (one without a Kind as given); a value its Kind cannot convert is refused
+    too.  where is the spec's path, empty at the top level of a config.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{where or 'config'}: expected an object")
@@ -132,6 +125,13 @@ def _check_fields(spec, fields: dict, where: str, required=()):
     for key, kind in fields.items():
         if kind is not None and (key in spec or key in required) and not kind.accept(spec.get(key)):
             raise ConfigError(f"{where}.{key}: expected {kind.expected}, found {spec.get(key)!r}".lstrip("."))
+    values = dict(defaults or {})
+    for key, value in spec.items():
+        try:
+            values[key] = value if fields[key] is None else fields[key].convert(value)
+        except (ValueError, OverflowError) as exc:  # a geometric range through 0, an int past float
+            raise ConfigError(f"{where}.{key}: {exc}".lstrip(".")) from None
+    return values
 
 
 def _check_potential(spec, where: str, fields: dict = POTENTIAL_FIELDS):
@@ -164,14 +164,6 @@ def _check_potential(spec, where: str, fields: dict = POTENTIAL_FIELDS):
             raise ConfigError(f"{where}.parameters: {family}: {exc}") from None
 
 
-def _check_builds(spec, where: str):
-    """The spec builds: a parameter value its family refuses raises a ConfigError naming where."""
-    try:
-        potentials.build(spec)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def _check_well(spec, where: str):
     """A planar well: a Gaussian with depth and width, or a separable potential spec."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -182,16 +174,8 @@ def _check_well(spec, where: str):
         _check_fields(spec, {"kind": None, "depth": NUMBER, "width": NUMBER}, where)
     elif kind == "separable":
         _check_potential(spec, where, POTENTIAL_FIELDS | {"kind": None})
-        _check_builds(spec, where)
     else:
         raise ConfigError(f"{where}: expected an object with kind 'gaussian' or 'separable'")
-
-
-def _check_density(spec, where: str):
-    """A numeric stability_index; scale, grid_cutoff and grid_points of their types; no other key."""
-    if not isinstance(spec, dict) or not _is_number(spec.get("stability_index")):
-        raise ConfigError(f"{where}: expected an object with a numeric stability_index")
-    _check_fields(spec, DENSITY_FIELDS, where)
 
 
 def _check_inputs(audits, item: dict, where: str):
@@ -208,19 +192,18 @@ def _check_inputs(audits, item: dict, where: str):
 
 
 def _check_options(audits, options: dict, where: str):
-    """The well and density, the audits' required options, every known option's type."""
+    """The well, the density's stability_index, the audits' required options, stable-c0's reference."""
     if "well" in options:
         _check_well(options["well"], f"{where}.well")
-    if "density" in options:
-        _check_density(options["density"], f"{where}.density")
+    density = options.get("density")
+    if "density" in options and not (isinstance(density, dict) and _is_number(density.get("stability_index"))):
+        raise ConfigError(f"{where}.density: expected an object with a numeric stability_index")
     for tag in audits:
         for name, default in AUDITS[tag].options.items():
             kind = OPTION_KINDS[name]
             if default is REQUIRED and not kind.accept(options.get(name)):
                 adjective = kind.expected.removesuffix(" value")
                 raise ConfigError(f"{where}.{name}: audit {tag!r} needs a {adjective} {name}")
-    # option names are not checked yet: a name not in OPTION_KINDS takes any value
-    _check_fields(options, dict.fromkeys(options) | OPTION_KINDS, where)
     if "stable-c0" in audits and options.get("reference") is None and not options.get("refine_grid"):
         raise ConfigError(f"{where}.reference: audit 'stable-c0' needs a reference or refine_grid: true")
 
@@ -242,12 +225,21 @@ OPTION_RULES = (
 )
 
 
-def _check_stage_grids(scenario: Scenario, where: str):
-    """The options of OPTION_RULES and the density pass the rules of the audits that read them."""
+def _checked_context(item: dict, where: str) -> ScenarioContext:
+    """The scenario's context, its potential and well built, and its options and
+    density past the rules of the audits that read them."""
     try:
-        options, audits = ScenarioContext(scenario).options, set(scenario.audits)
+        ctx = ScenarioContext(item)
     except ConfigError as exc:
         raise ConfigError(f"{where}.{exc}") from None
+    given = [("potential", ctx.potential)] if "potential" in item else []
+    given += [("options.well", ctx.well_2d)] if "well" in ctx.options else []
+    for path, stage in given:
+        try:
+            stage()
+        except (TypeError, ValueError, ArithmeticError) as exc:  # a value its builder refuses
+            raise ConfigError(f"{where}.{path}: {exc}") from None
+    options, audits = ctx.options, set(ctx.audits)
     # an audit's own defaults pass its rules, so only the options given or the stages' are read
     checks = [(key, rule, options[key]) for tags, key, rule in OPTION_RULES if audits & tags and key in options]
     if "density" in options:
@@ -260,21 +252,21 @@ def _check_stage_grids(scenario: Scenario, where: str):
             rule(value)
         except ValueError as exc:
             # a gauge_points not given is num_interior, capped at 32
-            key = "num_interior" if key == "gauge_points" and key not in scenario.options else key
+            key = "num_interior" if key == "gauge_points" and key not in item.get("options", {}) else key
             raise ConfigError(f"{where}.options.{key}: {exc}") from None
+    return ctx
 
 
-def validate_config(config) -> list[Scenario]:
+def validate_config(config) -> list[ScenarioContext]:
+    """The context of each scenario, the one its run executes; the first fault raises a ConfigError."""
     _check_fields(config, CONFIG_FIELDS, "", required=("schema_version", "scenarios"))
-    scenarios = []
-    seen = set()
+    contexts = []
     for i, item in enumerate(config["scenarios"]):
         where = f"scenarios[{i}]"
         _check_fields(item, SCENARIO_FIELDS, where, required=("name", "audits"))
         name, audits = item["name"], item["audits"]
-        if name in seen:
+        if any(ctx.name == name for ctx in contexts):
             raise ConfigError(f"{where}.name: duplicate scenario name {name!r}")
-        seen.add(name)
         for j, tag in enumerate(audits):
             if not isinstance(tag, str) or tag not in AUDITS:
                 raise ConfigError(f"{where}.audits: unknown audit tag {tag!r}")
@@ -282,29 +274,10 @@ def validate_config(config) -> list[Scenario]:
                 raise ConfigError(f"{where}.audits: duplicate audit tag {tag!r}")
         if "potential" in item:
             _check_potential(item["potential"], f"{where}.potential")
-            _check_builds(item["potential"], f"{where}.potential")
         _check_inputs(audits, item, where)
-        grid, options = item.get("grid", {}), item.get("options", {})
-        _check_fields(grid, GRID_FIELDS, f"{where}.grid")
-        _check_options(audits, options, f"{where}.options")
-        scenarios.append(Scenario(
-            name=name, audits=tuple(audits), potential_spec=item.get("potential"),
-            grid=dict(grid), options=dict(options),
-        ))
-        _check_stage_grids(scenarios[-1], where)
-    return scenarios
-
-
-def _resolved(given: dict, kinds: dict, defaults: dict, where: str) -> dict:
-    """The defaults, then each given value converted by its Kind (a name without one as given);
-    a value its Kind cannot convert raises a ConfigError naming where.key."""
-    resolved = dict(defaults)
-    for key, value in given.items():
-        try:
-            resolved[key] = kinds[key].convert(value) if key in kinds else value
-        except (ValueError, OverflowError) as exc:  # a geometric range through 0, an int past float
-            raise ConfigError(f"{where}.{key}: {exc}") from None
-    return resolved
+        _check_options(audits, item.get("options", {}), f"{where}.options")
+        contexts.append(_checked_context(item, where))
+    return contexts
 
 
 def _momentum_grid(density: dict, points: int | None = None) -> np.ndarray:
@@ -313,28 +286,37 @@ def _momentum_grid(density: dict, points: int | None = None) -> np.ndarray:
 
 
 class ScenarioContext:
-    """Lazy, cached access to the expensive per-scenario objects.
+    """A scenario object, with lazy, cached access to its expensive objects.
 
-    `grid` and `options` hold the scenario's values converted once by their
-    Kinds, with the stage defaults filled in.  Each stage is
-    built once per scenario, and a build that raises raises its exception
-    again to each later reader.  `timings` holds the seconds each build took
-    under its key, the stages it first built included, and `provenance` the
-    work counts a stage reports, under the same key.
+    `name` and `audits` are the scenario's, and `grid` and `options` hold its
+    values checked and converted once by their Kinds, with the stage
+    defaults filled in; a value they refuse raises a ConfigError naming its
+    path below the scenario.  Each stage is built once per scenario, and a
+    build that raises raises its exception again to each later reader.
+    `timings` holds the seconds each build took under its key, the stages it
+    first built included, and `provenance` the work counts a stage reports,
+    under the same key.  A context pickles as its scenario object, so a
+    --jobs worker builds the stages again.
     """
 
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.grid = _resolved(scenario.grid, GRID_FIELDS, GRID_DEFAULTS, "grid")
-        self.options = _resolved(scenario.options, OPTION_KINDS, STAGE_DEFAULTS, "options")
+    def __init__(self, item: dict):
+        self.item, self.name, self.audits = item, item["name"], tuple(item["audits"])
+        self.grid = _check_fields(item.get("grid", {}), GRID_FIELDS, "grid", defaults=GRID_DEFAULTS)
+        # option names are not checked yet: a name not in OPTION_KINDS takes any value
+        options = item.get("options", {})
+        self.options = _check_fields(options, dict.fromkeys(options) | OPTION_KINDS, "options",
+                                     defaults=STAGE_DEFAULTS)
         self.options.setdefault("gauge_points", min(self.options["num_interior"], 32))
         if "density" in self.options:
-            self.options["density"] = _resolved(self.options["density"], DENSITY_FIELDS, DENSITY_DEFAULTS,
-                                                "options.density")
+            self.options["density"] = _check_fields(self.options["density"], DENSITY_FIELDS, "options.density",
+                                                    defaults=DENSITY_DEFAULTS)
         self.plots: dict[str, str] = {}
         self.timings: dict[str, float] = {}
         self.provenance: dict[str, dict] = {}
         self._cache: dict = {}
+
+    def __reduce__(self):
+        return ScenarioContext, (self.item,)
 
     def _stage(self, key: str, build):
         if key not in self._cache:
@@ -349,7 +331,7 @@ class ScenarioContext:
         return self._cache[key]
 
     def potential(self):
-        return self._stage("potential", lambda: potentials.build(self.scenario.potential_spec))
+        return self._stage("potential", lambda: potentials.build(self.item["potential"]))
 
     def box_radius(self) -> float:
         return self._stage("box_radius", lambda: self.grid.get("box_radius")
@@ -514,7 +496,7 @@ AUDITS = {
     "weyl-ratios": Audit(
         lambda ctx, o, tol: [
             report
-            for written, gamma in zip(ctx.scenario.options.get("gammas", o["gammas"]), o["gammas"])
+            for written, gamma in zip(ctx.item.get("options", {}).get("gammas", o["gammas"]), o["gammas"])
             for report in _plotted(ctx, f"weyl-{written}", bounds.weyl_ratio_sweep(
                 ctx.potential(), gamma, ctx.coupling_sweep(), base_tolerance=tol))],
         ("potential",), {"gammas": (1.0, 1.5), "couplings": None}, 1e-6),
@@ -574,12 +556,11 @@ def _dispatch(ctx: ScenarioContext, tag: str) -> list:
     return audit.run(ctx, audit.options | ctx.options, audit.tolerance)
 
 
-def run_scenario(scenario: Scenario) -> dict:
-    """Execute one scenario; each audit's failure is captured on its own."""
-    ctx = ScenarioContext(scenario)
+def run_scenario(ctx: ScenarioContext) -> dict:
+    """Execute one scenario's audits on its context; each audit's failure is captured on its own."""
     records, errors = [], []
     started = time.perf_counter()
-    for tag in scenario.audits:
+    for tag in ctx.audits:
         begun = time.perf_counter()
         try:
             records += [report.to_record() for report in _dispatch(ctx, tag)]
@@ -587,7 +568,7 @@ def run_scenario(scenario: Scenario) -> dict:
             errors.append(f"{tag}: {type(exc).__name__}: {exc}")
         ctx.timings[tag] = ctx.timings.get(tag, 0.0) + time.perf_counter() - begun
     return {
-        "name": scenario.name,
+        "name": ctx.name,
         "wall_time_s": time.perf_counter() - started,
         "error": "; ".join(errors) or None,
         "reports": records,
@@ -679,15 +660,15 @@ def run_config(config_path, jobs: int = 1, out_dir=None) -> dict:
         raise ConfigError(f"config: cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # malformed JSON or undecodable bytes
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
-    scenarios = validate_config(config)
+    contexts = validate_config(config)
     with one_blas_thread() as blas_threads:
-        if jobs > 1 and len(scenarios) > 1:
+        if jobs > 1 and len(contexts) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
-                results = list(pool.map(run_scenario, scenarios))
+                results = list(pool.map(run_scenario, contexts))
         else:
-            results = [run_scenario(s) for s in scenarios]
+            results = [run_scenario(ctx) for ctx in contexts]
     global_pass = all(r["error"] is None for r in results) and all(
         rec["passed"] or rec["inconclusive"]
         for r in results

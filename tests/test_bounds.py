@@ -332,8 +332,8 @@ def test_riesz_mean_records_carry_the_spectrum_budget(pt1, pt1_spectrum, gaussia
     records = [(pt1_spectrum, 0.5, 1e-9, bounds.sharp_half_audit(pt1, pt1_spectrum))]
     records += [(pt1_spectrum, g, 1e-9, bounds.lifted_moment_audit(pt1, pt1_spectrum, g)) for g in (0.5, 1.5)]
     records += [(pt1_spectrum, 0.5, 1e-9, rep) for rep in bounds.half_moment_sandwich(pt1, pt1_spectrum)]
-    ctx = runner.ScenarioContext(runner.Scenario(name="plane", audits=("lt-2d",), options={
-        "well": {"kind": "gaussian", "depth": 8.0, "width": 1.2}, "box_radius": 6.0, "num_interior": 16}))
+    ctx = runner.ScenarioContext({"name": "plane", "audits": ["lt-2d"], "options": {
+        "well": {"kind": "gaussian", "depth": 8.0, "width": 1.2}, "box_radius": 6.0, "num_interior": 16}})
     for magnetic in (False, True):
         spectrum = ctx.spectrum_2d(magnetic)
         records.append((spectrum, 1.5, 0.0, multidim.lt_audit_2d(ctx.well_2d(), spectrum, 1.5, 6.0, magnetic)))

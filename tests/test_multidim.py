@@ -24,14 +24,14 @@ def solve(well, num_interior, box=BOX):
 
 def refined_spectrum(num_interior):
     """The runner's Richardson-paired planar spectrum of the Gaussian well."""
-    ctx = runner.ScenarioContext(runner.Scenario(
-        name="plane", audits=("lt-2d",),
-        options={
+    ctx = runner.ScenarioContext({
+        "name": "plane", "audits": ["lt-2d"],
+        "options": {
             "well": {"kind": "gaussian", "depth": DEPTH, "width": WIDTH},
             "box_radius": BOX,
             "num_interior": num_interior,
         },
-    ))
+    })
     return ctx.spectrum_2d(False)
 
 

@@ -272,6 +272,15 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert cli.main(["report", "--manifest", str(payload), "--format", "md"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_cli_report_on_a_malformed_manifest_returns_two(tmp_path, capsys, fmt):
+    # a scenario without reports, in a manifest without a suite: a KeyError and exit 1 once
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"scenarios": [{"name": "a"}]}))
+    assert cli.main(["report", "--manifest", str(manifest), "--format", fmt]) == 2
+    assert capsys.readouterr().err.startswith("manifest error: ")
+
+
 def test_cli_failing_suite_returns_one(tmp_path, capsys):
     cfg = write_config(tmp_path, [{**UNDECAYED, "audits": ["unitarity"]}])
     code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -457,6 +466,63 @@ def test_potential_values_its_family_refuses_exit_two(tmp_path, capsys, scenario
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: scenarios[0].{message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _built(family, **parameters):
+    return _sharp_half({"family": family, "parameters": parameters})
+
+
+RANK_ONE = {"integral": 2.0, "width": 0.5}
+RANDOM = {"matrix_dim": 2, "seed": 3}
+
+
+@pytest.mark.parametrize("scenario, message", [
+    # an IndexError inside validation, a traceback and exit 1
+    (_built("rank-one-narrow", **RANK_ONE, matrix_dim=0), "rank-one-narrow: matrix_dim"),
+    # int() truncated these, and seed 3.7 built the well of seed 3
+    (_built("rank-one-narrow", **RANK_ONE, matrix_dim=1.5), "rank-one-narrow: matrix_dim"),
+    (_built("rank-one-narrow", **RANK_ONE, matrix_dim=True), "rank-one-narrow: matrix_dim"),
+    (_built("random-smooth", **RANDOM | {"matrix_dim": 1.5}), "random-smooth: matrix_dim"),
+    (_built("random-smooth", **RANDOM | {"matrix_dim": True}), "random-smooth: matrix_dim"),
+    (_built("random-smooth", **RANDOM | {"seed": 3.7}), "random-smooth: seed"),
+    # "float division by zero", "need at least 3 samples" and "math domain error"
+    (_built("gaussian", depth=1.0, width=1.0, grid_step=0), "gaussian: grid_step"),
+    (_built("gaussian", depth=1.0, width=1.0, grid_step=-0.01), "gaussian: grid_step"),
+    (_built("gaussian", depth=1e-20, width=1.0), "gaussian: depth"),
+    # an arccosh out of its domain: "support must be a nonempty interval"
+    (_built("poschl-teller", nu=1e-20), "poschl-teller: nu"),
+    (_built("random-smooth", **RANDOM, support_radius=0), "random-smooth: support_radius"),
+], ids=["dim-zero", "dim-fraction", "dim-bool", "random-dim-fraction", "random-dim-bool", "seed-fraction",
+        "step-zero", "step-negative", "depth-below-threshold", "nu-below-threshold", "radius-zero"])
+def test_family_builders_name_the_value_they_refuse(tmp_path, capsys, scenario, message):
+    cfg = write_config(tmp_path, [{"name": "a", **scenario}])
+    with pytest.raises(runner.ConfigError, match=re.escape(f"scenarios[0].potential: {message} must")):
+        runner.validate_config(json.loads(cfg.read_text()))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: scenarios[0].potential: {message} must" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_serial_run_builds_each_spec_once(tmp_path, monkeypatch):
+    # validation builds the potential and the separable well, and the run reads those builds
+    builds = []
+    build = potentials.build
+
+    def counted(spec):
+        builds.append(spec["family"])
+        return build(spec)
+
+    monkeypatch.setattr(potentials, "build", counted)
+    blocks = [GAUSSIAN_1, {"family": "square-well", "parameters": {"depth": 1.0, "half_width": 1.0}}]
+    well = {"kind": "separable", **POSCHL_TELLER_1}
+    cfg = write_config(tmp_path, [
+        {"name": "sum", "audits": ["sharp-half"],
+         "potential": {"family": "direct-sum", "parameters": {"blocks": blocks}}},
+        {"name": "plane", "audits": ["lt-2d"], "options": {"well": well, "num_interior": 16, "box_radius": 6.0}},
+    ])
+    manifest = runner.run_config(cfg)
+    assert [s["error"] for s in manifest["scenarios"]] == [None, None]
+    assert sorted(builds) == ["direct-sum", "gaussian", "poschl-teller", "square-well"]
 
 
 def test_unknown_option_names_are_ignored():
@@ -757,10 +823,10 @@ def test_cli_diff_lists_tolerance_and_budget_moves(tmp_path, capsys):
 
 
 def test_density_is_cached_by_point_count():
-    ctx = runner.ScenarioContext(runner.Scenario(
-        name="d", audits=("stable-c0",),
-        options={"density": {"stability_index": 1.0, "grid_points": 101}},
-    ))
+    ctx = runner.ScenarioContext({
+        "name": "d", "audits": ["stable-c0"],
+        "options": {"density": {"stability_index": 1.0, "grid_points": 101}},
+    })
     coarse = ctx.density()
     assert coarse.momentum_grid.size == 101
     assert ctx.density(101) is coarse
